@@ -7,13 +7,18 @@ Integrates
 
 on a uniform (x, p) grid with Strang splitting: half-step diffusion,
 full-step drift, half-step diffusion. The drift (rotation, shear, damping
-contraction) is applied semi-Lagrangian: the linear flow map is
-exponentiated exactly, every node is traced back one step, and the field
-is read off with cubic-spline interpolation, zero outside the box. The
-damping divergence folds into the same map as a momentum contraction, with
-the exact Jacobian factor exp(2 g dt) restoring mass. Diffusion is an
-explicit central stencil, sub-cycled so its diffusion number stays below
-1/4 at any resolution.
+contraction) is exact in the map: the linear flow is exponentiated, and the
+backtrace matrix is factored into three shears and a momentum stretch.
+Each shear is a per-row (or per-column) shift applied as an FFT phase ramp,
+exact for a band-limited field; the stretch, which carries the Jacobian
+exp(2 g dt) that restores the mass the contraction removes, is a 1-D cubic
+B-spline pass along p, zero outside the box. The passes are cached per
+(coefficients, dt, grid), and an identity map (no streaming, no damping)
+has none. The shears treat the box as periodic, so mass that reaches the
+edge would wrap to the far side: the boundary-ring monitor that stops a
+run whose state leaves the box also guards against that wrap. Diffusion is
+an explicit central stencil, sub-cycled so its diffusion number stays
+below 1/4 at any resolution.
 
 The solver is dimensionless by convention: callers map SI inputs through
 nondimensionalize(), which rescales lengths to the ground-state width (or
@@ -32,6 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy
 import numpy as np
+from numpy.fft import irfft, rfft
 from scipy.linalg import expm
 from scipy.ndimage import map_coordinates
 
@@ -341,6 +347,78 @@ def _drift_maps(mass: float | None, omega: float, gamma: float, dt: float):
     return expm(-a * dt)
 
 
+def _shear_factors(back, stretch: float):
+    """Shears that, followed by the momentum stretch, compose to the backtrace.
+
+    back = Sx(s1) Sp(c) Sx(s2) diag(1, stretch), with Sx(s) = [[1, s], [0, 1]]
+    and Sp(c) = [[1, 0], [c, 1]]. Returns the non-trivial shears left to
+    right as ("x", s) or ("p", c). With no lower-left entry (no restoring
+    force) a single x-shear is exact.
+    """
+    a, b = back[0, 0], back[0, 1] / stretch
+    c, d = back[1, 0], back[1, 1] / stretch
+    if c == 0.0:
+        factors = [("x", b)]
+    else:
+        factors = [("x", (a - 1.0) / c), ("p", c), ("x", (d - 1.0) / c)]
+    return [(axis, s) for axis, s in factors if s != 0.0]
+
+
+def _shift_ramp(n: int, shifts):
+    """rfft-domain factors that move a length-n periodic signal by `shifts`
+    nodes, one column per shift: f(i) -> f(i + shift). The even-n Nyquist
+    bin keeps the real part, as the real trigonometric interpolant does."""
+    k = numpy.arange(n // 2 + 1)[:, None]
+    ramp = numpy.exp(2j * math.pi * k * shifts[None, :] / n)
+    if n % 2 == 0:
+        ramp[-1] = ramp[-1].real
+    return ramp
+
+
+@functools.lru_cache(maxsize=4)
+def _drift_plan(mass: float | None, omega: float, gamma: float, dt: float,
+                nx: int, n_p: int, x_half_width: float, p_half_width: float):
+    """Drift stage as a sequence of 1-D passes, applied left to right.
+
+    Each shear is ("x", ramp) or ("p", ramp): rfft along that axis, multiply
+    by the cached phase ramp, irfft. The damping stretch is ("stretch", C):
+    a cubic B-spline operator along p, zero outside the box and carrying the
+    Jacobian exp(2 g dt), applied as w @ C. The identity map has no passes.
+    """
+    stretch = math.exp(2.0 * gamma * dt)
+    factors = _shear_factors(_drift_maps(mass, omega, gamma, dt), stretch)
+    x = numpy.linspace(-x_half_width, x_half_width, nx)
+    p = numpy.linspace(-p_half_width, p_half_width, n_p)
+    dx, dp = 2.0 * x_half_width / (nx - 1), 2.0 * p_half_width / (n_p - 1)
+    plan = []
+    for axis, s in factors:
+        if axis == "x":     # w(x + s p, p): column j moves by s p_j / dx nodes
+            ramp = _shift_ramp(nx, s * p / dx)
+        else:               # w(x, p + s x): row i moves by s x_i / dp nodes
+            ramp = numpy.ascontiguousarray(_shift_ramp(n_p, s * x / dp).T)
+        plan.append((axis, ramp))
+    if stretch != 1.0:
+        # C[j, i] is the cubic-spline weight of input node j at the source
+        # point stretch * p_i; reading the identity at integer rows keeps
+        # the interpolation one-dimensional
+        rows = numpy.arange(n_p, dtype=float)[:, None].repeat(n_p, axis=1)
+        cols = numpy.broadcast_to((stretch * p + p_half_width) / dp, (n_p, n_p))
+        op = map_coordinates(numpy.eye(n_p), [rows, cols], order=3,
+                             mode="constant", cval=0.0)
+        plan.append(("stretch", op * stretch))
+    return tuple(plan)
+
+
+def _apply_drift(w, plan):
+    for kind, op in plan:
+        if kind == "stretch":
+            w = w @ op
+        else:
+            axis = 0 if kind == "x" else 1
+            w = irfft(rfft(w, axis=axis) * op, n=w.shape[axis], axis=axis)
+    return w
+
+
 def _diffuse(w, nu_p: float, cross: float):
     """Explicit diffusion stencil, zero-clamped boundaries.
 
@@ -372,14 +450,16 @@ def step(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float, *,
 
     dt must resolve the rotation (dt <= 0.005 periods) and the damping
     (gamma dt <= 0.05). Norm drift per step and mass on the boundary ring
-    are monitored; crossing either tolerance raises StabilityViolation.
+    are monitored; crossing either tolerance raises StabilityViolation. The
+    ring monitor is what keeps the periodic wrap of the drift shears
+    harmless.
     """
     if dt <= 0:
         raise StepSizeError("dt must be positive")
     if sc.omega > 0 and dt > 0.005 * 2.0 * math.pi / sc.omega * (1.0 + 1e-9):
         raise StepSizeError(
             f"dt = {dt:g} exceeds 0.005 rotation periods ({0.01 * math.pi / sc.omega:g})")
-    if sc.gamma * dt > 0.05:
+    if sc.gamma * dt > 0.05 * (1.0 + 1e-9):
         raise StepSizeError(f"gamma * dt = {sc.gamma * dt:g} exceeds 0.05")
 
     dx, dp = grid.dx, grid.dp
@@ -390,15 +470,9 @@ def step(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float, *,
     cross_half = -sc.d2 * (0.5 * dt) / (4.0 * dx * dp)
     w = _diffuse(w, nu_half, cross_half)
 
-    back = _drift_maps(sc.mass, sc.omega, sc.gamma, dt)
-    x = grid.x_axis
-    p = grid.p_axis
-    xs = back[0, 0] * x[:, None] + back[0, 1] * p[None, :]
-    ps = back[1, 0] * x[:, None] + back[1, 1] * p[None, :]
-    ix = (xs + grid.x_half_width) / dx
-    ip = (ps + grid.p_half_width) / dp
-    w = map_coordinates(w, [ix, ip], order=3, mode="constant", cval=0.0)
-    w *= math.exp(2.0 * sc.gamma * dt)
+    plan = _drift_plan(sc.mass, sc.omega, sc.gamma, dt, grid.nx, grid.np,
+                       grid.x_half_width, grid.p_half_width)
+    w = _apply_drift(w, plan)
 
     w = _diffuse(w, nu_half, cross_half)
 
@@ -412,7 +486,7 @@ def step(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float, *,
     if ring * dx * dp > boundary_tol:
         raise StabilityViolation(
             f"boundary ring carries {ring * dx * dp:.3g} mass (tolerance {boundary_tol:g}); "
-            "the state is leaving the box")
+            "the state is leaving the box and would wrap in the periodic shears")
 
     return replace(grid, values=w, time=grid.time + dt)
 
@@ -422,19 +496,28 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
                 norm_tol: float = 1e-8, boundary_tol: float = 1e-8) -> PhaseSpaceGrid:
     """Step the grid to t_final; optionally call observer(grid) every k steps.
 
-    The number of steps is rounded so they tile t_final exactly.
+    Takes the fewest equal steps that tile t_final and are no longer than
+    dt (to a relative 1e-9, so a span that is a whole number of dt in exact
+    arithmetic does not gain a step from rounding). A monitor or step-size
+    failure is re-raised with the step index and the time it happened at.
     """
     if t_final < grid.time:
         raise DomainError("t_final lies before the grid's current time")
+    if not dt > 0:
+        raise StepSizeError(f"dt = {dt!r} must be positive")
     span = t_final - grid.time
     if span == 0:
         return grid
-    n = max(1, round(span / dt))
+    n = max(1, math.ceil(span / dt * (1.0 - 1e-9)))
     h = span / n
     if observer is not None and sample_every > 0:
         observer(grid)
     for i in range(1, n + 1):
-        grid = step(grid, sc, h, norm_tol=norm_tol, boundary_tol=boundary_tol)
+        try:
+            grid = step(grid, sc, h, norm_tol=norm_tol, boundary_tol=boundary_tol)
+        except (StabilityViolation, StepSizeError) as exc:
+            raise type(exc)(f"step {i} of {n} (h = {h:.6g}) from t = {grid.time:.6g}: "
+                            f"{exc}") from exc
         if observer is not None and sample_every > 0 and i % sample_every == 0:
             observer(grid)
     return grid

@@ -97,7 +97,7 @@ def test_manifest_is_the_only_place_with_timing(tmp_path):
     rep = run_scenario("cosmic-background-sphere", {"series_points": 5},
                        out_base=str(tmp_path))
     manifest = json.loads((rep.out_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == 1
+    assert manifest["schema_version"] == 2
     assert manifest["scenario"] == "cosmic-background-sphere"
     assert manifest["config"]["series_points"] == 5
     assert manifest["config"]["mirror"]["temperature"] == 2.7
@@ -216,6 +216,22 @@ def test_cli_io_failure_exits_1(tmp_path, capsys):
         "scenario": "cosmic-background-sphere", "series_points": 5})
     assert main(["run", cfg, "--out", str(blocker / "sub")]) == 1
     capsys.readouterr()
+
+
+def test_cli_oracle_with_zero_means_reports_finite_errors(tmp_path, capsys):
+    # the means stay identically zero, so their error cannot be peak-relative
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "scenario": "wigner-gaussian-oracle",
+        "initial": {"mean_x": 0.0, "mean_p": 0.0},
+        "grid": {"nx": 64, "np": 64},
+        "time": {"t_end": 1.0, "n_samples": 2}})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    summary = json.loads(
+        (tmp_path / "out" / "wigner-gaussian-oracle" / "summary.json").read_text())
+    errors = summary["derived"]["max_rel_moment_errors"]
+    assert all(math.isfinite(v) for v in errors.values())
+    assert errors["mean_x"] <= 1e-12 and errors["mean_p"] <= 1e-12
 
 
 def test_cli_check_runs_the_identity_suite(tmp_path, capsys):

@@ -28,6 +28,7 @@ from casidec import (
     step,
     wmin_over_wmax,
 )
+from casidec import wigner_solver
 from casidec.gaussian_dynamics import GaussianState, evolve
 from casidec.params import CODATA, CatSpec, MirrorParams, ground_state_width
 from casidec.spectra_damping import CoefficientSet, coefficient_set
@@ -345,6 +346,138 @@ def test_evolve_grid_bookkeeping():
                       observer=lambda g: seen.append(g.time))
     assert out.time == pytest.approx(0.1, rel=1e-12)
     assert seen == pytest.approx([0.0, 0.05, 0.1])
+
+
+def test_evolve_grid_never_steps_past_dt():
+    # a span of 1.4 dt at the rotation limit used to become one 1.4 dt step
+    grid = init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, nx=64, n_p=64)
+    sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=0.0, d1=0.0)
+    dt = 0.005 * TWO_PI
+    seen = []
+    out = evolve_grid(grid, sc, 1.4 * dt, dt, sample_every=1,
+                      observer=lambda g: seen.append(g.time))
+    assert len(seen) == 3
+    assert out.time == pytest.approx(1.4 * dt, rel=1e-12)
+
+
+@pytest.mark.parametrize("t_start, t_final, steps", [
+    (0.0, 0.0025, 5),
+    (0.0025, 0.025, 45),    # 0.0225 / 5e-4 = 45.00000000000001 in floating point
+])
+def test_evolve_grid_whole_spans_keep_their_step_count(t_start, t_final, steps):
+    grid = init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, nx=32, n_p=64)
+    grid.time = t_start
+    sc = SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=1.0)
+    seen = []
+    evolve_grid(grid, sc, t_final, 5e-4, sample_every=1,
+                observer=lambda g: seen.append(g.time))
+    assert len(seen) == steps + 1
+
+
+def test_evolve_grid_rejects_a_nonpositive_dt():
+    grid = init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, nx=32, n_p=32)
+    sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=0.0, d1=0.0)
+    for dt in (0.0, -0.01):
+        with pytest.raises(StepSizeError):
+            evolve_grid(grid, sc, 0.1, dt)
+
+
+def test_evolve_grid_failures_name_the_step_time_and_value():
+    grid = init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, nx=64, n_p=64)
+    grid.values = np.roll(grid.values, 20, axis=0)
+    grid.time = 0.5
+    sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=0.0, d1=0.0)
+    with pytest.raises(StabilityViolation,
+                       match=r"^step 1 of 10 \(h = 0\.01\) from t = 0\.5: "
+                             r"boundary ring carries [0-9.e-]+ mass"):
+        evolve_grid(grid, sc, 0.6, 0.01)
+    damped = SolverCoefficients(mass=0.5, omega=0.0, gamma=10.0, d1=0.0)
+    with pytest.raises(StepSizeError,
+                       match=r"^step 1 of 1 \(h = 0\.01\) from t = 0: "
+                             r"gamma \* dt = 0\.1 exceeds 0\.05"):
+        evolve_grid(init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, nx=64, n_p=64),
+                    damped, 0.01, 0.01)
+
+
+# ----------------------------------------------------------------- drift
+
+
+def _shear_x(s):
+    return np.array([[1.0, s], [0.0, 1.0]])
+
+
+def _shear_p(c):
+    return np.array([[1.0, 0.0], [c, 1.0]])
+
+
+@pytest.mark.parametrize("mass, omega, gamma, n_factors", [
+    (None, 0.0, 0.0, 0),      # identity
+    (None, 0.0, 0.3, 0),      # damping contraction only
+    (0.5, 0.0, 0.0, 1),       # free streaming: one x-shear
+    (0.5, 1.0, 0.05, 3),      # damped oscillator
+])
+def test_drift_factors_compose_to_the_backtrace(mass, omega, gamma, n_factors):
+    dt = 0.005 * TWO_PI
+    back = wigner_solver._drift_maps(mass, omega, gamma, dt)
+    stretch = math.exp(2.0 * gamma * dt)
+    factors = wigner_solver._shear_factors(back, stretch)
+    assert len(factors) == n_factors
+    product = np.eye(2)
+    for axis, s in factors:
+        product = product @ (_shear_x(s) if axis == "x" else _shear_p(s))
+    product = product @ np.diag([1.0, stretch])
+    assert np.max(np.abs(product - back)) <= 1e-13
+
+
+def test_identity_drift_runs_no_transform(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("identity drift must not transform the field")
+
+    for name in ("rfft", "irfft", "map_coordinates"):
+        monkeypatch.setattr(wigner_solver, name, forbidden)
+    wigner_solver._drift_plan.cache_clear()
+    grid = init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, nx=64, n_p=64)
+    sc = SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=0.0)
+    out = step(grid, sc, 0.01)
+    assert np.array_equal(out.values, grid.values)
+    assert wigner_solver._drift_plan(None, 0.0, 0.0, 0.01, 64, 64,
+                                     grid.x_half_width, grid.p_half_width) == ()
+
+
+def _exact_drift_step(mean, cov, sc, dt, **grid_kwargs):
+    """One drift step of a Gaussian, mapped exactly: the backtrace M sends
+    the mean to M^-1 mean and the covariance to M^-1 cov M^-T."""
+    inv = np.linalg.inv(wigner_solver._drift_maps(sc.mass, sc.omega, sc.gamma, dt))
+    m = inv @ np.asarray(mean)
+    c = inv @ np.asarray(cov) @ inv.T
+    return init_gaussian(m[0], m[1], c[0, 0], c[0, 1], c[1, 1], **grid_kwargs)
+
+
+# tolerances sit below what the 2-D cubic backtrace reached on each case
+# (2.9e-6, 4.0e-4 and 3.9e-4 of the peak)
+@pytest.mark.parametrize("nx, n_p, gamma, tol", [
+    (256, 256, 0.05, 5e-7),
+    (65, 63, 0.05, 5e-5),     # odd sizes; the cubic stretch sets the error
+    (65, 63, 0.0, 1e-7),      # odd sizes, shears only
+])
+def test_drift_step_matches_the_exact_map(nx, n_p, gamma, tol):
+    mean, cov = (2.0, 0.25), ((1.69, 0.05), (0.05, 0.16))
+    box = dict(nx=nx, n_p=n_p, x_half_width=14.0, p_half_width=7.0)
+    grid = init_gaussian(*mean, cov[0][0], cov[0][1], cov[1][1], **box)
+    sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=gamma, d1=0.0)
+    dt = 0.005 * TWO_PI
+    out = step(grid, sc, dt)
+    exact = _exact_drift_step(mean, cov, sc, dt, **box).values
+    assert np.max(np.abs(out.values - exact)) <= tol * np.max(exact)
+
+
+def test_repeated_steps_reuse_the_drift_plan():
+    wigner_solver._drift_plan.cache_clear()
+    grid = init_gaussian(1.0, 0.0, 1.0, 0.0, 0.25, nx=64, n_p=64)
+    sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=0.05, d1=0.01)
+    evolve_grid(grid, sc, 0.1, 0.01)
+    info = wigner_solver._drift_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
 
 
 # -------------------------------------------------------------- fitting
