@@ -5,7 +5,9 @@ The transport equation for the Wigner distribution,
     dW/dt = -(p/M) dW/dx + M omega*^2 x dW/dp + 2 Gamma d(p W)/dp
             + D1 d^2W/dp^2 - D2 d^2W/(dx dp),
 
-closes on the first and second moments of any Gaussian state:
+closes on the first and second moments of any Gaussian state, a linear
+system with a constant source whose exact flow is one matrix exponential
+(Van Loan 1978):
 
     d<x>/dt  = <p>/M
     d<p>/dt  = -M omega*^2 <x> - 2 Gamma <p>
@@ -13,14 +15,15 @@ closes on the first and second moments of any Gaussian state:
     d cov_xp = cov_pp / M - M omega*^2 cov_xx - 2 Gamma cov_xp - D2
     d cov_pp = -2 M omega*^2 cov_xp - 4 Gamma cov_pp + 2 D1
 
-This module integrates that closed system (it doubles as the oracle for
-the grid solver), tracks Gaussian purity, and implements the
-predictability sieve: minimize early-time entropy production over the
-family of pure squeezed states. The instantaneous production rate at a
-pure state decreases under position squeezing (the transport equation is
-not completely positive at short times), so the sieve's default objective
-averages the rate over one free rotation, which is also what the evolved
-entropy at times long against the period measures. Under that averaging
+This module propagates that flow (its mean block is also the grid
+solver's drift, which the moments serve as an exact oracle), tracks
+Gaussian purity, and implements the predictability sieve: minimize
+early-time entropy production over the family of pure squeezed states.
+The instantaneous production rate at a pure state decreases under
+position squeezing (the transport equation is not completely positive at
+short times), so the sieve's default objective averages the rate over one
+free rotation, which is also what the evolved entropy at times long
+against the period measures. Under that averaging
 the coherent state (zero squeezing) is the strict minimum whenever the
 diffusion enters through the momentum.
 """
@@ -28,9 +31,10 @@ diffusion enters through the momentum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import (
     DomainError,
@@ -89,24 +93,35 @@ class GaussianState:
                    cov_pp=constants.hbar * params.mass * w / 2.0)
 
 
-def _deriv(mx, mp_, xx, xp, pp, mass, w2m, gamma, d1, d2):
-    # w2m = M * omega_star^2
-    return (
-        mp_ / mass,
-        -w2m * mx - 2.0 * gamma * mp_,
-        2.0 * xp / mass,
-        pp / mass - w2m * xx - 2.0 * gamma * xp - d2,
-        -2.0 * w2m * xp - 4.0 * gamma * pp + 2.0 * d1,
-    )
+def _generator(inv_mass: float, spring: float, gamma: float, d1: float,
+               d2: float) -> np.ndarray:
+    """dy/dt = G y for y = (mean_x, mean_p, cov_xx, cov_xp, cov_pp, 1).
+
+    spring is M omega*^2. The means follow the drift A = G[:2, :2], the
+    covariance A cov + cov A^T plus the diffusion source that the constant
+    sixth component carries, so expm(G h) is the exact flow over h.
+    """
+    a = np.array([[0.0, inv_mass], [-spring, -2.0 * gamma]])
+    (a00, a01), (a10, a11) = a
+    g = np.zeros((6, 6))
+    g[:2, :2] = a
+    g[2, 2:4] = 2.0 * a00, 2.0 * a01
+    g[3, 2:5] = a10, a00 + a11, a01
+    g[4, 3:5] = 2.0 * a10, 2.0 * a11
+    g[3:5, 5] = -d2, 2.0 * d1
+    return g
+
+
+def _state_generator(params: MirrorParams, coeffs: CoefficientSet) -> np.ndarray:
+    return _generator(1.0 / params.mass, params.mass * coeffs.omega_star**2,
+                      coeffs.gamma, coeffs.d1, coeffs.d2)
 
 
 def moment_derivatives(state: GaussianState, params: MirrorParams,
                        coeffs: CoefficientSet) -> np.ndarray:
     """Time derivatives of (mean_x, mean_p, cov_xx, cov_xp, cov_pp)."""
-    w2m = params.mass * coeffs.omega_star**2
-    return np.array(_deriv(state.mean_x, state.mean_p, state.cov_xx, state.cov_xp,
-                           state.cov_pp, params.mass, w2m, coeffs.gamma,
-                           coeffs.d1, coeffs.d2))
+    y = [state.mean_x, state.mean_p, state.cov_xx, state.cov_xp, state.cov_pp, 1.0]
+    return (_state_generator(params, coeffs) @ y)[:5]
 
 
 def _default_dt(coeffs: CoefficientSet) -> float:
@@ -122,12 +137,13 @@ def _default_dt(coeffs: CoefficientSet) -> float:
 
 def evolve(state: GaussianState, params: MirrorParams, coeffs: CoefficientSet,
            t: float, dt: float | None = None) -> GaussianState:
-    """Propagate the moments for a time t with fixed-step RK4.
+    """Propagate the moments for a time t along their exact flow expm(G h).
 
-    dt defaults to 1% of the fastest coefficient timescale and may not be
-    chosen larger than that. Positive-definiteness of the covariance is
-    checked every step; a violation means the step size (or the
-    coefficient set) is inconsistent and raises StepSizeError.
+    dt (default and maximum: 1% of the fastest coefficient timescale) is
+    the interval at which positive-definiteness of the covariance is
+    checked; it does not change the result beyond rounding. The transport
+    equation is not completely positive, so a coefficient set can leave the
+    physical cone; that raises StepSizeError with the time and determinant.
     """
     if t < 0:
         raise DomainError("evolution time must be >= 0")
@@ -143,26 +159,18 @@ def evolve(state: GaussianState, params: MirrorParams, coeffs: CoefficientSet,
 
     n = max(1, math.ceil(t / dt - 1e-12))
     h = t / n
-    mass = params.mass
-    w2m = mass * coeffs.omega_star**2
-    g, d1, d2 = coeffs.gamma, coeffs.d1, coeffs.d2
-
-    y = (state.mean_x, state.mean_p, state.cov_xx, state.cov_xp, state.cov_pp)
-    for _ in range(n):
-        k1 = _deriv(*y, mass, w2m, g, d1, d2)
-        y2 = tuple(a + 0.5 * h * b for a, b in zip(y, k1))
-        k2 = _deriv(*y2, mass, w2m, g, d1, d2)
-        y3 = tuple(a + 0.5 * h * b for a, b in zip(y, k2))
-        k3 = _deriv(*y3, mass, w2m, g, d1, d2)
-        y4 = tuple(a + h * b for a, b in zip(y, k3))
-        k4 = _deriv(*y4, mass, w2m, g, d1, d2)
-        y = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
-        if not (y[2] > 0 and y[4] > 0 and y[2] * y[4] - y[3] ** 2 > 0):
+    flow = expm(_state_generator(params, coeffs) * h)
+    lin, src = flow[:5, :5], flow[:5, 5]
+    y = np.array([state.mean_x, state.mean_p, state.cov_xx, state.cov_xp, state.cov_pp])
+    for i in range(1, n + 1):
+        y = lin @ y + src
+        det = y[2] * y[4] - y[3] ** 2
+        if not (y[2] > 0 and y[4] > 0 and det > 0):
             raise StepSizeError(
-                "covariance lost positive-definiteness during the step; "
-                "reduce dt or check the coefficient set")
-    return GaussianState(mean_x=y[0], mean_p=y[1], cov_xx=y[2], cov_xp=y[3], cov_pp=y[4])
+                f"covariance lost positive-definiteness at t = {i * h:.6g} "
+                f"(det cov = {det:.3g}); the coefficient set drives the state "
+                "out of the physical cone, which no smaller dt avoids")
+    return GaussianState(*(float(v) for v in y))
 
 
 def purity(state: GaussianState, constants: PhysicalConstants = CODATA) -> float:
@@ -216,7 +224,7 @@ def secular_linear_entropy(state: GaussianState, params: MirrorParams,
     relaxes as e^(-2 gamma t) toward its diffusive steady state and the
     squeezing-correlation magnitude decays as e^(-2 gamma t); the phase of
     the squeezing ellipse is dropped. Accurate to O(gamma/omega) and
-    O(D2/omega) relative to the stepped dynamics, at O(1) cost for any t,
+    O(D2/omega) relative to the exact dynamics, at O(1) cost for any t,
     which is what makes evaluation times of order 1/gamma reachable when
     omega/gamma is astronomically large.
     """
@@ -326,9 +334,9 @@ def sieve_search(params: MirrorParams, coeffs: CoefficientSet,
     selected by the sieve must remain at the bottom of the entropy
     landscape as the comparison time changes. Evaluation times default to
     (0, 0.1/Gamma, 0.5/Gamma); time 0 ranks by the analytic rate itself.
-    Stepping the moment ODEs to times of order 1/Gamma is unreachable when
-    omega/Gamma is large, so the check uses the closed secular form, which
-    agrees with evolve() to O(Gamma/omega).
+    Following the exact flow to times of order 1/Gamma is unreachable when
+    omega/Gamma is large (it resolves every rotation), so the check uses
+    the closed secular form, which agrees with evolve() to O(Gamma/omega).
     """
     if coeffs.d1 <= 0 and diffusion_xx <= 0:
         raise DomainError("the sieve needs a positive diffusion coefficient")

@@ -15,8 +15,10 @@ round-trip them to the exact binary doubles the run produced.
 from __future__ import annotations
 
 import copy
+import json
 import math
 import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -26,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
-from .errors import ConfigError, IoError, RegimeViolation, RegimeWarning, UnknownScenario
+from .errors import (ConfigError, DomainError, IoError, RegimeViolation, RegimeWarning,
+                     UnknownScenario)
 from .params import (
     CODATA,
     CatSpec,
@@ -87,7 +90,7 @@ __all__ = [
     "scenario_defaults",
 ]
 
-_SCHEMA_VERSION = 2
+_SCHEMA_VERSION = 3
 _OUT_DIR_ENV = "CASIDEC_OUT_DIR"
 _CSV_COLUMNS = ("visibility", "purity", "mean_x", "mean_p",
                 "cov_xx", "cov_xp", "cov_pp")
@@ -97,8 +100,9 @@ _CSV_COLUMNS = ("visibility", "purity", "mean_x", "mean_p",
 # deterministic serialization
 
 def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"non-finite value {x!r} has no place in an output file")
+    if not math.isfinite(x):
+        raise DomainError(f"non-finite value {x!r} has no place in an output file; "
+                          "the inputs drive a result beyond double precision")
     return format(x, ".17g")
 
 
@@ -109,7 +113,7 @@ def _json_render(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = [f'{inner}"{k}": {_json_render(obj[k], indent + 1)}'
+        parts = [f"{inner}{json.dumps(k)}: {_json_render(obj[k], indent + 1)}"
                  for k in sorted(obj)]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
@@ -117,17 +121,10 @@ def _json_render(obj, indent: int = 0) -> str:
             return "[]"
         parts = [f"{inner}{_json_render(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
         return format_float(obj)
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{escaped}"'
-    if obj is None:
-        return "null"
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -155,6 +152,12 @@ def _render_csv(time_label: str, rows: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 # config handling
 
+def _is_finite_number(v) -> bool:
+    # the bound also turns away NaN and integers beyond double range
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
 def _merge_config(defaults: dict, overrides: dict, path: str = "") -> dict:
     merged = copy.deepcopy(defaults)
     for key, ov in overrides.items():
@@ -175,13 +178,18 @@ def _merge_config(defaults: dict, overrides: dict, path: str = "") -> dict:
                 raise ConfigError(f"'{where}' must be an integer")
             merged[key] = ov
         elif isinstance(dv, float):
-            if isinstance(ov, bool) or not isinstance(ov, (int, float)):
-                raise ConfigError(f"'{where}' must be a number")
+            if not _is_finite_number(ov):
+                raise ConfigError(f"'{where}' must be a finite number")
             merged[key] = float(ov)
         elif isinstance(dv, str):
             if not isinstance(ov, str):
                 raise ConfigError(f"'{where}' must be a string")
             merged[key] = ov
+        elif isinstance(dv, list):
+            if not (isinstance(ov, list) and len(ov) == len(dv)
+                    and all(_is_finite_number(v) for v in ov)):
+                raise ConfigError(f"'{where}' must be a list of {len(dv)} finite numbers")
+            merged[key] = [float(v) for v in ov]
         else:
             raise ConfigError(f"'{where}' has unsupported default type")
     return merged
@@ -190,12 +198,15 @@ def _merge_config(defaults: dict, overrides: dict, path: str = "") -> dict:
 # ---------------------------------------------------------------------------
 # shared pieces
 
-def _cat_series(td: float, n: int, cov_xx: float, cov_pp: float) -> list[dict]:
-    """Analytic fringe decay of a frozen two-packet state.
+def _cat_series(td: float, n: int, delta_x: float, width: float,
+                cov_pp: float) -> tuple[str, list[dict]]:
+    """Analytic fringe decay of a frozen two-packet state, as a series.
 
     visibility exp(-t/td); purity of the balanced which-way reduction
-    (1 + v^2)/2; second moments held at their (overlap-free) cat values.
+    (1 + v^2)/2; second moments held at their (overlap-free) cat values,
+    cov_xx being (delta_x / 2)^2 plus the packet width squared.
     """
+    cov_xx = delta_x**2 / 4.0 + width**2
     rows = []
     for t in np.linspace(0.0, 5.0 * td, n):
         v = math.exp(-t / td)
@@ -203,7 +214,7 @@ def _cat_series(td: float, n: int, cov_xx: float, cov_pp: float) -> list[dict]:
                      "purity": 0.5 * (1.0 + v * v),
                      "mean_x": 0.0, "mean_p": 0.0,
                      "cov_xx": cov_xx, "cov_xp": 0.0, "cov_pp": cov_pp})
-    return rows
+    return "t_seconds", rows
 
 
 def _mirror_from_cfg(cfg: dict) -> MirrorParams:
@@ -255,10 +266,8 @@ def _run_1d_mirror_vacuum(cfg: dict):
             },
         },
     }
-    cov_xx = dq.delta_x**2 / 4.0 + dq.ground_width**2
-    cov_pp = (CODATA.hbar / (2.0 * dq.ground_width)) ** 2
-    rows = _cat_series(td_amp.td, cfg["series_points"], cov_xx, cov_pp)
-    return summary, ("t_seconds", rows)
+    return summary, _cat_series(td_amp.td, cfg["series_points"], dq.delta_x,
+                                dq.ground_width, (CODATA.hbar / (2.0 * dq.ground_width)) ** 2)
 
 
 def _run_sphere_rayleigh_vacuum(cfg: dict):
@@ -295,10 +304,8 @@ def _run_sphere_rayleigh_vacuum(cfg: dict):
                    "radius_m": params.radius, "alpha_mag": dq.alpha_mag},
         "derived": derived,
     }
-    cov_xx = dq.delta_x**2 / 4.0 + dq.ground_width**2
-    cov_pp = (CODATA.hbar / (2.0 * dq.ground_width)) ** 2
-    rows = _cat_series(td_amp.td, cfg["series_points"], cov_xx, cov_pp)
-    return summary, ("t_seconds", rows)
+    return summary, _cat_series(td_amp.td, cfg["series_points"], dq.delta_x,
+                                dq.ground_width, (CODATA.hbar / (2.0 * dq.ground_width)) ** 2)
 
 
 def _thermal_sphere_summary(name: str, cfg: dict):
@@ -328,18 +335,8 @@ def _thermal_sphere_summary(name: str, cfg: dict):
             "td_times_dx2_s_m2": td_all.td * delta_x**2,
         },
     }
-    cov_xx = delta_x**2 / 4.0 + lam**2
-    cov_pp = params.mass * CODATA.k_boltzmann * params.temperature
-    rows = _cat_series(td_all.td, cfg["series_points"], cov_xx, cov_pp)
-    return summary, ("t_seconds", rows)
-
-
-def _run_sphere_thermal_free(cfg: dict):
-    return _thermal_sphere_summary("sphere-thermal-free", cfg)
-
-
-def _run_cosmic_background_sphere(cfg: dict):
-    return _thermal_sphere_summary("cosmic-background-sphere", cfg)
+    return summary, _cat_series(td_all.td, cfg["series_points"], delta_x, lam,
+                                params.mass * CODATA.k_boltzmann * params.temperature)
 
 
 def _run_sieve_pointer_states(cfg: dict):
@@ -407,16 +404,18 @@ def _run_wigner_cat_hight(cfg: dict):
 
     n_samples = cfg["time"]["n_samples"]
     dt = cfg["time"]["dt"]
-    times = [0.0]
-    vis = [fringe_visibility(grid)]
-    rows = [_wigner_row(grid, vis[0])]
-    for i in range(1, n_samples + 1):
-        t = t_end * i / n_samples
-        grid = evolve_grid(grid, sc, t, dt)
-        v = fringe_visibility(grid)
-        times.append(t)
+    # equal steps, a whole number per sample, so one drift plan serves the run
+    per = math.ceil(t_end / (n_samples * dt) * (1.0 - 1e-9))
+    times, vis, rows = [], [], []
+
+    def observe(g):
+        v = fringe_visibility(g)
+        times.append(g.time)
         vis.append(v)
-        rows.append(_wigner_row(grid, v))
+        rows.append(_wigner_row(g, v))
+
+    grid = evolve_grid(grid, sc, t_end, t_end / (n_samples * per),
+                       sample_every=per, observer=observe)
 
     fit = measure_td(times, vis)
     px, _ = marginals(grid)
@@ -454,7 +453,7 @@ def _run_wigner_gaussian_oracle(cfg: dict):
                          nx=cfg["grid"]["nx"], n_p=cfg["grid"]["np"],
                          x_half_width=cfg["grid"]["x_half_width"],
                          p_half_width=cfg["grid"]["p_half_width"])
-    # twin problem for the moment integrator, natural units
+    # the exact moment flow of the same problem, natural units
     natural = PhysicalConstants.natural()
     params = MirrorParams(mass=co["mass"], omega0=co["omega"])
     coeffs = CoefficientSet(omega_star=co["omega"], gamma=co["gamma"],
@@ -464,10 +463,6 @@ def _run_wigner_gaussian_oracle(cfg: dict):
                           cov_pp=init["cov_pp"])
 
     dt = cfg["time"]["dt_periods"] * 2.0 * math.pi / sc.omega
-    # keep the reference integrator an order of magnitude inside the grid's
-    # time error so the comparison measures the grid, not the oracle
-    ode_dt = 1e-3 * min(2.0 * math.pi / sc.omega,
-                        1.0 / sc.gamma if sc.gamma > 0 else math.inf)
     t_end = cfg["time"]["t_end"]
     n_samples = cfg["time"]["n_samples"]
     names = ("mean_x", "mean_p", "cov_xx", "cov_xp", "cov_pp")
@@ -479,7 +474,7 @@ def _run_wigner_gaussian_oracle(cfg: dict):
         t = t_end * i / n_samples
         if i:
             grid = evolve_grid(grid, sc, t, dt)
-            state = evolve(state, params, coeffs, t - prev_t, dt=ode_dt)
+            state = evolve(state, params, coeffs, t - prev_t)
         prev_t = t
         gm = grid_moments(grid)
         for nm, val in zip(names, gm):
@@ -515,6 +510,9 @@ def _run_identity_suite(cfg: dict):
     rng = np.random.default_rng(cfg["seed"])
     n = cfg["draws"]
     r = cfg["ranges"]
+    for key, (lo, hi) in r.items():
+        if not 0.0 < lo <= hi:
+            raise ConfigError(f"'ranges.{key}' must be [lo, hi] with 0 < lo <= hi")
 
     def loguniform(lo, hi, size):
         return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size)
@@ -666,7 +664,7 @@ _register(
         "delta_x": 1e-9,
         "series_points": 25,
     },
-    _run_sphere_thermal_free,
+    lambda cfg: _thermal_sphere_summary("sphere-thermal-free", cfg),
 )
 
 _register(
@@ -683,7 +681,7 @@ _register(
         "delta_x": 1e-6,
         "series_points": 25,
     },
-    _run_cosmic_background_sphere,
+    lambda cfg: _thermal_sphere_summary("cosmic-background-sphere", cfg),
 )
 
 _register(
@@ -734,7 +732,7 @@ _register(
     "through one damping time.",
     "Evolves a mixed Gaussian through one damping time with rotation,\n"
     "damping, and diffusion all on (oscillator solver units), and compares\n"
-    "the grid's five moments against the closed moment ODEs at every\n"
+    "the grid's five moments against their exact flow at every\n"
     "sample. Errors are reported relative to each moment's peak magnitude\n"
     "over the run (absolute for a moment that stays identically zero); the\n"
     "default grid keeps all five below 1e-3, and halving the momentum\n"
@@ -816,8 +814,16 @@ def run_scenario(name: str, overrides: dict | None = None,
 
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
-    summary, series = sc.runner(cfg)
+    try:
+        summary, series = sc.runner(cfg)
+    except ArithmeticError as exc:  # overflow, or a division by an underflowed zero
+        raise DomainError(f"{name}: a result leaves double-precision range ({exc}); "
+                          "bring the inputs into range") from exc
     wall = time.perf_counter() - t0
+    # render everything first, so a value that cannot be written leaves no file
+    texts = {"summary.json": _json_render(summary) + "\n"}
+    if series is not None:
+        texts["series.csv"] = _render_csv(*series)
 
     base = out_base or os.environ.get(_OUT_DIR_ENV) or cfg["output"]["directory"]
     out_dir = Path(base) / name
@@ -826,12 +832,9 @@ def run_scenario(name: str, overrides: dict | None = None,
     except OSError as exc:
         raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
 
-    artifacts = ["summary.json"]
-    _write_atomic(out_dir / "summary.json", _json_render(summary) + "\n")
-    if series is not None:
-        time_label, rows = series
-        _write_atomic(out_dir / "series.csv", _render_csv(time_label, rows))
-        artifacts.append("series.csv")
+    for artifact, text in texts.items():
+        _write_atomic(out_dir / artifact, text)
+    artifacts = list(texts)
 
     manifest = {
         "schema_version": _SCHEMA_VERSION,

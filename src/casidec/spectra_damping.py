@@ -186,6 +186,9 @@ def characteristic_roots(params: MirrorParams,
             residual_rel_max=0.0, precision_digits=0)
 
     small = eps * w0
+    if not small > 0:
+        raise DomainError(f"eps * omega0 underflows double precision (mass {params.mass:g} kg, "
+                          f"omega0 {w0:g} rad/s); the cubic cannot be scaled")
     digits = 30 if small >= 0.1 else min(30 + int(3.2 * (-math.log10(small))) + 25, 400)
 
     with mp.workdps(digits):

@@ -49,6 +49,7 @@ from .errors import (
     StabilityViolation,
     StepSizeError,
 )
+from .gaussian_dynamics import _generator
 from .params import CODATA, CatSpec, MirrorParams, PhysicalConstants, resolve_cat
 from .spectra_damping import CoefficientSet
 
@@ -226,6 +227,10 @@ class PhaseSpaceGrid:
 _SIGMA_X = 1.0
 _SIGMA_P = 0.5
 
+# per-step monitors: norm drift, and mass on the boundary ring
+_NORM_TOL = 1e-8
+_BOUNDARY_TOL = 1e-8
+
 
 def _cat_field(xg, pg, spec: CatWignerSpec):
     """Analytic two-packet Wigner field on mesh arrays (xg, pg)."""
@@ -242,6 +247,24 @@ def _cat_field(xg, pg, spec: CatWignerSpec):
     interference = 2.0 * np.exp(-u**2 / (2.0 * su**2)) * env_v * np.cos(k * v - spec.phase)
     overlap = math.exp(-spec.separation**2 / (8.0 * su**2))
     return norm * (lobes + interference) / (2.0 * (1.0 + math.cos(spec.phase) * overlap))
+
+
+def _set_contained(grid: PhaseSpaceGrid, w):
+    """Store the sampled field w, renormalized, after checking that it stays
+    below 1e-8 of its peak on the boundary and already integrates to 1e-9."""
+    peak = float(np.max(np.abs(w)))
+    edge = max(float(np.max(np.abs(w[0, :]))), float(np.max(np.abs(w[-1, :]))),
+               float(np.max(np.abs(w[:, 0]))), float(np.max(np.abs(w[:, -1]))))
+    if edge > 1e-8 * peak:
+        raise GridTooSmall(
+            f"state reaches {edge / peak:.3g} of its peak at the boundary; "
+            "enlarge the box")
+    total = float(np.sum(w)) * grid.dx * grid.dp
+    if abs(total - 1.0) > 1e-9:
+        raise GridTooSmall(
+            f"sampled norm {total!r} deviates from 1 beyond 1e-9; "
+            "the grid does not resolve or contain the state")
+    grid.values = w / total
 
 
 def init_cat(spec: CatWignerSpec, nx: int = 256, n_p: int = 256,
@@ -277,22 +300,7 @@ def init_cat(spec: CatWignerSpec, nx: int = 256, n_p: int = 256,
                           fringe_wavenumber=k if k > 0 else None,
                           fringe_axis=fringe_axis)
     xg, pg = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
-    w = _cat_field(xg, pg, spec)
-
-    peak = float(np.max(np.abs(w)))
-    edge = max(float(np.max(np.abs(w[0, :]))), float(np.max(np.abs(w[-1, :]))),
-               float(np.max(np.abs(w[:, 0]))), float(np.max(np.abs(w[:, -1]))))
-    if edge > 1e-8 * peak:
-        raise GridTooSmall(
-            f"state reaches {edge / peak:.3g} of its peak at the boundary; "
-            "enlarge the box")
-
-    total = float(np.sum(w)) * grid.dx * grid.dp
-    if abs(total - 1.0) > 1e-9:
-        raise GridTooSmall(
-            f"sampled norm {total!r} deviates from 1 beyond 1e-9; "
-            "the grid does not resolve or contain the state")
-    grid.values = w / total
+    _set_contained(grid, _cat_field(xg, pg, spec))
     if grid.fringe_wavenumber is not None:
         grid.fringe_ref = _fringe_amplitude(grid)
     return grid
@@ -320,31 +328,16 @@ def init_gaussian(mean_x: float, mean_p: float, cov_xx: float, cov_xp: float,
                           p_half_width=p_half_width, values=numpy.zeros((nx, n_p)))
     xg, pg = np.meshgrid(grid.x_axis - mean_x, grid.p_axis - mean_p, indexing="ij")
     quad = (cov_pp * xg**2 - 2.0 * cov_xp * xg * pg + cov_xx * pg**2) / det
-    w = np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
-
-    peak = float(np.max(w))
-    edge = max(float(np.max(w[0, :])), float(np.max(w[-1, :])),
-               float(np.max(w[:, 0])), float(np.max(w[:, -1])))
-    if edge > 1e-8 * peak:
-        raise GridTooSmall(
-            f"state reaches {edge / peak:.3g} of its peak at the boundary; "
-            "enlarge the box")
-    total = float(np.sum(w)) * grid.dx * grid.dp
-    if abs(total - 1.0) > 1e-9:
-        raise GridTooSmall(
-            f"sampled norm {total!r} deviates from 1 beyond 1e-9; "
-            "the grid does not resolve or contain the state")
-    grid.values = w / total
+    _set_contained(grid, np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det)))
     return grid
 
 
 @functools.lru_cache(maxsize=64)
 def _drift_maps(mass: float | None, omega: float, gamma: float, dt: float):
-    """Exact backtrace matrix exp(-A dt) for the linear drift field."""
-    kinetic = 0.0 if mass is None else 1.0 / mass
-    spring = 0.0 if mass is None else mass * omega**2
-    a = numpy.array([[0.0, kinetic], [-spring, -2.0 * gamma]])
-    return expm(-a * dt)
+    """Exact backtrace matrix exp(-A dt), A the drift block of the moment
+    generator; mass=None streams nothing and feels no spring."""
+    inv_mass, spring = (0.0, 0.0) if mass is None else (1.0 / mass, mass * omega**2)
+    return expm(-_generator(inv_mass, spring, gamma, 0.0, 0.0)[:2, :2] * dt)
 
 
 def _shear_factors(back, stretch: float):
@@ -444,8 +437,7 @@ def _diffuse(w, nu_p: float, cross: float):
     return w
 
 
-def step(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float, *,
-         norm_tol: float = 1e-8, boundary_tol: float = 1e-8) -> PhaseSpaceGrid:
+def step(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> PhaseSpaceGrid:
     """Advance one Strang step: diffusion half, exact-map drift, diffusion half.
 
     dt must resolve the rotation (dt <= 0.005 periods) and the damping
@@ -477,23 +469,22 @@ def step(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float, *,
     w = _diffuse(w, nu_half, cross_half)
 
     norm_after = float(np.sum(w)) * dx * dp
-    if abs(norm_after - norm_before) > norm_tol:
+    if abs(norm_after - norm_before) > _NORM_TOL:
         raise StabilityViolation(
             f"norm drifted by {norm_after - norm_before:.3g} in one step "
-            f"(tolerance {norm_tol:g})")
+            f"(tolerance {_NORM_TOL:g})")
     ring = (float(np.sum(np.abs(w[0, :]))) + float(np.sum(np.abs(w[-1, :])))
             + float(np.sum(np.abs(w[:, 0]))) + float(np.sum(np.abs(w[:, -1]))))
-    if ring * dx * dp > boundary_tol:
+    if ring * dx * dp > _BOUNDARY_TOL:
         raise StabilityViolation(
-            f"boundary ring carries {ring * dx * dp:.3g} mass (tolerance {boundary_tol:g}); "
+            f"boundary ring carries {ring * dx * dp:.3g} mass (tolerance {_BOUNDARY_TOL:g}); "
             "the state is leaving the box and would wrap in the periodic shears")
 
     return replace(grid, values=w, time=grid.time + dt)
 
 
 def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
-                dt: float, *, sample_every: int = 0, observer=None,
-                norm_tol: float = 1e-8, boundary_tol: float = 1e-8) -> PhaseSpaceGrid:
+                dt: float, *, sample_every: int = 0, observer=None) -> PhaseSpaceGrid:
     """Step the grid to t_final; optionally call observer(grid) every k steps.
 
     Takes the fewest equal steps that tile t_final and are no longer than
@@ -514,7 +505,7 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
         observer(grid)
     for i in range(1, n + 1):
         try:
-            grid = step(grid, sc, h, norm_tol=norm_tol, boundary_tol=boundary_tol)
+            grid = step(grid, sc, h)
         except (StabilityViolation, StepSizeError) as exc:
             raise type(exc)(f"step {i} of {n} (h = {h:.6g}) from t = {grid.time:.6g}: "
                             f"{exc}") from exc
@@ -560,21 +551,11 @@ def _fringe_amplitude(grid: PhaseSpaceGrid) -> float:
         raise DomainError("grid carries no fringe metadata; build it with init_cat")
     k = grid.fringe_wavenumber
     if grid.fringe_axis == "p":
-        axis_vals = grid.p_axis
-        n_mid = grid.nx
-        if n_mid % 2:
-            sl = grid.values[n_mid // 2, :]
-        else:
-            sl = 0.5 * (grid.values[n_mid // 2 - 1, :] + grid.values[n_mid // 2, :])
-        d = grid.dp
+        w, axis_vals, d = grid.values, grid.p_axis, grid.dp
     else:
-        axis_vals = grid.x_axis
-        n_mid = grid.np
-        if n_mid % 2:
-            sl = grid.values[:, n_mid // 2]
-        else:
-            sl = 0.5 * (grid.values[:, n_mid // 2 - 1] + grid.values[:, n_mid // 2])
-        d = grid.dx
+        w, axis_vals, d = grid.values.T, grid.x_axis, grid.dx
+    mid = len(w) // 2
+    sl = w[mid] if len(w) % 2 else 0.5 * (w[mid - 1] + w[mid])
     return float(np.abs(np.sum(sl * np.exp(-1j * k * axis_vals))) * d)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from casidec import (
     CoefficientSet,
@@ -16,7 +17,9 @@ from casidec import (
     secular_linear_entropy,
     squeezed_pure_state,
 )
+from casidec import wigner_solver
 from casidec.errors import DomainError, NonPhysicalInput, StepSizeError
+from casidec.scenarios import scenario_defaults
 
 NAT = PhysicalConstants.natural()
 OSC = MirrorParams(mass=1.0, omega0=1.0)
@@ -122,8 +125,9 @@ def test_heisenberg_bound_at_the_fixed_point_and_steady_state():
 def test_squeezed_state_transiently_beats_the_bound():
     # the transport equation is not completely positive at zero temperature:
     # a squeezed input dips below det = hbar^2/4 for part of a rotation
-    # before the diffusion floor restores it. The dip is physical here
-    # (step-size independent), bounded, and heals by steady state.
+    # before the diffusion floor restores it. The dip is physical (the flow
+    # is exact, so the check interval does not move it), bounded, and
+    # heals by steady state.
     gamma = 0.05
     c = _coeffs(gamma=gamma, d1=vacuum_d1(gamma))
     st = squeezed_pure_state(0.8, 1.1, OSC, 1.0, NAT)
@@ -209,6 +213,76 @@ def test_evolve_step_guards():
     assert evolve(st, OSC, c, 0.0) is st
 
 
+def test_evolve_names_the_time_and_determinant_when_the_cone_is_left():
+    # a cross diffusion with no momentum diffusion pulls det cov below zero
+    # within a tenth of a period; the flow is exact, so no dt avoids it
+    c = _coeffs(d2=5.0)
+    st = GaussianState.coherent(OSC, constants=NAT)
+    with pytest.raises(StepSizeError, match=r"at t = .*det cov = -"):
+        evolve(st, OSC, c, 1.0, dt=0.001)
+
+
+# ------------------------------------------------------------- exact flow
+
+ORACLE = scenario_defaults("wigner-gaussian-oracle")
+MOMENTS = ("mean_x", "mean_p", "cov_xx", "cov_xp", "cov_pp")
+FINE_DT = 2.0 * math.pi * 1e-3
+
+
+def _oracle_flow(times):
+    """Exact moments of the oracle defaults, from an expm written out here."""
+    co, init = ORACLE["coefficients"], ORACLE["initial"]
+    m, k, g = co["mass"], co["mass"] * co["omega"] ** 2, co["gamma"]
+    gen = np.array([
+        [0.0, 1.0 / m, 0.0, 0.0, 0.0, 0.0],
+        [-k, -2.0 * g, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 2.0 / m, 0.0, 0.0],
+        [0.0, 0.0, -k, -2.0 * g, 1.0 / m, -co["d2"]],
+        [0.0, 0.0, 0.0, -2.0 * k, -4.0 * g, 2.0 * co["d1"]],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ])
+    y0 = np.array([init[nm] for nm in MOMENTS] + [1.0])
+    return np.array([(expm(gen * t) @ y0)[:5] for t in times])
+
+
+def _evolved_series(times, dt):
+    co, init = ORACLE["coefficients"], ORACLE["initial"]
+    params = MirrorParams(mass=co["mass"], omega0=co["omega"])
+    c = _coeffs(gamma=co["gamma"], d1=co["d1"], d2=co["d2"], omega=co["omega"])
+    state = GaussianState(**init)
+    rows = [[init[nm] for nm in MOMENTS]]
+    for t0, t1 in zip(times, times[1:]):
+        state = evolve(state, params, c, t1 - t0, dt=dt)
+        rows.append([getattr(state, nm) for nm in MOMENTS])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("dt", [None, FINE_DT])
+def test_evolve_is_the_exact_flow(dt):
+    times = np.linspace(0.0, 20.0, 41)
+    exact = _oracle_flow(times)
+    got = _evolved_series(times, dt)
+    assert np.all(np.max(np.abs(got - exact), axis=0) <= 1e-12 * np.max(np.abs(exact), axis=0))
+
+
+def test_evolve_does_not_depend_on_the_check_interval():
+    times = np.linspace(0.0, 20.0, 41)
+    coarse = _evolved_series(times, None)
+    fine = _evolved_series(times, FINE_DT)
+    assert np.all(np.max(np.abs(coarse - fine), axis=0) <= 1e-12 * np.max(np.abs(fine), axis=0))
+
+
+def test_grid_drift_is_the_mean_flow():
+    # the grid solver's backtrace inverts the same generator's mean block
+    mass, omega, gamma, dt = 0.5, 1.0, 0.05, 0.03
+    back = wigner_solver._drift_maps(mass, omega, gamma, dt)
+    c = _coeffs(gamma=gamma, d1=0.01, omega=omega)
+    st = GaussianState(1.3, -0.4, cov_xx=0.5, cov_xp=0.0, cov_pp=0.5)
+    out = evolve(st, MirrorParams(mass=mass, omega0=omega), c, dt)
+    assert np.allclose(back @ [out.mean_x, out.mean_p], [st.mean_x, st.mean_p],
+                       rtol=0.0, atol=1e-14)
+
+
 # ------------------------------------------------------- secular closed form
 
 def test_secular_entropy_coherent_is_conserved():
@@ -220,7 +294,8 @@ def test_secular_entropy_coherent_is_conserved():
 
 
 def test_secular_entropy_matches_stepped_moments():
-    # at moderate gamma/omega the secular form tracks RK4 to O(gamma/omega)
+    # at moderate gamma/omega the secular form tracks the exact flow to
+    # O(gamma/omega)
     gamma = 1e-3
     c = _coeffs(gamma=gamma, d1=vacuum_d1(gamma))
     st = squeezed_pure_state(0.5, 0.7, OSC, 1.0, NAT)

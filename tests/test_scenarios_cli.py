@@ -8,9 +8,10 @@ import os
 import pytest
 
 from casidec.cli import main
-from casidec.errors import UnknownScenario
+from casidec.errors import DomainError, UnknownScenario
 from casidec.scenarios import (
     describe,
+    format_float,
     list_scenarios,
     run_scenario,
     scenario_defaults,
@@ -97,7 +98,7 @@ def test_manifest_is_the_only_place_with_timing(tmp_path):
     rep = run_scenario("cosmic-background-sphere", {"series_points": 5},
                        out_base=str(tmp_path))
     manifest = json.loads((rep.out_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == 2
+    assert manifest["schema_version"] == 3
     assert manifest["scenario"] == "cosmic-background-sphere"
     assert manifest["config"]["series_points"] == 5
     assert manifest["config"]["mirror"]["temperature"] == 2.7
@@ -106,6 +107,29 @@ def test_manifest_is_the_only_place_with_timing(tmp_path):
     assert "started_utc" in manifest
     for name in ("summary.json", "series.csv"):
         assert "wall_clock" not in (rep.out_dir / name).read_text()
+
+
+def test_manifest_stays_valid_json_with_a_tab_in_the_output_directory(tmp_path):
+    out = str(tmp_path / "with\ttab")
+    rep = run_scenario("cosmic-background-sphere",
+                       {"series_points": 5, "output": {"directory": out}})
+    manifest = json.loads((rep.out_dir / "manifest.json").read_text())
+    assert manifest["config"]["output"]["directory"] == out
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_format_float_rejects_non_finite_values_typed(value):
+    with pytest.raises(DomainError):
+        format_float(value)
+
+
+def test_list_valued_keys_can_be_overridden(tmp_path):
+    rep = run_scenario("identity-suite", {"draws": 20,
+                                          "ranges": {"mass_kg": [1e-20, 1]}},
+                       out_base=str(tmp_path))
+    manifest = json.loads((rep.out_dir / "manifest.json").read_text())
+    assert manifest["config"]["ranges"]["mass_kg"] == [1e-20, 1.0]
+    assert rep.summary["pass"] is True
 
 
 def test_sieve_series_leaves_visibility_blank(tmp_path):
@@ -176,6 +200,10 @@ def test_cli_out_flag_beats_env_var(tmp_path, monkeypatch, capsys):
     {"scenario": "cosmic-background-sphere", "mirror": {"bogus": 1}},
     {"scenario": "cosmic-background-sphere", "series_points": "many"},
     {"scenario": "cosmic-background-sphere", "mirror": {"mass": -1.0}},
+    {"scenario": "identity-suite", "ranges": {"mass_kg": [1e-20]}},
+    {"scenario": "identity-suite", "ranges": {"mass_kg": [1e-20, "1"]}},
+    {"scenario": "identity-suite", "ranges": {"mass_kg": [-1.0, 1.0]}},
+    {"scenario": "identity-suite", "ranges": {"mass_kg": [2.0, 1.0]}},
 ])
 def test_cli_config_errors_exit_2(tmp_path, capsys, payload):
     cfg = _write_config(tmp_path / "cfg.json", payload)
@@ -232,6 +260,24 @@ def test_cli_oracle_with_zero_means_reports_finite_errors(tmp_path, capsys):
     errors = summary["derived"]["max_rel_moment_errors"]
     assert all(math.isfinite(v) for v in errors.values())
     assert errors["mean_x"] <= 1e-12 and errors["mean_p"] <= 1e-12
+
+
+@pytest.mark.parametrize("payload", [
+    # Python's json reads NaN; it used to reach the output writer
+    {"scenario": "identity-suite", "draws": 5, "tolerance": math.nan},
+    # eps * omega0 underflows to zero ahead of the root solve
+    {"scenario": "1d-mirror-vacuum", "mirror": {"mass": 1e300}},
+    # (lambda_T / delta_x)^2 overflows
+    {"scenario": "sphere-thermal-free", "delta_x": 1e-200},
+    # overflow and underflow elsewhere in the closed forms
+    {"scenario": "1d-mirror-vacuum", "mirror": {"omega0": 1e300}},
+    {"scenario": "sieve-pointer-states", "mirror": {"mass": 1e-200}},
+])
+def test_cli_out_of_range_inputs_exit_2_and_write_nothing(tmp_path, capsys, payload):
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_check_runs_the_identity_suite(tmp_path, capsys):

@@ -480,6 +480,17 @@ def test_repeated_steps_reuse_the_drift_plan():
     assert (info.misses, info.hits) == (1, 9)
 
 
+def test_damped_cat_run_builds_one_drift_plan(tmp_path):
+    # every sample interval takes the same steps, so no rounding jitter in
+    # the step size misses the cache
+    from casidec.scenarios import run_scenario
+
+    wigner_solver._drift_plan.cache_clear()
+    run_scenario("wigner-cat-highT", {"coefficients": {"gamma": 0.1}},
+                 out_base=str(tmp_path))
+    assert wigner_solver._drift_plan.cache_info().misses == 1
+
+
 # -------------------------------------------------------------- fitting
 
 
