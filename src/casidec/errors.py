@@ -18,11 +18,11 @@ class RegimeViolation(CasidecError):
 
 
 class QuadratureFailure(CasidecError):
-    """Numerical integration failed to reach the requested tolerance."""
+    """An integral has no finite value for the given inputs."""
 
 
 class RootFindingFailure(CasidecError):
-    """Polynomial root finding failed or roots could not be classified."""
+    """Root finding did not converge."""
 
 
 class StepSizeError(CasidecError):

@@ -158,6 +158,18 @@ def _is_finite_number(v) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
+# count-valued keys: a series holds at least its two ends and a grid at least
+# the solver's 16 points a side; the caps keep a config from asking for
+# unbounded memory or time (a 2048 x 2048 grid is 32 MB per field array)
+_COUNT_BOUNDS = {
+    "draws": (1, 1_000_000),
+    "series_points": (2, 10_000),
+    "time.n_samples": (1, 10_000),
+    "grid.nx": (16, 2048),
+    "grid.np": (16, 2048),
+}
+
+
 def _merge_config(defaults: dict, overrides: dict, path: str = "") -> dict:
     merged = copy.deepcopy(defaults)
     for key, ov in overrides.items():
@@ -176,6 +188,9 @@ def _merge_config(defaults: dict, overrides: dict, path: str = "") -> dict:
         elif isinstance(dv, int):
             if isinstance(ov, bool) or not isinstance(ov, int):
                 raise ConfigError(f"'{where}' must be an integer")
+            lo, hi = _COUNT_BOUNDS.get(where, (ov, ov))
+            if not lo <= ov <= hi:
+                raise ConfigError(f"'{where}' must be an integer in [{lo}, {hi}], got {ov}")
             merged[key] = ov
         elif isinstance(dv, float):
             if not _is_finite_number(ov):

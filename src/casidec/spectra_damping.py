@@ -9,7 +9,7 @@ the electromagnetic field:
 
 plus the symmetrized force spectrum of the vacuum radiation pressure on a
 plane mirror, the momentum-diffusion coefficient it generates (finite-time
-quadrature and asymptotic value), the static parallel-plate attraction used
+closed form and asymptotic value), the static parallel-plate attraction used
 as a sanity anchor, and the characteristic roots of the mirror's equation
 of motion including radiation reaction.
 
@@ -164,15 +164,22 @@ class CharacteristicRoots:
     precision_digits: int
 
 
+_NEWTON_MAX_STEPS = 200
+
+
 def characteristic_roots(params: MirrorParams,
                          constants: PhysicalConstants = CODATA) -> CharacteristicRoots:
     """Solve the cubic dispersion relation of the damped mirror exactly.
 
     For omega0 = 0 the roots {0, 0, 1/eps} are returned in closed form.
-    Otherwise the cubic is solved with an arbitrary-precision polynomial
-    solver at a working precision chosen from the smallness parameter
-    eps*omega0, so that the real part of the oscillatory pair is resolved
-    well below its own (eps omega0)^2 relative deviation from -Gamma.
+    Otherwise the cubic has exactly one real root, the runaway r > 1/eps:
+    it is negative on s <= 1/eps and increasing and convex beyond. Newton
+    iteration from 1/eps therefore converges to r, quadratically. Deflating
+    by r leaves the oscillatory pair as the roots of the quadratic
+    s^2 - (1/eps - r) s + omega0^2/(eps r) = 0 (Vieta). The work runs in
+    arbitrary precision, at 30 + 4.2 log10(1/(eps omega0)) digits: the pair's
+    sum 1/eps - r cancels (eps omega0)^2 of 1/eps, and the real part's
+    deviation from -Gamma is a further (eps omega0)^2 below that.
     """
     hbar, c = constants.hbar, constants.c
     eps = hbar / (6.0 * math.pi * params.mass * c**2)
@@ -189,34 +196,36 @@ def characteristic_roots(params: MirrorParams,
     if not small > 0:
         raise DomainError(f"eps * omega0 underflows double precision (mass {params.mass:g} kg, "
                           f"omega0 {w0:g} rad/s); the cubic cannot be scaled")
-    digits = 30 if small >= 0.1 else min(30 + int(3.2 * (-math.log10(small))) + 25, 400)
+    digits = 30 + max(0, math.ceil(4.2 * -math.log10(small)))
 
     with mp.workdps(digits):
         eps_hp = mpf(hbar) / (6 * mp.pi * mpf(params.mass) * mpf(c) ** 2)
         w0_hp = mpf(w0)
         gamma_hp = mpf(hbar) * w0_hp**2 / (12 * mp.pi * mpf(params.mass) * mpf(c) ** 2)
-        coeffs = [eps_hp, mpf(-1), mpf(0), -w0_hp**2]
-        try:
-            roots = mp.polyroots(coeffs, maxsteps=200, extraprec=120)
-        except Exception as exc:  # pragma: no cover - mpmath failure is exotic
-            raise RootFindingFailure(f"cubic solver did not converge: {exc}") from exc
 
-        real_roots = [r for r in roots if mp.im(r) == 0 or abs(mp.im(r)) < abs(r) * mpf(10) ** (-digits + 5)]
-        osc_roots = [r for r in roots if r not in real_roots]
-        if len(real_roots) != 1 or len(osc_roots) != 2:
+        runaway_hp = 1 / eps_hp
+        tol = mpf(10) ** (3 - digits)
+        for _ in range(_NEWTON_MAX_STEPS):
+            step = ((eps_hp * runaway_hp - 1) * runaway_hp**2 - w0_hp**2) / (
+                (3 * eps_hp * runaway_hp - 2) * runaway_hp)
+            runaway_hp -= step
+            if abs(step) <= tol * runaway_hp:
+                break
+        else:
             raise RootFindingFailure(
-                f"expected one runaway and one oscillatory pair, got roots {roots}")
-        runaway_hp = mp.re(real_roots[0])
-        s_plus = max(osc_roots, key=lambda r: mp.im(r))
+                f"Newton iteration for the runaway root did not converge in "
+                f"{_NEWTON_MAX_STEPS} steps (last step {float(step / runaway_hp):.3g} relative)")
+        half_sum = (1 / eps_hp - runaway_hp) / 2
+        s_plus = mp.mpc(half_sum, mp.sqrt(w0_hp**2 / (eps_hp * runaway_hp) - half_sum**2))
 
         def residual(s):
             num = abs(eps_hp * s**3 - s**2 - w0_hp**2)
             scale = abs(eps_hp) * abs(s) ** 3 + abs(s) ** 2 + w0_hp**2
             return num / scale
 
-        res_max = float(max(residual(r) for r in roots))
+        res_max = float(max(residual(runaway_hp), residual(s_plus)))
         re_dev = float(abs(mp.re(s_plus) + gamma_hp) / gamma_hp)
-        im_dev = float(abs(abs(mp.im(s_plus)) - w0_hp) / w0_hp)
+        im_dev = float(abs(mp.im(s_plus) - w0_hp) / w0_hp)
         run_dev = float(abs(runaway_hp - 1 / eps_hp) * eps_hp)
         osc = complex(s_plus)
 
@@ -243,7 +252,7 @@ class SpectrumModel:
     kind selects the spectral law; only the vacuum plane-mirror spectrum is
     implemented. cutoff_omega is the exponential regularization frequency;
     math.inf disables the cutoff (only meaningful for pointwise evaluation,
-    the finite-time quadrature requires a finite cutoff).
+    the finite-time diffusion requires a finite cutoff).
     """
 
     kind: str = "vacuum_1d"
@@ -292,90 +301,46 @@ def sync_kernel(omega, omega0: float, t: float):
     return out
 
 
-_GL_NODES_LO, _GL_WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
-_GL_NODES_HI, _GL_WEIGHTS_HI = np.polynomial.legendre.leggauss(12)
-
-
-def _sync_quadrature(sigma, omega0: float, t: float, omega_max: float,
-                     nodes, weights, *, spectral_scale: float | None = None) -> float:
-    """Composite Gauss-Legendre over half-periods of the oscillating kernel.
-
-    Integrates sigma(omega) * sin((omega-omega0) t)/(omega-omega0) over
-    omega in [0, omega_max], worked in the variable u = (omega - omega0) t
-    where the measures cancel: the result already is the omega integral.
-    Panel edges sit on the zeros of sin(u) and are subdivided further when
-    the spectrum varies on a scale finer than one half-period
-    (spectral_scale, in omega units), which happens at small t.
-    """
-    width = math.pi
-    if spectral_scale is not None and math.isfinite(spectral_scale):
-        target = t * spectral_scale / 8.0
-        if target < width:
-            width = math.pi / math.ceil(math.pi / target)
-    u_lo = -omega0 * t
-    u_hi = (omega_max - omega0) * t
-    k_lo = math.floor(u_lo / width)
-    k_hi = math.ceil(u_hi / width)
-
-    total = 0.0
-    chunk = 100_000
-    for start in range(k_lo, k_hi, chunk):
-        stop = min(start + chunk, k_hi)
-        edges = np.arange(start, stop + 1, dtype=float) * width
-        lo = np.clip(edges[:-1], u_lo, u_hi)
-        hi = np.clip(edges[1:], u_lo, u_hi)
-        widths = hi - lo
-        keep = widths > 0
-        if not np.any(keep):
-            continue
-        lo, hi, widths = lo[keep], hi[keep], widths[keep]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * widths
-        u = mid[:, None] + half[:, None] * nodes[None, :]
-        w = half[:, None] * weights[None, :]
-        omega = omega0 + u / t
-        vals = sigma(omega) * np.where(u == 0.0, t, np.sin(u) / np.where(u == 0.0, 1.0, u))
-        total += float(np.sum(vals * w))
-    return total
-
-
 def diffusion_finite_time(t: float, omega0: float, model: SpectrumModel,
-                          constants: PhysicalConstants = CODATA, *,
-                          rel_tol: float = 1e-6,
-                          tail_widths: float = 45.0) -> float:
-    """Momentum diffusion coefficient accumulated by time t.
+                          constants: PhysicalConstants = CODATA) -> float:
+    """Momentum diffusion coefficient accumulated by time t, in closed form.
 
     D1(t) = (1/2) Integral[ d omega / (2 pi) sigma(omega) sync_t(omega) ]
-    over the positive frequency axis, evaluated by composite Gauss-Legendre
-    with panels on the half-periods of the kernel. Converges to
-    sigma(omega0)/4 once omega0 t >> 1. Grows linearly at small t.
+    over the positive frequency axis, with sigma = A omega^3 exp(-omega/cutoff)
+    and A = hbar^2/(3 pi c^2). With v = omega - omega0, b = 1/cutoff - i t and
+    (omega0 + v)^3/v = omega0^3/v + 3 omega0^2 + 3 omega0 v + v^2,
 
-    Requires a finite spectrum cutoff; the undamped omega^3 integrand does
-    not decay against the 1/omega kernel tail. The quadrature is run at two
-    Gauss orders and their agreement is the error estimate.
+        D1 = A exp(-omega0/cutoff) / (4 pi) [omega0^3 J + Im(3 omega0^2 I0 + 3 omega0 I1 + I2)]
+
+    where I_n = Integral_{-omega0}^{inf} v^n exp(-b v) dv is elementary,
+    exp(-omega0/cutoff) (3 omega0^2 I0 + 3 omega0 I1 + I2) =
+    exp(-i omega0 t) (omega0^2/b + omega0/b^2 + 2/b^3), and the sine integral is
+    J = arctan(t cutoff) - Im[E1(z) + gamma_E + ln z] with z = -(1/cutoff + i t) omega0.
+    Converges to sigma(omega0)/4 once omega0 t >> 1; grows linearly at small t.
+
+    At low cutoffs the two terms cancel to about (omega0/cutoff)^4 of their
+    size, so the sum is taken in arbitrary precision at
+    20 + 4 log10(omega0/cutoff) digits (20 for cutoff >= omega0). Requires a
+    finite spectrum cutoff: the undamped omega^3 integrand does not decay
+    against the 1/omega kernel tail.
     """
     if t <= 0:
-        raise DomainError("diffusion quadrature needs t > 0")
+        raise DomainError("finite-time diffusion needs t > 0")
     if omega0 <= 0:
-        raise DomainError("diffusion quadrature needs omega0 > 0")
+        raise DomainError("finite-time diffusion needs omega0 > 0")
     if not math.isfinite(model.cutoff_omega):
         raise QuadratureFailure("finite-time diffusion needs a finite spectrum cutoff")
 
-    omega_max = omega0 + tail_widths * model.cutoff_omega
-
-    def sigma(w):
-        return force_spectrum_vacuum_1d(w, model, constants)
-
-    coarse = _sync_quadrature(sigma, omega0, t, omega_max, _GL_NODES_LO, _GL_WEIGHTS_LO,
-                              spectral_scale=model.cutoff_omega)
-    fine = _sync_quadrature(sigma, omega0, t, omega_max, _GL_NODES_HI, _GL_WEIGHTS_HI,
-                            spectral_scale=model.cutoff_omega)
-    scale = max(abs(fine), abs(coarse), 1e-300)
-    if abs(fine - coarse) > rel_tol * scale:
-        raise QuadratureFailure(
-            f"quadrature orders disagree by {abs(fine - coarse) / scale:.3g} "
-            f"(tolerance {rel_tol:g}) at omega0*t = {omega0 * t:.3g}")
-    return fine / (4.0 * math.pi)
+    digits = 20 + math.ceil(4 * max(0.0, math.log10(omega0 / model.cutoff_omega)))
+    with mp.workdps(digits):
+        t_hp, w0_hp, cut = mpf(t), mpf(omega0), mpf(model.cutoff_omega)
+        b = 1 / cut - 1j * t_hp
+        z = -(1 / cut + 1j * t_hp) * w0_hp
+        sine_integral = mp.atan(t_hp * cut) - mp.im(mp.e1(z) + mp.euler + mp.log(z))
+        moments = mp.expj(-w0_hp * t_hp) * (w0_hp**2 / b + w0_hp / b**2 + 2 / b**3)
+        bracket = w0_hp**3 * mp.exp(-w0_hp / cut) * sine_integral + mp.im(moments)
+        amp = mpf(constants.hbar) ** 2 / (3 * mp.pi * mpf(constants.c) ** 2)
+        return float(amp * bracket / (4 * mp.pi))
 
 
 def diffusion_asymptotic(params: MirrorParams, gamma: float,

@@ -1,15 +1,19 @@
 """Registry and CLI behavior: deterministic artifacts, config merging,
 exit codes."""
 
+import dataclasses
 import json
 import math
 import os
 
 import pytest
 
+from casidec import scenarios
 from casidec.cli import main
 from casidec.errors import DomainError, UnknownScenario
 from casidec.scenarios import (
+    _COUNT_BOUNDS,
+    _merge_config,
     describe,
     format_float,
     list_scenarios,
@@ -278,6 +282,59 @@ def test_cli_out_of_range_inputs_exit_2_and_write_nothing(tmp_path, capsys, payl
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_COUNT_KEYS = [
+    ("identity-suite", "draws"),
+    ("cosmic-background-sphere", "series_points"),
+    ("wigner-cat-highT", "time.n_samples"),
+    ("wigner-gaussian-oracle", "grid.nx"),
+    ("wigner-cat-highT", "grid.np"),
+]
+
+
+def _nested(dotted, value):
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    return value
+
+
+@pytest.mark.parametrize("name,key", _COUNT_KEYS)
+def test_cli_count_keys_out_of_bounds_exit_2_and_write_nothing(tmp_path, capsys,
+                                                               monkeypatch, name, key):
+    # the runner is replaced, so no value here can allocate what it asks for
+    def unreachable(cfg):
+        raise AssertionError(f"{name} ran with {key} out of bounds")
+
+    monkeypatch.setitem(scenarios._REGISTRY, name,
+                        dataclasses.replace(scenarios._REGISTRY[name], runner=unreachable))
+    lo, hi = _COUNT_BOUNDS[key]
+    for value in sorted({-1, 0, lo - 1, hi + 1}):
+        cfg = _write_config(tmp_path / "cfg.json", {"scenario": name, **_nested(key, value)})
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2, value
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,key", _COUNT_KEYS)
+def test_count_keys_accept_their_bounds(name, key):
+    section, _, leaf = key.rpartition(".")
+    for value in _COUNT_BOUNDS[key]:
+        merged = _merge_config(scenario_defaults(name), _nested(key, value))
+        assert (merged[section] if section else merged)[leaf] == value
+
+
+@pytest.mark.parametrize("mass", [1e-9, 1.0])
+def test_cli_heavy_mirror_roots_meet_their_bound(tmp_path, capsys, mass):
+    # the cubic solver used to stop converging from about 1e-12 kg up (exit 4)
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "scenario": "1d-mirror-vacuum", "mirror": {"mass": mass}})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    derived = json.loads(
+        (tmp_path / "out" / "1d-mirror-vacuum" / "summary.json").read_text())["derived"]
+    ratio = derived["hbar_omega0_over_Mc2"]
+    assert derived["characteristic_roots"]["re_deviation_rel"] <= 10.0 * ratio**2
 
 
 def test_cli_check_runs_the_identity_suite(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from casidec import (
@@ -29,7 +31,6 @@ from casidec.errors import (
     RegimeViolation,
     RegimeWarning,
 )
-from casidec.spectra_damping import _GL_NODES_HI, _GL_WEIGHTS_HI, _sync_quadrature
 
 MIRROR = MirrorParams(mass=1e-21, omega0=1e10)
 NATURAL = PhysicalConstants.natural()
@@ -174,6 +175,25 @@ def test_roots_vieta_relations(mass, omega0):
     assert product.real == pytest.approx(omega0**2 / eps, rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(log_mass=st.floats(-24.0, 250.0), log_omega0=st.floats(6.0, 12.0))
+def test_roots_hold_over_the_whole_mass_range(log_mass, log_omega0):
+    mass, omega0 = 10.0**log_mass, 10.0**log_omega0
+    eps = CODATA.hbar / (6 * math.pi * mass * CODATA.c**2)
+    assume(0.0 < eps * omega0 <= 0.1)
+    roots = characteristic_roots(MirrorParams(mass=mass, omega0=omega0))
+    s1, s2 = roots.oscillatory
+    # Vieta, scaled by eps so that nothing overflows at the heaviest masses
+    total = (s1 + s2 + roots.runaway) * eps
+    product = (roots.runaway * eps) * (s1 / omega0) * (s2 / omega0)
+    assert total.real == pytest.approx(1.0, rel=1e-12)
+    assert product.real == pytest.approx(1.0, rel=1e-12)
+    ratio = CODATA.hbar * omega0 / (mass * CODATA.c**2)
+    assert roots.re_deviation_rel <= 10.0 * ratio**2
+    assert roots.runaway == pytest.approx(6 * math.pi * mass * CODATA.c**2 / CODATA.hbar,
+                                          rel=1e-6)
+
+
 def test_roots_free_particle_closed_form():
     roots = characteristic_roots(MirrorParams(mass=1e-21))
     eps = CODATA.hbar / (6 * math.pi * 1e-21 * CODATA.c**2)
@@ -217,22 +237,53 @@ def test_sync_kernel_limits():
     assert sync_kernel(5.0 + math.pi / t, 5.0, t) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_sync_quadrature_gaussian_spike():
-    # spike at omega0: closed form weight * t * sqrt(pi/2) erf(s/sqrt2)/s
-    # with s the spike width in kernel units; tends to weight * t as s -> 0
-    omega0, t, weight = 50.0, 4.0, 2.5
-    s_u = 0.6
-    width = s_u / t
-    def spike(w):
-        w = np.asarray(w)
-        return weight * np.exp(-((w - omega0) / width) ** 2 / 2) / (width * math.sqrt(2 * math.pi))
-    total = _sync_quadrature(spike, omega0, t, 2 * omega0, _GL_NODES_HI, _GL_WEIGHTS_HI)
-    expected = weight * t * math.sqrt(math.pi / 2) * math.erf(s_u / math.sqrt(2)) / s_u
-    assert total == pytest.approx(expected, rel=1e-6)
-    assert total < weight * t  # finite width only loses kernel weight
-
-
 # ----------------------------------------------------- finite-time diffusion
+
+def _d1_reference(t, cutoff, ray_tail=True):
+    """D1 by direct mpmath quadrature of the integrand, natural units, omega0 = 1.
+
+    Half-period panels up to four half-periods past resonance; the tail
+    beyond is integrated along the ray omega = edge + i y, where the kernel's
+    exp(i (omega - 1) t) decays as exp(-y t), or by quadosc on the real axis.
+    """
+    with mp.workdps(17):
+        t, cut = mpf(t), mpf(cutoff)
+
+        def integrand(om):
+            v = om - 1
+            return om**3 * mp.exp(-om / cut) * (t if v == 0 else mp.sin(v * t) / v)
+
+        half = mp.pi / t
+        edge = 1 + 4 * half
+        zeros = [1 - j * half for j in range(int(1 / half), 0, -1)]
+        head = mp.quad(integrand, [0] + zeros + [1, edge])
+        if ray_tail:
+            def on_ray(y):
+                om = edge + 1j * y
+                return 1j * om**3 * mp.exp(-om / cut) * mp.expj((om - 1) * t) / (om - 1)
+            tail = mp.im(mp.quad(on_ray, [0, 1 / t, 10 / t, mp.inf]))
+        else:
+            tail = mp.quadosc(integrand, [edge, mp.inf], omega=t)
+        return float((head + tail) / (3 * mp.pi) / (4 * mp.pi))
+
+
+@pytest.mark.parametrize("cutoff", [0.1, 1.0, 100.0, 400.0])
+def test_diffusion_matches_direct_quadrature(cutoff):
+    for t in (1e-5, 3.0, 10.0, 100.0, 150.0):
+        d1 = diffusion_finite_time(t, 1.0, SpectrumModel(cutoff_omega=cutoff), NATURAL)
+        assert d1 == pytest.approx(_d1_reference(t, cutoff), rel=1e-12), t
+
+
+def test_diffusion_at_a_far_cutoff():
+    # the two-order quadrature used to refuse this point (orders 1.65e-5 apart)
+    d1 = diffusion_finite_time(50.0, 1.0, SpectrumModel(cutoff_omega=1e4), NATURAL)
+    assert d1 == pytest.approx(_d1_reference(50.0, 1e4), rel=1e-12)
+
+
+def test_reference_ray_tail_matches_quadosc():
+    assert _d1_reference(3.0, 1.0) == pytest.approx(
+        _d1_reference(3.0, 1.0, ray_tail=False), rel=1e-12)
+
 
 def test_diffusion_linear_onset():
     # for t far below both 1/omega0 and 1/cutoff the kernel is flat: D1 ~ t
