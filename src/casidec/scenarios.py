@@ -90,7 +90,7 @@ __all__ = [
     "scenario_defaults",
 ]
 
-_SCHEMA_VERSION = 3
+_SCHEMA_VERSION = 4
 _OUT_DIR_ENV = "CASIDEC_OUT_DIR"
 _CSV_COLUMNS = ("visibility", "purity", "mean_x", "mean_p",
                 "cov_xx", "cov_xp", "cov_pp")
@@ -160,8 +160,10 @@ def _is_finite_number(v) -> bool:
 
 # count-valued keys: a series holds at least its two ends and a grid at least
 # the solver's 16 points a side; the caps keep a config from asking for
-# unbounded memory or time (a 2048 x 2048 grid is 32 MB per field array)
+# unbounded memory or time (a 2048 x 2048 grid is 32 MB per field array).
+# A seed only has to be non-negative, as numpy's generators require.
 _COUNT_BOUNDS = {
+    "seed": (0, math.inf),
     "draws": (1, 1_000_000),
     "series_points": (2, 10_000),
     "time.n_samples": (1, 10_000),
@@ -419,7 +421,7 @@ def _run_wigner_cat_hight(cfg: dict):
 
     n_samples = cfg["time"]["n_samples"]
     dt = cfg["time"]["dt"]
-    # equal steps, a whole number per sample, so one drift plan serves the run
+    # equal steps, a whole number per sample, so one step plan serves the run
     per = math.ceil(t_end / (n_samples * dt) * (1.0 - 1e-9))
     times, vis, rows = [], [], []
 

@@ -12,13 +12,13 @@ backtrace matrix is factored into three shears and a momentum stretch.
 Each shear is a per-row (or per-column) shift applied as an FFT phase ramp,
 exact for a band-limited field; the stretch, which carries the Jacobian
 exp(2 g dt) that restores the mass the contraction removes, is a 1-D cubic
-B-spline pass along p, zero outside the box. The passes are cached per
-(coefficients, dt, grid), and an identity map (no streaming, no damping)
-has none. The shears treat the box as periodic, so mass that reaches the
-edge would wrap to the far side: the boundary-ring monitor that stops a
-run whose state leaves the box also guards against that wrap. Diffusion is
-an explicit central stencil, sub-cycled so its diffusion number stays
-below 1/4 at any resolution.
+B-spline pass along p, zero outside the box. Momentum diffusion is exact
+as well: each half-step multiplies the p spectrum by exp(-d1 k_p^2 dt/2).
+All passes are cached per (coefficients, dt, grid) as one step plan. The
+FFT passes treat the box as periodic, so mass that reaches the edge would
+wrap to the far side: the boundary-ring monitor that stops a run whose
+state leaves the box also guards against that wrap. Only the d2 cross term
+is an explicit stencil (see _diffuse for why).
 
 The solver is dimensionless by convention: callers map SI inputs through
 nondimensionalize(), which rescales lengths to the ground-state width (or
@@ -369,21 +369,25 @@ def _shift_ramp(n: int, shifts):
 
 
 @functools.lru_cache(maxsize=4)
-def _drift_plan(mass: float | None, omega: float, gamma: float, dt: float,
-                nx: int, n_p: int, x_half_width: float, p_half_width: float):
-    """Drift stage as a sequence of 1-D passes, applied left to right.
+def _step_plan(mass: float | None, omega: float, gamma: float, d1: float, dt: float,
+               nx: int, n_p: int, x_half_width: float, p_half_width: float):
+    """The Strang step (diffusion half, drift, diffusion half) as 1-D passes.
 
-    Each shear is ("x", ramp) or ("p", ramp): rfft along that axis, multiply
-    by the cached phase ramp, irfft. The damping stretch is ("stretch", C):
-    a cubic B-spline operator along p, zero outside the box and carrying the
-    Jacobian exp(2 g dt), applied as w @ C. The identity map has no passes.
+    ("x", f) or ("p", f): rfft along that axis, multiply by the cached factor
+    f, irfft; a shear's f is a phase ramp, a diffusion half-step's is
+    exp(-d1 k_p^2 dt/2). ("stretch", C): the damping stretch, a cubic
+    B-spline operator along p, zero outside the box and carrying the
+    Jacobian exp(2 g dt), applied as w @ C. The closing diffusion half is
+    multiplied into a last p factor or into the stretch's columns, so pure
+    diffusion is one exp(-d1 k_p^2 dt) pass, and a step with no drift and no
+    diffusion has no passes.
     """
     stretch = math.exp(2.0 * gamma * dt)
     factors = _shear_factors(_drift_maps(mass, omega, gamma, dt), stretch)
-    x = numpy.linspace(-x_half_width, x_half_width, nx)
-    p = numpy.linspace(-p_half_width, p_half_width, n_p)
-    dx, dp = 2.0 * x_half_width / (nx - 1), 2.0 * p_half_width / (n_p - 1)
-    plan = []
+    x, dx = numpy.linspace(-x_half_width, x_half_width, nx, retstep=True)
+    p, dp = numpy.linspace(-p_half_width, p_half_width, n_p, retstep=True)
+    half = numpy.exp(-0.5 * d1 * dt * (2.0 * math.pi * numpy.fft.rfftfreq(n_p, dp)) ** 2)
+    plan = [("p", half)] if d1 > 0 else []
     for axis, s in factors:
         if axis == "x":     # w(x + s p, p): column j moves by s p_j / dx nodes
             ramp = _shift_ramp(nx, s * p / dx)
@@ -399,52 +403,43 @@ def _drift_plan(mass: float | None, omega: float, gamma: float, dt: float,
         op = map_coordinates(numpy.eye(n_p), [rows, cols], order=3,
                              mode="constant", cval=0.0)
         plan.append(("stretch", op * stretch))
+    if d1 > 0:
+        kind, op = plan[-1]
+        if kind == "stretch":
+            plan[-1] = (kind, irfft(rfft(op, axis=1) * half, n=n_p, axis=1))
+        elif kind == "p":
+            plan[-1] = (kind, op * half)
+        else:
+            plan.append(("p", half))
     return tuple(plan)
 
 
-def _apply_drift(w, plan):
-    for kind, op in plan:
-        if kind == "stretch":
-            w = w @ op
-        else:
-            axis = 0 if kind == "x" else 1
-            w = irfft(rfft(w, axis=axis) * op, n=w.shape[axis], axis=axis)
-    return w
+def _diffuse(w, cross: float):
+    """Cross term -d2 d^2W/(dx dp), cross = -d2 dt / (4 dx dp): a central
+    stencil on the interior nodes, sub-cycled to |cross| <= 0.1 (none at 0).
 
-
-def _diffuse(w, nu_p: float, cross: float):
-    """Explicit diffusion stencil, zero-clamped boundaries.
-
-    nu_p = d1 * dt / dp^2 is sub-cycled to stay below 1/4. cross is the
-    mixed-derivative coefficient -d2 * dt / (4 dx dp) per sub-step.
+    Without position diffusion the term is ill-posed (its symbol d2 k_x k_p
+    grows along one diagonal of k-space), so it is not made spectral: at
+    the oracle defaults an exact spectral factor trips the ring monitor from
+    |d2| = 0.05 and a spectral central difference at d2 = -0.1, while this
+    stencil runs d2 = +-0.1 to t = 40.
     """
-    if nu_p == 0 and cross == 0:
-        return w
-    cycles = max(1, math.ceil(nu_p / 0.25), math.ceil(abs(cross) / 0.1))
-    nu = nu_p / cycles
-    cr = cross / cycles
+    cycles = math.ceil(abs(cross) / 0.1)
     for _ in range(cycles):
-        lap = numpy.empty_like(w)
-        lap[:, 1:-1] = w[:, 2:] - 2.0 * w[:, 1:-1] + w[:, :-2]
-        lap[:, 0] = w[:, 1] - 2.0 * w[:, 0]
-        lap[:, -1] = w[:, -2] - 2.0 * w[:, -1]
-        if cr:
-            mixed = numpy.zeros_like(w)
-            mixed[1:-1, 1:-1] = (w[2:, 2:] - w[2:, :-2] - w[:-2, 2:] + w[:-2, :-2])
-            w = w + nu * lap + cr * mixed
-        else:
-            w = w + nu * lap
+        mixed = numpy.zeros_like(w)
+        mixed[1:-1, 1:-1] = (w[2:, 2:] - w[2:, :-2] - w[:-2, 2:] + w[:-2, :-2])
+        w = w + (cross / cycles) * mixed
     return w
 
 
 def step(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> PhaseSpaceGrid:
-    """Advance one Strang step: diffusion half, exact-map drift, diffusion half.
+    """Advance one Strang step: diffusion half, exact-map drift, diffusion
+    half, as one cached plan, with the d2 cross stencil on either side.
 
     dt must resolve the rotation (dt <= 0.005 periods) and the damping
     (gamma dt <= 0.05). Norm drift per step and mass on the boundary ring
     are monitored; crossing either tolerance raises StabilityViolation. The
-    ring monitor is what keeps the periodic wrap of the drift shears
-    harmless.
+    ring monitor is what keeps the periodic wrap of the FFT passes harmless.
     """
     if dt <= 0:
         raise StepSizeError("dt must be positive")
@@ -458,15 +453,16 @@ def step(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> PhaseSpaceG
     w = grid.values
     norm_before = float(np.sum(w)) * dx * dp
 
-    nu_half = sc.d1 * (0.5 * dt) / dp**2
     cross_half = -sc.d2 * (0.5 * dt) / (4.0 * dx * dp)
-    w = _diffuse(w, nu_half, cross_half)
-
-    plan = _drift_plan(sc.mass, sc.omega, sc.gamma, dt, grid.nx, grid.np,
-                       grid.x_half_width, grid.p_half_width)
-    w = _apply_drift(w, plan)
-
-    w = _diffuse(w, nu_half, cross_half)
+    w = _diffuse(w, cross_half)
+    for kind, op in _step_plan(sc.mass, sc.omega, sc.gamma, sc.d1, dt, grid.nx,
+                               grid.np, grid.x_half_width, grid.p_half_width):
+        if kind == "stretch":
+            w = w @ op
+        else:
+            axis = 0 if kind == "x" else 1
+            w = irfft(rfft(w, axis=axis) * op, n=w.shape[axis], axis=axis)
+    w = _diffuse(w, cross_half)
 
     norm_after = float(np.sum(w)) * dx * dp
     if abs(norm_after - norm_before) > _NORM_TOL:
@@ -478,7 +474,7 @@ def step(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> PhaseSpaceG
     if ring * dx * dp > _BOUNDARY_TOL:
         raise StabilityViolation(
             f"boundary ring carries {ring * dx * dp:.3g} mass (tolerance {_BOUNDARY_TOL:g}); "
-            "the state is leaving the box and would wrap in the periodic shears")
+            "the state is leaving the box and would wrap in the periodic passes")
 
     return replace(grid, values=w, time=grid.time + dt)
 

@@ -102,7 +102,7 @@ def test_manifest_is_the_only_place_with_timing(tmp_path):
     rep = run_scenario("cosmic-background-sphere", {"series_points": 5},
                        out_base=str(tmp_path))
     manifest = json.loads((rep.out_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == 3
+    assert manifest["schema_version"] == 4
     assert manifest["scenario"] == "cosmic-background-sphere"
     assert manifest["config"]["series_points"] == 5
     assert manifest["config"]["mirror"]["temperature"] == 2.7
@@ -281,6 +281,14 @@ def test_cli_out_of_range_inputs_exit_2_and_write_nothing(tmp_path, capsys, payl
     cfg = _write_config(tmp_path / "cfg.json", payload)
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys):
+    # numpy refuses a negative seed; it used to end in a ValueError traceback
+    cfg = _write_config(tmp_path / "cfg.json", {"scenario": "identity-suite", "seed": -1})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -258,7 +258,7 @@ def test_rotation_period_returns_a_cat():
 
 
 def test_pure_momentum_diffusion_is_moment_exact():
-    # FTCS stencil with zero-flux-free tails: second moment grows as 2 d1 t
+    # exact spectral diffusion of a contained state: second moment grows as 2 d1 t
     grid = init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, nx=128, n_p=256)
     sc = SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=1.0)
     grid = evolve_grid(grid, sc, 0.02, 5e-4)
@@ -266,6 +266,51 @@ def test_pure_momentum_diffusion_is_moment_exact():
     assert pp == pytest.approx(0.25 + 2.0 * 1.0 * 0.02, rel=1e-12)
     assert xx == pytest.approx(1.0, rel=1e-12)
     assert (mx, mp_, xp) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+
+
+def _diffused_cat(spec, xg, pg, d1, t):
+    """The cat field after momentum diffusion for a time t, in closed form.
+
+    Convolving in p with variance b = 2 d1 t maps each lobe's envelope
+    e^{-p^2/2a} (a = sigma_p^2) to sqrt(a/(a+b)) e^{-p^2/2(a+b)}. The fringe
+    term is the real part of e^{-p^2/2a + i(kp - phase)} = e^{-k^2 a/2}
+    e^{-(p - ika)^2/2a} e^{-i phase}, which maps to sqrt(a/(a+b))
+    e^{-p^2/2(a+b)} cos(kap/(a+b) - phase) e^{-k^2 ab/2(a+b)}.
+    """
+    # ground state in solver units: sigma_x = 1, sigma_p = 1/2
+    a, b, k, half = 0.25, 2.0 * d1 * t, spec.fringe_wavenumber, 0.5 * spec.separation
+    env = math.sqrt(a / (a + b)) * np.exp(-pg**2 / (2.0 * (a + b)))
+    lobes = (np.exp(-(xg - half) ** 2 / 2.0) + np.exp(-(xg + half) ** 2 / 2.0)) * env
+    fringe = (2.0 * np.exp(-xg**2 / 2.0) * env * np.cos(k * a * pg / (a + b) - spec.phase)
+              * math.exp(-k**2 * a * b / (2.0 * (a + b))))
+    norm = 1.0 / (2.0 * math.pi * 1.0 * 0.5)
+    overlap = math.exp(-spec.separation**2 / 8.0)
+    return norm * (lobes + fringe) / (2.0 * (1.0 + math.cos(spec.phase) * overlap))
+
+
+@pytest.mark.parametrize("decay_times", [1.0, 10.0])
+def test_pure_diffusion_matches_the_exact_cat_pointwise(decay_times):
+    # the criterion-10 cat; the spectral diffusion is exact, so only
+    # rounding separates the grid from the closed form
+    spec = CatWignerSpec(alpha_mag=5.0)
+    sc = SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=1.0)
+    grid = init_cat(spec, nx=256, n_p=512)
+    t = decay_times / (sc.d1 * spec.fringe_wavenumber**2)
+    grid = evolve_grid(grid, sc, t, 5e-4)
+    xg, pg = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
+    exact = _diffused_cat(spec, xg, pg, sc.d1, t)
+    assert np.max(np.abs(grid.values - exact)) <= 1e-12 * np.max(exact)
+
+
+@pytest.mark.parametrize("d2", [0.1, -0.1])
+def test_cross_term_tracks_the_moment_oracle(tmp_path, d2):
+    # the d2 term runs as the interior stencil; an exact spectral factor
+    # for it trips the ring monitor at both values
+    from casidec.scenarios import run_scenario
+
+    rep = run_scenario("wigner-gaussian-oracle", {"coefficients": {"d2": d2}},
+                       out_base=str(tmp_path))
+    assert rep.summary["derived"]["max_rel_moment_error_overall"] <= 1e-3
 
 
 def test_damped_evolution_matches_moment_integrator():
@@ -435,13 +480,41 @@ def test_identity_drift_runs_no_transform(monkeypatch):
 
     for name in ("rfft", "irfft", "map_coordinates"):
         monkeypatch.setattr(wigner_solver, name, forbidden)
-    wigner_solver._drift_plan.cache_clear()
+    wigner_solver._step_plan.cache_clear()
     grid = init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, nx=64, n_p=64)
     sc = SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=0.0)
     out = step(grid, sc, 0.01)
     assert np.array_equal(out.values, grid.values)
-    assert wigner_solver._drift_plan(None, 0.0, 0.0, 0.01, 64, 64,
-                                     grid.x_half_width, grid.p_half_width) == ()
+    assert wigner_solver._step_plan(None, 0.0, 0.0, 0.0, 0.01, 64, 64,
+                                    grid.x_half_width, grid.p_half_width) == ()
+
+
+def _run_passes(w, passes):
+    for kind, op in passes:
+        if kind == "stretch":
+            w = w @ op
+        else:
+            axis = 0 if kind == "x" else 1
+            w = np.fft.irfft(np.fft.rfft(w, axis=axis) * op, n=w.shape[axis], axis=axis)
+    return w
+
+
+@pytest.mark.parametrize("mass, omega, gamma, n_passes", [
+    (None, 0.0, 0.0, 1),      # pure diffusion: the two halves are one pass
+    (None, 0.0, 0.3, 2),      # opening half, then the stretch with the closing half
+    (0.5, 1.0, 0.0, 5),       # ends on an x shear: the closing half is its own pass
+    (0.5, 1.0, 0.05, 5),      # closing half folded into the stretch
+])
+def test_step_plan_folds_the_closing_diffusion_half(mass, omega, gamma, n_passes):
+    d1, dt, n, x_hw, p_hw = 0.05, 0.005 * TWO_PI, 64, 14.0, 7.0
+    plan = wigner_solver._step_plan(mass, omega, gamma, d1, dt, n, n, x_hw, p_hw)
+    drift = wigner_solver._step_plan(mass, omega, gamma, 0.0, dt, n, n, x_hw, p_hw)
+    k = TWO_PI * np.fft.rfftfreq(n, 2.0 * p_hw / (n - 1))
+    half = ("p", np.exp(-0.5 * d1 * dt * k**2))
+    w = np.random.default_rng(1).standard_normal((n, n))
+    unfolded = _run_passes(w, [half, *drift, half])
+    assert len(plan) == n_passes
+    assert np.max(np.abs(_run_passes(w, plan) - unfolded)) <= 1e-13 * np.max(np.abs(unfolded))
 
 
 def _exact_drift_step(mean, cov, sc, dt, **grid_kwargs):
@@ -472,11 +545,11 @@ def test_drift_step_matches_the_exact_map(nx, n_p, gamma, tol):
 
 
 def test_repeated_steps_reuse_the_drift_plan():
-    wigner_solver._drift_plan.cache_clear()
+    wigner_solver._step_plan.cache_clear()
     grid = init_gaussian(1.0, 0.0, 1.0, 0.0, 0.25, nx=64, n_p=64)
     sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=0.05, d1=0.01)
     evolve_grid(grid, sc, 0.1, 0.01)
-    info = wigner_solver._drift_plan.cache_info()
+    info = wigner_solver._step_plan.cache_info()
     assert (info.misses, info.hits) == (1, 9)
 
 
@@ -485,10 +558,10 @@ def test_damped_cat_run_builds_one_drift_plan(tmp_path):
     # the step size misses the cache
     from casidec.scenarios import run_scenario
 
-    wigner_solver._drift_plan.cache_clear()
+    wigner_solver._step_plan.cache_clear()
     run_scenario("wigner-cat-highT", {"coefficients": {"gamma": 0.1}},
                  out_base=str(tmp_path))
-    assert wigner_solver._drift_plan.cache_info().misses == 1
+    assert wigner_solver._step_plan.cache_info().misses == 1
 
 
 # -------------------------------------------------------------- fitting
