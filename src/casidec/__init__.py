@@ -44,7 +44,6 @@ from .spectra_damping import (
     CharacteristicRoots,
     CoefficientSet,
     SpectrumModel,
-    casimir_force_plates,
     characteristic_roots,
     coefficient_set,
     damping_rate,
@@ -54,7 +53,6 @@ from .spectra_damping import (
     gamma_thermal_sphere,
     gamma_vacuum_1d,
     gamma_vacuum_sphere,
-    sync_kernel,
 )
 from .decoherence_times import (
     Regime,

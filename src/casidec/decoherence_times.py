@@ -18,10 +18,10 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, NonPhysicalInput, RegimeViolation, RegimeWarning
-from .params import CODATA, MirrorParams, PhysicalConstants
+from .params import _ALPHA_MIN, CODATA, MirrorParams, PhysicalConstants
 
 __all__ = [
     "Regime",
@@ -46,7 +46,7 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class TdResult:
-    """Decoherence time plus the regime and inputs that produced it.
+    """Decoherence time plus the regime that produced it.
 
     averaging_factor is 2 when the formula includes the average over free
     rotations of the superposition in phase space, 1 otherwise.
@@ -55,7 +55,6 @@ class TdResult:
     td: float
     regime: Regime
     averaging_factor: int
-    inputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.averaging_factor not in (1, 2):
@@ -68,22 +67,20 @@ def _require_positive(**kwargs):
             raise NonPhysicalInput(f"{name} must be positive and finite, got {value}")
 
 
-def td_cat_vacuum(alpha_mag: float, gamma: float, *,
-                  alpha_min: float = 3.0) -> TdResult:
+def td_cat_vacuum(alpha_mag: float, gamma: float) -> TdResult:
     """Fringe lifetime 1 / (4 |alpha|^2 Gamma) of an oscillating-mirror cat.
 
     One photon pair emitted out of the 2|alpha|^2 expected over a damping
     time resolves the superposition. Requires a comfortably large
-    amplitude; warns below alpha_min.
+    amplitude; warns below |alpha| = 3.
     """
     _require_positive(alpha_mag=alpha_mag, gamma=gamma)
-    if alpha_mag < alpha_min:
+    if alpha_mag < _ALPHA_MIN:
         warnings.warn(
             f"|alpha| = {alpha_mag:.3g} is not large; the single-photon counting "
             "estimate is marginal below ~3", RegimeWarning, stacklevel=2)
     td = 1.0 / (4.0 * alpha_mag**2 * gamma)
-    return TdResult(td=td, regime=Regime.VACUUM_1D, averaging_factor=2,
-                    inputs={"alpha_mag": alpha_mag, "gamma": gamma})
+    return TdResult(td=td, regime=Regime.VACUUM_1D, averaging_factor=2)
 
 
 def td_from_separation(delta_x: float, ground_width: float, gamma: float) -> TdResult:
@@ -94,8 +91,7 @@ def td_from_separation(delta_x: float, ground_width: float, gamma: float) -> TdR
     """
     _require_positive(delta_x=delta_x, ground_width=ground_width, gamma=gamma)
     td = 4.0 * (ground_width / delta_x) ** 2 / gamma
-    return TdResult(td=td, regime=Regime.VACUUM_1D, averaging_factor=2,
-                    inputs={"delta_x": delta_x, "ground_width": ground_width, "gamma": gamma})
+    return TdResult(td=td, regime=Regime.VACUUM_1D, averaging_factor=2)
 
 
 def td_relative_1d(v_over_c: float, omega0: float) -> TdResult:
@@ -109,8 +105,7 @@ def td_relative_1d(v_over_c: float, omega0: float) -> TdResult:
     if v_over_c >= 1.0:
         raise RegimeViolation(f"v/c = {v_over_c} is not sub-luminal")
     td = 3.0 / v_over_c**2 * (2.0 * math.pi / omega0)
-    return TdResult(td=td, regime=Regime.VACUUM_1D, averaging_factor=2,
-                    inputs={"v_over_c": v_over_c, "omega0": omega0})
+    return TdResult(td=td, regime=Regime.VACUUM_1D, averaging_factor=2)
 
 
 def td_relative_sphere(v_over_c: float, omega0: float, radius: float,
@@ -134,8 +129,7 @@ def td_relative_sphere(v_over_c: float, omega0: float, radius: float,
     if not td > floor:
         raise RegimeViolation("sphere lifetime fell below its (c/v)^8 period floor; "
                               "inputs are outside the derivation's regime")
-    return TdResult(td=td, regime=Regime.VACUUM_SPHERE, averaging_factor=2,
-                    inputs={"v_over_c": v_over_c, "omega0": omega0, "radius": radius})
+    return TdResult(td=td, regime=Regime.VACUUM_SPHERE, averaging_factor=2)
 
 
 def td_from_diffusion(d1: float, delta_x: float, *, oscillatory: bool,
@@ -152,8 +146,7 @@ def td_from_diffusion(d1: float, delta_x: float, *, oscillatory: bool,
     factor = 2.0 if oscillatory else 1.0
     td = factor * constants.hbar**2 / (d1 * delta_x**2)
     return TdResult(td=td, regime=Regime.GENERIC_DIFFUSION,
-                    averaging_factor=2 if oscillatory else 1,
-                    inputs={"d1": d1, "delta_x": delta_x})
+                    averaging_factor=2 if oscillatory else 1)
 
 
 def td_high_T(thermal_length: float, delta_x: float, gamma: float) -> TdResult:
@@ -165,9 +158,7 @@ def td_high_T(thermal_length: float, delta_x: float, gamma: float) -> TdResult:
     """
     _require_positive(thermal_length=thermal_length, delta_x=delta_x, gamma=gamma)
     td = (thermal_length / delta_x) ** 2 / gamma
-    return TdResult(td=td, regime=Regime.HIGH_T, averaging_factor=1,
-                    inputs={"thermal_length": thermal_length, "delta_x": delta_x,
-                            "gamma": gamma})
+    return TdResult(td=td, regime=Regime.HIGH_T, averaging_factor=1)
 
 
 def td_thermal_sphere_free(params: MirrorParams, delta_x: float,
@@ -194,6 +185,4 @@ def td_thermal_sphere_free(params: MirrorParams, delta_x: float,
             f"lifetime {td:.3g} s is not long against the bath correlation time "
             f"{bath_memory:.3g} s; the Markovian estimate is marginal",
             RegimeWarning, stacklevel=2)
-    return TdResult(td=td, regime=Regime.THERMAL_SPHERE_FREE, averaging_factor=1,
-                    inputs={"temperature": params.temperature, "radius": params.radius,
-                            "delta_x": delta_x})
+    return TdResult(td=td, regime=Regime.THERMAL_SPHERE_FREE, averaging_factor=1)

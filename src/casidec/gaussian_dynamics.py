@@ -289,7 +289,6 @@ class SieveResult:
     landscape: tuple[tuple[float, ...], ...]
     argmin_r_per_time: tuple[float, ...]
     stable: bool
-    iterations: int
 
 
 def _golden_minimize(f, lo: float, hi: float, tol: float, maxiter: int = 200):
@@ -312,18 +311,20 @@ def _golden_minimize(f, lo: float, hi: float, tol: float, maxiter: int = 200):
             d = a + invphi * (b - a)
             fd = f(d)
     x = 0.5 * (a + b)
-    return x, f(x), it
+    return x, f(x)
+
+
+# the sieve's landscape grid, and the tolerance of its minimization in r
+_R_GRID = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
+_THETA_GRID = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+_SIEVE_TOL = 1e-6
 
 
 def sieve_search(params: MirrorParams, coeffs: CoefficientSet,
                  constants: PhysicalConstants = CODATA, *,
                  r_max: float = 2.0,
-                 r_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0),
-                 theta_grid: tuple[float, ...] = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2),
-                 eval_times: tuple[float, ...] | None = None,
                  objective: str = "rotation_averaged",
-                 diffusion_xx: float = 0.0,
-                 tol: float = 1e-6) -> SieveResult:
+                 diffusion_xx: float = 0.0) -> SieveResult:
     """Predictability sieve over the pure squeezed-state family.
 
     Minimizes the entropy production rate over squeezing magnitude r (the
@@ -332,8 +333,8 @@ def sieve_search(params: MirrorParams, coeffs: CoefficientSet,
     robustness check re-ranks every landscape state by its entropy at each
     evaluation time, computed with secular_linear_entropy: the states
     selected by the sieve must remain at the bottom of the entropy
-    landscape as the comparison time changes. Evaluation times default to
-    (0, 0.1/Gamma, 0.5/Gamma); time 0 ranks by the analytic rate itself.
+    landscape as the comparison time changes. Evaluation times are (0,
+    0.1/Gamma, 0.5/Gamma), or 0 alone; time 0 ranks by the analytic rate.
     Following the exact flow to times of order 1/Gamma is unreachable when
     omega/Gamma is large (it resolves every rotation), so the check uses
     the closed secular form, which agrees with evolve() to O(Gamma/omega).
@@ -357,30 +358,27 @@ def sieve_search(params: MirrorParams, coeffs: CoefficientSet,
                                        diffusion_xx=diffusion_xx)
 
     if averaged:
-        r_star, best, iters = _golden_minimize(lambda r: rate(r, 0.0), 0.0, r_max, tol)
+        r_star, best = _golden_minimize(lambda r: rate(r, 0.0), 0.0, r_max, _SIEVE_TOL)
         theta_star = 0.0
     else:
         best = math.inf
         r_star = theta_star = 0.0
-        iters = 0
-        for theta in theta_grid:
-            r_opt, val, it = _golden_minimize(lambda r: rate(r, theta), 0.0, r_max, tol)
-            iters += it
+        for theta in _THETA_GRID:
+            r_opt, val = _golden_minimize(lambda r: rate(r, theta), 0.0, r_max, _SIEVE_TOL)
             if val < best:
                 best, r_star, theta_star = val, r_opt, theta
-    if abs(r_star) < tol:
+    if abs(r_star) < _SIEVE_TOL:
         r_star = 0.0
 
-    if eval_times is None:
-        if coeffs.gamma > 0:
-            eval_times = (0.0, 0.1 / coeffs.gamma, 0.5 / coeffs.gamma)
-        else:
-            eval_times = (0.0,)
+    if coeffs.gamma > 0:
+        eval_times = (0.0, 0.1 / coeffs.gamma, 0.5 / coeffs.gamma)
+    else:
+        eval_times = (0.0,)
 
     rows = []
     entropies = []  # parallel: per row, entropy at each positive eval time
-    for r in r_grid:
-        for theta in (theta_grid if r > 0 else (0.0,)):
+    for r in _R_GRID:
+        for theta in (_THETA_GRID if r > 0 else (0.0,)):
             st = squeezed_pure_state(r, theta, params, omega_ref, constants)
             row = [r, theta, rate(r, theta)]
             ent = []
@@ -400,16 +398,15 @@ def sieve_search(params: MirrorParams, coeffs: CoefficientSet,
     for j in range(len(eval_times)):
         col = [e[j] for e in entropies]
         argmin_r.append(r_values[col.index(min(col))])
-    r_floor = min(r_grid)
+    r_floor = min(_R_GRID)
     stable = all(r == r_floor for r in argmin_r) if averaged else True
 
     return SieveResult(
         r_star=r_star,
         theta_star=theta_star,
         rate_at_optimum=best,
-        eval_times=tuple(eval_times),
+        eval_times=eval_times,
         landscape=tuple(rows),
         argmin_r_per_time=tuple(argmin_r),
         stable=stable,
-        iterations=iters,
     )

@@ -9,7 +9,7 @@ assumes a particular unit system beyond positivity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, NonPhysicalInput
 
@@ -58,19 +58,18 @@ class MirrorParams:
     """Mass, trap frequency, temperature, and geometry of the moving scatterer.
 
     omega0 = 0 denotes a free particle. radius is only meaningful for
-    sphere geometries; area only for the parallel-plate force helper.
+    sphere geometries.
     """
 
     mass: float
     omega0: float = 0.0        # rad/s; 0 = free particle
     temperature: float = 0.0   # K
     radius: float = 0.0        # m, for sphere scatterers
-    area: float = 0.0          # m^2, for plane mirrors
 
     def __post_init__(self):
         if not (self.mass > 0) or math.isnan(self.mass) or math.isinf(self.mass):
             raise NonPhysicalInput(f"mass must be positive and finite, got {self.mass}")
-        for name in ("omega0", "temperature", "radius", "area"):
+        for name in ("omega0", "temperature", "radius"):
             v = getattr(self, name)
             if v < 0 or math.isnan(v) or math.isinf(v):
                 raise NonPhysicalInput(f"{name} must be finite and >= 0, got {v}")
@@ -185,16 +184,14 @@ class RegimeCheck:
     name: str
     passed: bool
     value: float
-    threshold: float
     note: str = ""
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the regime validation: per-check records plus flags."""
+    """Outcome of the regime validation: one record per check."""
 
     checks: tuple[RegimeCheck, ...]
-    free_particle: bool
 
     @property
     def ok(self) -> bool:
@@ -207,11 +204,14 @@ class ValidationReport:
         raise KeyError(name)
 
 
+# validate's gates: the nonrelativistic ratio, the least and the comfortable |alpha|
+_NONRELATIVISTIC_THRESHOLD = 1e-6
+_ALPHA_MIN = 3.0
+_ALPHA_COMFORTABLE = 10.0
+
+
 def validate(params: MirrorParams, cat: CatSpec | None = None,
-             constants: PhysicalConstants = CODATA, *,
-             nonrelativistic_threshold: float = 1e-6,
-             alpha_min: float = 3.0,
-             alpha_comfortable: float = 10.0) -> ValidationReport:
+             constants: PhysicalConstants = CODATA) -> ValidationReport:
     """Regime validation for the perturbative vacuum-friction treatment.
 
     Non-physical inputs raise at construction time; everything here is a
@@ -224,9 +224,8 @@ def validate(params: MirrorParams, cat: CatSpec | None = None,
         ratio = constants.hbar * params.omega0 / (params.mass * constants.c**2)
         checks.append(RegimeCheck(
             name="nonrelativistic",
-            passed=ratio < nonrelativistic_threshold,
+            passed=ratio < _NONRELATIVISTIC_THRESHOLD,
             value=ratio,
-            threshold=nonrelativistic_threshold,
             note="hbar*omega0/(M c^2) must be small for the weak-coupling expansion",
         ))
     if cat is not None:
@@ -234,13 +233,12 @@ def validate(params: MirrorParams, cat: CatSpec | None = None,
             cat = resolve_cat(cat, params, constants)
         if cat.alpha_mag is not None:
             note = ""
-            if cat.alpha_mag < alpha_comfortable:
+            if cat.alpha_mag < _ALPHA_COMFORTABLE:
                 note = "amplitude below the comfortably-large regime; results are marginal"
             checks.append(RegimeCheck(
                 name="large_amplitude",
-                passed=cat.alpha_mag >= alpha_min,
+                passed=cat.alpha_mag >= _ALPHA_MIN,
                 value=cat.alpha_mag,
-                threshold=alpha_min,
                 note=note,
             ))
-    return ValidationReport(checks=tuple(checks), free_particle=params.free_particle)
+    return ValidationReport(checks=tuple(checks))

@@ -8,8 +8,8 @@ the runner, and writes summary.json, series.csv, and manifest.json into
 config produces byte-identical summary and CSV; only the manifest carries
 wall-clock timing.
 
-Numbers are serialized with 17 significant digits so a reader can
-round-trip them to the exact binary doubles the run produced.
+Each number is serialized as the shortest text that reads back to the
+exact binary double the run produced.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ __all__ = [
     "scenario_defaults",
 ]
 
-_SCHEMA_VERSION = 4
+_SCHEMA_VERSION = 5
 _OUT_DIR_ENV = "CASIDEC_OUT_DIR"
 _CSV_COLUMNS = ("visibility", "purity", "mean_x", "mean_p",
                 "cov_xx", "cov_xp", "cov_pp")
@@ -103,29 +103,16 @@ def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise DomainError(f"non-finite value {x!r} has no place in an output file; "
                           "the inputs drive a result beyond double precision")
-    return format(x, ".17g")
+    return repr(float(x))  # float(): numpy 2 reprs np.float64 as "np.float64(...)"
 
 
-def _json_render(obj, indent: int = 0) -> str:
-    """Canonical JSON: sorted keys, floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f"{inner}{json.dumps(k)}: {_json_render(obj[k], indent + 1)}"
-                 for k in sorted(obj)]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [f"{inner}{_json_render(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(obj, float):
-        return format_float(obj)
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _json_render(obj) -> str:
+    """Canonical JSON: sorted keys, two-space indent, shortest round-trip floats."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"non-finite value has no place in an output file ({exc}); "
+                          "the inputs drive a result beyond double precision") from exc
 
 
 def _write_atomic(path: Path, text: str):
@@ -215,6 +202,27 @@ def _merge_config(defaults: dict, overrides: dict, path: str = "") -> dict:
 # ---------------------------------------------------------------------------
 # shared pieces
 
+# steps a grid run may take at most (the defaults take 350 and 640)
+_MAX_GRID_STEPS = 100_000
+
+
+def _require_positive(cfg: dict, *keys: str):
+    """Refuse, by name, each dotted config key whose value is not > 0."""
+    for key in keys:
+        section, _, leaf = key.rpartition(".")
+        value = cfg[section][leaf] if section else cfg[leaf]
+        if not value > 0:
+            raise ConfigError(f"'{key}' must be > 0, got {value!r}")
+
+
+def _steps_per_sample(per_sample: float, n_samples: int, keys: str) -> int:
+    """Whole steps per sample, refused by the keys that set them past _MAX_GRID_STEPS."""
+    if not per_sample <= _MAX_GRID_STEPS // n_samples:
+        raise ConfigError(f"{keys} ask for {per_sample * n_samples:.3g} grid steps; "
+                          f"a run takes at most {_MAX_GRID_STEPS}")
+    return math.ceil(per_sample)
+
+
 def _cat_series(td: float, n: int, delta_x: float, width: float,
                 cov_pp: float) -> tuple[str, list[dict]]:
     """Analytic fringe decay of a frozen two-packet state, as a series.
@@ -234,18 +242,11 @@ def _cat_series(td: float, n: int, delta_x: float, width: float,
     return "t_seconds", rows
 
 
-def _mirror_from_cfg(cfg: dict) -> MirrorParams:
-    m = cfg["mirror"]
-    return MirrorParams(mass=m.get("mass", 0.0), omega0=m.get("omega0", 0.0),
-                        temperature=m.get("temperature", 0.0),
-                        radius=m.get("radius", 0.0))
-
-
 # ---------------------------------------------------------------------------
 # scenario runners
 
 def _run_1d_mirror_vacuum(cfg: dict):
-    params = _mirror_from_cfg(cfg)
+    params = MirrorParams(**cfg["mirror"])
     cat = CatSpec(alpha_mag=cfg["cat"]["alpha_mag"], phase=cfg["cat"]["phase"])
     dq = derived_quantities(params, cat)
     gamma = damping_rate(params)
@@ -288,7 +289,7 @@ def _run_1d_mirror_vacuum(cfg: dict):
 
 
 def _run_sphere_rayleigh_vacuum(cfg: dict):
-    params = _mirror_from_cfg(cfg)
+    params = MirrorParams(**cfg["mirror"])
     cat = CatSpec(alpha_mag=cfg["cat"]["alpha_mag"], phase=cfg["cat"]["phase"])
     dq = derived_quantities(params, cat)
     gamma_sph = damping_rate(params)
@@ -326,7 +327,7 @@ def _run_sphere_rayleigh_vacuum(cfg: dict):
 
 
 def _thermal_sphere_summary(name: str, cfg: dict):
-    params = _mirror_from_cfg(cfg)
+    params = MirrorParams(**cfg["mirror"])
     delta_x = cfg["delta_x"]
     gamma = damping_rate(params)
     lam = thermal_de_broglie(params)
@@ -357,7 +358,7 @@ def _thermal_sphere_summary(name: str, cfg: dict):
 
 
 def _run_sieve_pointer_states(cfg: dict):
-    params = _mirror_from_cfg(cfg)
+    params = MirrorParams(**cfg["mirror"])
     gamma = gamma_vacuum_1d(params)
     d1 = diffusion_asymptotic(params, gamma)
     coeffs = coefficient_set(params, gamma=gamma, d1=d1)
@@ -408,12 +409,9 @@ def _run_sieve_pointer_states(cfg: dict):
 
 
 def _run_wigner_cat_hight(cfg: dict):
-    spec = CatWignerSpec(alpha_mag=cfg["cat"]["alpha_mag"],
-                         phase=cfg["cat"]["phase"],
-                         orientation=cfg["cat"]["orientation"])
-    sc = SolverCoefficients(mass=None, omega=0.0, gamma=cfg["coefficients"]["gamma"],
-                            d1=cfg["coefficients"]["d1"])
-    grid = init_cat(spec, nx=cfg["grid"]["nx"], n_p=cfg["grid"]["np"])
+    _require_positive(cfg, "cat.alpha_mag", "coefficients.d1", "t_end_over_td", "time.dt")
+    spec = CatWignerSpec(**cfg["cat"])
+    sc = SolverCoefficients(mass=None, omega=0.0, **cfg["coefficients"])
     k = spec.fringe_wavenumber
     td_plain = 1.0 / (sc.d1 * k**2)
     td_avg = 2.0 / (sc.d1 * k**2)
@@ -422,7 +420,9 @@ def _run_wigner_cat_hight(cfg: dict):
     n_samples = cfg["time"]["n_samples"]
     dt = cfg["time"]["dt"]
     # equal steps, a whole number per sample, so one step plan serves the run
-    per = math.ceil(t_end / (n_samples * dt) * (1.0 - 1e-9))
+    per = _steps_per_sample(t_end / (n_samples * dt) * (1.0 - 1e-9), n_samples,
+                            "'time.dt' and 't_end_over_td'")
+    grid = init_cat(spec, nx=cfg["grid"]["nx"], n_p=cfg["grid"]["np"])
     times, vis, rows = [], [], []
 
     def observe(g):
@@ -461,13 +461,15 @@ def _run_wigner_cat_hight(cfg: dict):
 
 
 def _run_wigner_gaussian_oracle(cfg: dict):
+    _require_positive(cfg, "coefficients.omega", "time.dt_periods")  # dt is in periods
     co = cfg["coefficients"]
     init = cfg["initial"]
-    sc = SolverCoefficients(mass=co["mass"], omega=co["omega"], gamma=co["gamma"],
-                            d1=co["d1"], d2=co["d2"])
-    grid = init_gaussian(init["mean_x"], init["mean_p"], init["cov_xx"],
-                         init["cov_xp"], init["cov_pp"],
-                         nx=cfg["grid"]["nx"], n_p=cfg["grid"]["np"],
+    sc = SolverCoefficients(**co)
+    dt = cfg["time"]["dt_periods"] * 2.0 * math.pi / sc.omega
+    t_end = cfg["time"]["t_end"]
+    n_samples = cfg["time"]["n_samples"]
+    _steps_per_sample(t_end / (n_samples * dt), n_samples, "'time.dt_periods' and 'time.t_end'")
+    grid = init_gaussian(**init, nx=cfg["grid"]["nx"], n_p=cfg["grid"]["np"],
                          x_half_width=cfg["grid"]["x_half_width"],
                          p_half_width=cfg["grid"]["p_half_width"])
     # the exact moment flow of the same problem, natural units
@@ -475,17 +477,9 @@ def _run_wigner_gaussian_oracle(cfg: dict):
     params = MirrorParams(mass=co["mass"], omega0=co["omega"])
     coeffs = CoefficientSet(omega_star=co["omega"], gamma=co["gamma"],
                             d1=co["d1"], d2=co["d2"])
-    state = GaussianState(mean_x=init["mean_x"], mean_p=init["mean_p"],
-                          cov_xx=init["cov_xx"], cov_xp=init["cov_xp"],
-                          cov_pp=init["cov_pp"])
+    state = GaussianState(**init)
 
-    dt = cfg["time"]["dt_periods"] * 2.0 * math.pi / sc.omega
-    t_end = cfg["time"]["t_end"]
-    n_samples = cfg["time"]["n_samples"]
-    names = ("mean_x", "mean_p", "cov_xx", "cov_xp", "cov_pp")
-    series_grid = {nm: [] for nm in names}
-    series_ode = {nm: [] for nm in names}
-    rows = []
+    rows, states = [], []
     prev_t = 0.0
     for i in range(n_samples + 1):
         t = t_end * i / n_samples
@@ -493,20 +487,15 @@ def _run_wigner_gaussian_oracle(cfg: dict):
             grid = evolve_grid(grid, sc, t, dt)
             state = evolve(state, params, coeffs, t - prev_t)
         prev_t = t
-        gm = grid_moments(grid)
-        for nm, val in zip(names, gm):
-            series_grid[nm].append(val)
-        for nm in names:
-            series_ode[nm].append(getattr(state, nm))
-        rows.append({"time": t, "visibility": None,
-                     "purity": grid_purity(grid),
-                     **dict(zip(names, gm))})
+        rows.append(_wigner_row(grid, None))
+        states.append(state)
 
     errors = {}
-    for nm in names:
+    for nm in ("mean_x", "mean_p", "cov_xx", "cov_xp", "cov_pp"):
+        exact = [getattr(st, nm) for st in states]
         # a moment that stays identically zero reports its absolute error
-        scale = max(abs(v) for v in series_ode[nm]) or 1.0
-        errors[nm] = max(abs(a - b) for a, b in zip(series_grid[nm], series_ode[nm])) / scale
+        scale = max(abs(v) for v in exact) or 1.0
+        errors[nm] = max(abs(row[nm] - v) for row, v in zip(rows, exact)) / scale
     summary = {
         "scenario": "wigner-gaussian-oracle",
         "units": "nondimensional (oscillator solver scales)",
@@ -800,7 +789,6 @@ class RunReport:
     summary: dict
     out_dir: Path
     artifacts: tuple[str, ...]
-    wall_clock_seconds: float
 
 
 def list_scenarios() -> list[tuple[str, str]]:
@@ -865,4 +853,4 @@ def run_scenario(name: str, overrides: dict | None = None,
     }
     _write_atomic(out_dir / "manifest.json", _json_render(manifest) + "\n")
     return RunReport(scenario=name, summary=summary, out_dir=out_dir,
-                     artifacts=tuple(artifacts), wall_clock_seconds=wall)
+                     artifacts=tuple(artifacts))

@@ -9,9 +9,8 @@ the electromagnetic field:
 
 plus the symmetrized force spectrum of the vacuum radiation pressure on a
 plane mirror, the momentum-diffusion coefficient it generates (finite-time
-closed form and asymptotic value), the static parallel-plate attraction used
-as a sanity anchor, and the characteristic roots of the mirror's equation
-of motion including radiation reaction.
+closed form and asymptotic value), and the characteristic roots of the
+mirror's equation of motion including radiation reaction.
 
 No interpolation is attempted between regimes: each rate is the printed
 formula for its regime and the dispatcher refuses anything else.
@@ -43,11 +42,9 @@ __all__ = [
     "gamma_vacuum_sphere",
     "gamma_thermal_sphere",
     "damping_rate",
-    "casimir_force_plates",
     "CharacteristicRoots",
     "characteristic_roots",
     "force_spectrum_vacuum_1d",
-    "sync_kernel",
     "diffusion_finite_time",
     "diffusion_asymptotic",
     "coefficient_set",
@@ -67,8 +64,10 @@ def gamma_vacuum_1d(params: MirrorParams, constants: PhysicalConstants = CODATA)
     return constants.hbar * params.omega0**2 / (12.0 * math.pi * params.mass * constants.c**2)
 
 
-def gamma_vacuum_sphere(params: MirrorParams, constants: PhysicalConstants = CODATA, *,
-                        max_size_parameter: float = 0.1) -> float:
+_MAX_SIZE_PARAMETER = 0.1  # omega0 R / c up to which the sphere formula holds
+
+
+def gamma_vacuum_sphere(params: MirrorParams, constants: PhysicalConstants = CODATA) -> float:
     """Vacuum damping rate of a small perfectly reflecting sphere, long-wavelength limit.
 
     Gamma = hbar omega0^2 (omega0 R / c)^6 / (1296 pi M c^2), suppressed by
@@ -78,9 +77,9 @@ def gamma_vacuum_sphere(params: MirrorParams, constants: PhysicalConstants = COD
     if params.radius <= 0:
         raise DomainError("sphere damping rate needs radius > 0")
     size = params.omega0 * params.radius / constants.c
-    if size > max_size_parameter:
+    if size > _MAX_SIZE_PARAMETER:
         raise RegimeViolation(
-            f"size parameter omega0*R/c = {size:.3g} exceeds {max_size_parameter}; "
+            f"size parameter omega0*R/c = {size:.3g} exceeds {_MAX_SIZE_PARAMETER}; "
             "the long-wavelength sphere formula does not apply")
     return (constants.hbar * params.omega0**2 * size**6
             / (1296.0 * math.pi * params.mass * constants.c**2))
@@ -126,18 +125,6 @@ def damping_rate(params: MirrorParams, constants: PhysicalConstants = CODATA) ->
     raise RegimeViolation("no printed damping formula for a plane mirror at T > 0")
 
 
-def casimir_force_plates(area: float, gap: float,
-                         constants: PhysicalConstants = CODATA) -> float:
-    """Magnitude of the static attraction between parallel perfect mirrors.
-
-    F = (pi^2 / 240) (hbar c / L^4) A. Used as a numeric sanity anchor for
-    the vacuum-pressure scale; the force is attractive.
-    """
-    if area <= 0 or gap <= 0:
-        raise NonPhysicalInput("plate area and gap must be positive")
-    return (math.pi**2 / 240.0) * (constants.hbar * constants.c / gap**4) * area
-
-
 # --------------------------------------------------------------------------
 # characteristic roots of the radiation-reaction equation of motion
 # --------------------------------------------------------------------------
@@ -161,7 +148,6 @@ class CharacteristicRoots:
     im_deviation_rel: float       # ||Im(s_osc)| - omega0| / omega0
     runaway_deviation_rel: float  # |s_run - 1/eps| * eps
     residual_rel_max: float
-    precision_digits: int
 
 
 _NEWTON_MAX_STEPS = 200
@@ -190,7 +176,7 @@ def characteristic_roots(params: MirrorParams,
         return CharacteristicRoots(
             oscillatory=(0j, 0j), runaway=1.0 / eps, gamma_predicted=0.0,
             re_deviation_rel=0.0, im_deviation_rel=0.0, runaway_deviation_rel=0.0,
-            residual_rel_max=0.0, precision_digits=0)
+            residual_rel_max=0.0)
 
     small = eps * w0
     if not small > 0:
@@ -237,7 +223,6 @@ def characteristic_roots(params: MirrorParams,
         im_deviation_rel=im_dev,
         runaway_deviation_rel=run_dev,
         residual_rel_max=res_max,
-        precision_digits=digits,
     )
 
 
@@ -247,20 +232,16 @@ def characteristic_roots(params: MirrorParams,
 
 @dataclass(frozen=True)
 class SpectrumModel:
-    """Symmetrized radiation-pressure force spectrum model.
+    """Vacuum plane-mirror radiation-pressure force spectrum model.
 
-    kind selects the spectral law; only the vacuum plane-mirror spectrum is
-    implemented. cutoff_omega is the exponential regularization frequency;
-    math.inf disables the cutoff (only meaningful for pointwise evaluation,
-    the finite-time diffusion requires a finite cutoff).
+    cutoff_omega is the exponential regularization frequency; math.inf
+    disables the cutoff (only meaningful for pointwise evaluation, the
+    finite-time diffusion requires a finite cutoff).
     """
 
-    kind: str = "vacuum_1d"
     cutoff_omega: float = math.inf
 
     def __post_init__(self):
-        if self.kind != "vacuum_1d":
-            raise DomainError(f"unknown spectrum kind {self.kind!r}")
         if not self.cutoff_omega > 0:
             raise NonPhysicalInput("cutoff_omega must be positive (math.inf allowed)")
 
@@ -269,7 +250,7 @@ class SpectrumModel:
         """Cutoff placed well above the resonance; multiplier >= 100 by default."""
         if omega0 <= 0:
             raise DomainError("oscillator spectrum model needs omega0 > 0")
-        return cls(kind="vacuum_1d", cutoff_omega=multiplier * omega0)
+        return cls(cutoff_omega=multiplier * omega0)
 
 
 def force_spectrum_vacuum_1d(omega, model: SpectrumModel,
@@ -288,24 +269,11 @@ def force_spectrum_vacuum_1d(omega, model: SpectrumModel,
     return out
 
 
-def sync_kernel(omega, omega0: float, t: float):
-    """Finite-time resonance kernel sin((omega - omega0) t) / (omega - omega0).
-
-    Tends to t at omega = omega0 and to pi * delta(omega - omega0) as
-    t -> infinity. Accepts scalars or arrays.
-    """
-    u = np.asarray(omega, dtype=float) - omega0
-    out = np.where(u == 0.0, t, np.sin(u * t) / np.where(u == 0.0, 1.0, u))
-    if np.isscalar(omega) or getattr(omega, "ndim", 1) == 0:
-        return float(out)
-    return out
-
-
 def diffusion_finite_time(t: float, omega0: float, model: SpectrumModel,
                           constants: PhysicalConstants = CODATA) -> float:
     """Momentum diffusion coefficient accumulated by time t, in closed form.
 
-    D1(t) = (1/2) Integral[ d omega / (2 pi) sigma(omega) sync_t(omega) ]
+    D1(t) = (1/2) Integral[ d omega / (2 pi) sigma(omega) sin(v t) / v ]
     over the positive frequency axis, with sigma = A omega^3 exp(-omega/cutoff)
     and A = hbar^2/(3 pi c^2). With v = omega - omega0, b = 1/cutoff - i t and
     (omega0 + v)^3/v = omega0^3/v + 3 omega0^2 + 3 omega0 v + v^2,

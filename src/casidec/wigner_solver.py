@@ -76,7 +76,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverCoefficients:
-    """Transport coefficients in solver (dimensionless) units.
+    """Transport coefficients in solver (dimensionless) units, hbar = 1.
 
     mass=None drops the streaming term entirely (infinitely heavy in the
     kinetic sense); that needs omega = 0 since the restoring force scales
@@ -88,7 +88,6 @@ class SolverCoefficients:
     gamma: float
     d1: float
     d2: float = 0.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         if self.mass is None:
@@ -96,8 +95,8 @@ class SolverCoefficients:
                 raise NonPhysicalInput("mass=None (no streaming) requires omega = 0")
         elif self.mass <= 0:
             raise NonPhysicalInput("solver mass must be positive")
-        if self.omega < 0 or self.gamma < 0 or self.d1 < 0 or self.hbar <= 0:
-            raise NonPhysicalInput("omega, gamma, d1 must be >= 0 and hbar > 0")
+        if self.omega < 0 or self.gamma < 0 or self.d1 < 0:
+            raise NonPhysicalInput("omega, gamma, d1 must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,6 @@ def nondimensionalize(params: MirrorParams, coeffs: CoefficientSet,
         gamma=coeffs.gamma * t_scale,
         d1=coeffs.d1 * x_scale**2 * t_scale / hbar**2,
         d2=coeffs.d2 * t_scale / hbar,
-        hbar=1.0,
     )
     return sc, ScaleSet(x_scale=x_scale, p_scale=hbar / x_scale, t_scale=t_scale, kind=kind)
 
@@ -529,9 +527,9 @@ def grid_moments(grid: PhaseSpaceGrid) -> tuple[float, float, float, float, floa
     return mx, mp_, xx, xp, pp
 
 
-def grid_purity(grid: PhaseSpaceGrid, hbar: float = 1.0) -> float:
-    """Tr rho^2 = 2 pi hbar Integral[W^2]."""
-    return 2.0 * math.pi * hbar * float(np.sum(grid.values**2)) * grid.dx * grid.dp
+def grid_purity(grid: PhaseSpaceGrid) -> float:
+    """Tr rho^2 = 2 pi hbar Integral[W^2], hbar = 1."""
+    return 2.0 * math.pi * float(np.sum(grid.values**2)) * grid.dx * grid.dp
 
 
 def marginals(grid: PhaseSpaceGrid) -> tuple[numpy.ndarray, numpy.ndarray]:
@@ -578,29 +576,33 @@ class DecayFit:
     n_points: int
 
 
-def measure_td(times, visibilities, *, floor: float = 1e-3,
-               min_efolds: float = 3.0, r2_min: float = 0.99) -> DecayFit:
+_FIT_FLOOR = 1e-3
+_FIT_MIN_EFOLDS = 3.0
+_FIT_R2_MIN = 0.99
+
+
+def measure_td(times, visibilities) -> DecayFit:
     """Least-squares exponential fit v(t) = exp(-t/td) on the series.
 
-    Points at or below the floor are dropped (everything after the first
-    floor crossing is noise). The retained window must span min_efolds
+    Points at or below the floor 1e-3 are dropped (everything after the
+    first floor crossing is noise). The retained window must span three
     e-foldings unless the series genuinely reached the floor. The fit is
-    linear in log space; a residual R^2 below r2_min raises FitFailure.
+    linear in log space; a residual R^2 below 0.99 raises FitFailure.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(visibilities, dtype=float)
     if t.shape != v.shape or t.ndim != 1 or t.size < 4:
         raise FitFailure("need matching 1-d series with at least 4 samples")
-    crossed = bool(np.any(v <= floor))
+    crossed = bool(np.any(v <= _FIT_FLOOR))
     if crossed:
-        cut = int(np.argmax(v <= floor))
+        cut = int(np.argmax(v <= _FIT_FLOOR))
         t, v = t[:cut], v[:cut]
     if v.size < 4 or np.any(v <= 0):
         raise FitFailure("too few usable points above the visibility floor")
     span = math.log(float(np.max(v)) / float(np.min(v)))
-    if span < min_efolds and not crossed:
+    if span < _FIT_MIN_EFOLDS and not crossed:
         raise FitFailure(
-            f"series spans only {span:.2f} e-foldings (need {min_efolds}) "
+            f"series spans only {span:.2f} e-foldings (need {_FIT_MIN_EFOLDS}) "
             "and never reached the floor")
     ln_v = np.log(v)
     slope, intercept = np.polyfit(t, ln_v, 1)
@@ -612,6 +614,6 @@ def measure_td(times, visibilities, *, floor: float = 1e-3,
     if ss_tot <= 0:
         raise FitFailure("series carries no decay to fit")
     r2 = 1.0 - ss_res / ss_tot
-    if r2 < r2_min:
-        raise FitFailure(f"log-linear fit rejected: R^2 = {r2:.4f} < {r2_min}")
+    if r2 < _FIT_R2_MIN:
+        raise FitFailure(f"log-linear fit rejected: R^2 = {r2:.4f} < {_FIT_R2_MIN}")
     return DecayFit(td=-1.0 / slope, r_squared=r2, n_points=int(v.size))

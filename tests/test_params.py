@@ -38,7 +38,7 @@ def test_mass_must_be_positive_finite(bad):
         MirrorParams(mass=bad, omega0=1e10)
 
 
-@pytest.mark.parametrize("field", ["omega0", "temperature", "radius", "area"])
+@pytest.mark.parametrize("field", ["omega0", "temperature", "radius"])
 def test_negative_secondary_fields_rejected(field):
     with pytest.raises(NonPhysicalInput):
         MirrorParams(mass=1e-21, **{field: -1.0})

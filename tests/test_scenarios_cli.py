@@ -5,12 +5,14 @@ import dataclasses
 import json
 import math
 import os
+import time
 
+import numpy as np
 import pytest
 
 from casidec import scenarios
 from casidec.cli import main
-from casidec.errors import DomainError, UnknownScenario
+from casidec.errors import ConfigError, DomainError, UnknownScenario
 from casidec.scenarios import (
     _COUNT_BOUNDS,
     _merge_config,
@@ -102,7 +104,7 @@ def test_manifest_is_the_only_place_with_timing(tmp_path):
     rep = run_scenario("cosmic-background-sphere", {"series_points": 5},
                        out_base=str(tmp_path))
     manifest = json.loads((rep.out_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == 4
+    assert manifest["schema_version"] == 5
     assert manifest["scenario"] == "cosmic-background-sphere"
     assert manifest["config"]["series_points"] == 5
     assert manifest["config"]["mirror"]["temperature"] == 2.7
@@ -330,6 +332,69 @@ def test_count_keys_accept_their_bounds(name, key):
     for value in _COUNT_BOUNDS[key]:
         merged = _merge_config(scenario_defaults(name), _nested(key, value))
         assert (merged[section] if section else merged)[leaf] == value
+
+
+@pytest.mark.parametrize("payload", [
+    {"scenario": "wigner-gaussian-oracle", "time": {"dt_periods": 1e-300}},
+    {"scenario": "wigner-cat-highT", "time": {"dt": 1e-300}},
+])
+def test_cli_tiny_grid_step_is_refused_within_a_second(tmp_path, capsys, payload):
+    # about 1e301 steps used to be planned, and the run did not end
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    start = time.perf_counter()
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "grid steps" in err and "'time.dt" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_step_cap_admits_whole_steps_up_to_the_cap():
+    per_cap = scenarios._MAX_GRID_STEPS // 50
+    assert scenarios._steps_per_sample(per_cap - 0.5, 50, "k") == per_cap
+    assert scenarios._steps_per_sample(float(per_cap), 50, "k") == per_cap
+    for over in (per_cap + 1e-9 * per_cap, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            scenarios._steps_per_sample(over, 50, "k")
+
+
+@pytest.mark.parametrize("name,key", [
+    ("wigner-gaussian-oracle", "coefficients.omega"),
+    ("wigner-gaussian-oracle", "time.dt_periods"),
+    ("wigner-cat-highT", "cat.alpha_mag"),
+    ("wigner-cat-highT", "coefficients.d1"),
+    ("wigner-cat-highT", "t_end_over_td"),
+    ("wigner-cat-highT", "time.dt"),
+])
+def test_cli_zero_grid_inputs_are_refused_by_name(tmp_path, capsys, name, key):
+    # these used to exit 2 as "a result leaves double-precision range"
+    cfg = _write_config(tmp_path / "cfg.json", {"scenario": name, **_nested(key, 0.0)})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}' must be > 0" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_summary_value_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    name = "cosmic-background-sphere"
+    monkeypatch.setitem(scenarios._REGISTRY, name, dataclasses.replace(
+        scenarios._REGISTRY[name], runner=lambda cfg: ({"derived": {"td": math.nan}}, None)))
+    with pytest.raises(DomainError):
+        run_scenario(name, out_base=str(tmp_path / "lib"))
+    assert not (tmp_path / "lib").exists()
+    cfg = _write_config(tmp_path / "cfg.json", {"scenario": name})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("x", [0.1, 1e-21, 5e-324, 2.2250738585072014e-308,
+                               1.7976931348623157e308, -0.0, 1 / 3])
+def test_floats_round_trip_to_the_same_double(x):
+    assert float(format_float(x)) == x
+    assert math.copysign(1.0, float(format_float(x))) == math.copysign(1.0, x)
+    assert format_float(np.float64(x)) == format_float(x)
+    assert json.loads(scenarios._json_render({"v": x}))["v"] == x
 
 
 @pytest.mark.parametrize("mass", [1e-9, 1.0])

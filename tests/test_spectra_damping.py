@@ -12,7 +12,6 @@ from casidec import (
     MirrorParams,
     PhysicalConstants,
     SpectrumModel,
-    casimir_force_plates,
     characteristic_roots,
     coefficient_set,
     damping_rate,
@@ -22,7 +21,6 @@ from casidec import (
     gamma_thermal_sphere,
     gamma_vacuum_1d,
     gamma_vacuum_sphere,
-    sync_kernel,
 )
 from casidec.errors import (
     DomainError,
@@ -99,20 +97,6 @@ def test_damping_rate_dispatch():
     assert damping_rate(thermal) == gamma_thermal_sphere(thermal)
     with pytest.raises(RegimeViolation):
         damping_rate(MirrorParams(mass=1.0, omega0=1e10, temperature=300.0))
-
-
-# ---------------------------------------------------------------- Casimir
-
-def test_casimir_force_frozen_value():
-    assert casimir_force_plates(1e-4, 1e-6) == pytest.approx(1.3001257724477535e-07, rel=1e-14)
-
-
-def test_casimir_force_scalings():
-    f = casimir_force_plates(1e-4, 1e-6)
-    assert casimir_force_plates(1e-4, 2e-6) == pytest.approx(f / 16, rel=1e-13)
-    assert casimir_force_plates(2e-4, 1e-6) == pytest.approx(2 * f, rel=1e-13)
-    with pytest.raises(NonPhysicalInput):
-        casimir_force_plates(0.0, 1e-6)
 
 
 # ------------------------------------------------------ characteristic roots
@@ -221,20 +205,9 @@ def test_spectrum_quarter_equals_diffusion_anchor():
 
 
 def test_spectrum_model_validation():
-    with pytest.raises(DomainError):
-        SpectrumModel(kind="ohmic")
     with pytest.raises(NonPhysicalInput):
         SpectrumModel(cutoff_omega=0.0)
     assert SpectrumModel.for_oscillator(1e10).cutoff_omega == 1e12
-
-
-def test_sync_kernel_limits():
-    assert sync_kernel(5.0, 5.0, 3.7) == 3.7  # kernel value on resonance
-    t = 2.0
-    u = np.array([-0.5, 0.5])
-    vals = sync_kernel(5.0 + u, 5.0, t)
-    assert vals[0] == pytest.approx(vals[1], rel=1e-15)  # even in omega-omega0
-    assert sync_kernel(5.0 + math.pi / t, 5.0, t) == pytest.approx(0.0, abs=1e-15)
 
 
 # ----------------------------------------------------- finite-time diffusion

@@ -578,7 +578,7 @@ def test_measure_td_recovers_a_clean_exponential():
 def test_measure_td_truncates_at_the_floor():
     times = np.linspace(0.0, 60.0, 60)
     vis = np.exp(-times / 3.7)
-    fit = measure_td(times, vis, floor=1e-3)
+    fit = measure_td(times, vis)
     assert fit.n_points == int(np.argmax(vis <= 1e-3))
     assert fit.td == pytest.approx(3.7, rel=1e-9)
 
