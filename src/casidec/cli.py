@@ -9,6 +9,7 @@ registry entry; every other key overrides that scenario's defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -108,7 +109,12 @@ def _cmd_check(args) -> int:
     return 4
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    in-process callers run main many times, and each build is mostly
+    gettext lookups. Each parse fills a fresh namespace, so nothing carries
+    over from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="casidec",
         description="Vacuum-friction decoherence scenarios: damping rates, "
@@ -133,8 +139,11 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="run the cross-route identity suite")
     p_check.add_argument("--out", default=None, help="output base directory")
     p_check.set_defaults(fn=_cmd_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except CasidecError as exc:

@@ -5,20 +5,24 @@ Integrates
     dW/dt = -(p/m) dW/dx + m w*^2 x dW/dp + 2 g d(p W)/dp
             + d1 d^2W/dp^2 - d2 d^2W/(dx dp)
 
-on a uniform (x, p) grid with Strang splitting: half-step diffusion,
-full-step drift, half-step diffusion. The drift (rotation, shear, damping
-contraction) is exact in the map: the linear flow is exponentiated, and the
-backtrace matrix is factored into three shears and a momentum stretch.
-Each shear is a per-row (or per-column) shift applied as an FFT phase ramp,
-exact for a band-limited field; the stretch, which carries the Jacobian
-exp(2 g dt) that restores the mass the contraction removes, is a 1-D cubic
-B-spline pass along p, zero outside the box. Momentum diffusion is exact
-as well: each half-step multiplies the p spectrum by exp(-d1 k_p^2 dt/2).
-All passes are cached per (coefficients, dt, grid) as one step plan. The
-FFT passes treat the box as periodic, so mass that reaches the edge would
-wrap to the far side: the boundary-ring monitor that stops a run whose
-state leaves the box also guards against that wrap. Only the d2 cross term
-is an explicit stencil (see _diffuse for why).
+on a uniform (x, p) grid. At d2 = 0 this is an Ornstein-Uhlenbeck equation,
+and each step applies its flow over dt exactly in time: the drift map
+(rotation, shear, damping contraction), then a Gaussian blur whose
+covariance Q(dt) is the covariance block of expm(G dt) e_6, G the moment
+generator of gaussian_dynamics. The drift's backtrace matrix is factored
+into three shears and a momentum stretch. Each shear is a per-row (or
+per-column) shift applied as an FFT phase ramp, exact for a band-limited
+field; the stretch, which carries the Jacobian exp(2 g dt) that restores
+the mass the contraction removes, is a 1-D cubic B-spline pass along p,
+zero outside the box. The blur splits into one non-negative variance per
+pass, along that pass's axis, multiplied into its factor; it adds a
+zero-shift p pass only where no pass can carry it (pure diffusion, free
+streaming). All passes are cached per (coefficients, dt, grid) as one step
+plan. The FFT passes treat the box as periodic, so mass that reaches the
+edge would wrap to the far side: the boundary-ring monitor that stops a run
+whose state leaves the box also guards against that wrap. Only the d2 cross
+term is an explicit stencil (see _diffuse for why); when d2 != 0 it runs
+for half a step on either side of the exact step.
 
 The solver is dimensionless by convention: callers map SI inputs through
 nondimensionalize(), which rescales lengths to the ground-state width (or
@@ -32,13 +36,14 @@ wavenumber, normalized to its initial value.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy
 import numpy as np
 from numpy.fft import irfft, rfft
-from scipy.linalg import expm
 from scipy.ndimage import map_coordinates
 
 from .errors import (
@@ -330,29 +335,107 @@ def init_gaussian(mean_x: float, mean_p: float, cov_xx: float, cov_xp: float,
     return grid
 
 
+def _transport_generator(mass: float | None, omega: float, gamma: float, d1: float):
+    """The moment generator at d2 = 0; mass=None streams nothing and feels
+    no spring."""
+    inv_mass, spring = (0.0, 0.0) if mass is None else (1.0 / mass, mass * omega**2)
+    return _generator(inv_mass, spring, gamma, d1, 0.0)
+
+
+def _expm1(m):
+    """exp(m) - I, by scaling and squaring on E = exp - I itself: a Taylor
+    sum at norm 1/64, then E(2X) = 2 E(X) + E(X)^2.
+
+    Small entries keep their relative precision, which exp(m) - I read off
+    a rounded exp(m) loses: the drift's 1 - cos(w dt) and w^2 dt at any dt
+    and any w, and the blur's dt^3 position variance. Entries that vanish
+    stay exactly zero.
+    """
+    norm = float(numpy.max(numpy.sum(numpy.abs(m), axis=0)))
+    squarings = max(0, math.ceil(math.log2(64.0 * norm))) if norm > 0 else 0
+    x = m / 2.0**squarings
+    e = term = x
+    for k in range(2, 8):
+        term = term @ x / k
+        e = e + term
+    for _ in range(squarings):
+        e = 2.0 * e + e @ e
+    return e
+
+
 @functools.lru_cache(maxsize=64)
 def _drift_maps(mass: float | None, omega: float, gamma: float, dt: float):
-    """Exact backtrace matrix exp(-A dt), A the drift block of the moment
-    generator; mass=None streams nothing and feels no spring."""
-    inv_mass, spring = (0.0, 0.0) if mass is None else (1.0 / mass, mass * omega**2)
-    return expm(-_generator(inv_mass, spring, gamma, 0.0, 0.0)[:2, :2] * dt)
+    """The exact backtrace exp(-A dt) less the identity (by _expm1), A the
+    drift block of the moment generator."""
+    return _expm1(-_transport_generator(mass, omega, gamma, 0.0)[:2, :2] * dt)
 
 
-def _shear_factors(back, stretch: float):
-    """Shears that, followed by the momentum stretch, compose to the backtrace.
+def _shear_factors(step, stretch: float):
+    """Shears that, followed by the momentum stretch, compose to the
+    backtrace I + step (step from _drift_maps).
 
-    back = Sx(s1) Sp(c) Sx(s2) diag(1, stretch), with Sx(s) = [[1, s], [0, 1]]
-    and Sp(c) = [[1, 0], [c, 1]]. Returns the non-trivial shears left to
-    right as ("x", s) or ("p", c). With no lower-left entry (no restoring
-    force) a single x-shear is exact.
+    I + step = Sx(s1) Sp(c) Sx(s2) diag(1, stretch), with Sx(s) = [[1, s],
+    [0, 1]] and Sp(c) = [[1, 0], [c, 1]]. Returns the non-trivial shears left
+    to right as ("x", s) or ("p", c). s2 comes from the upper-right entry,
+    which does not cancel: both shears keep full precision as dt -> 0. With
+    no restoring force a single x-shear is exact; one too weak for double
+    precision (its 1 - cos(w dt) below the normal range, where it has lost
+    its digits) is treated as none.
     """
-    a, b = back[0, 0], back[0, 1] / stretch
-    c, d = back[1, 0], back[1, 1] / stretch
-    if c == 0.0:
+    c, b = step[1, 0], step[0, 1] / stretch
+    if abs(step[0, 0]) < sys.float_info.min:
         factors = [("x", b)]
     else:
-        factors = [("x", (a - 1.0) / c), ("p", c), ("x", (d - 1.0) / c)]
+        s1 = step[0, 0] / c
+        factors = [("x", s1), ("p", c), ("x", (b - s1) / (1.0 + step[0, 0]))]
     return [(axis, s) for axis, s in factors if s != 0.0]
+
+
+def _blur_variances(passes, q):
+    """Split the blur covariance q over the passes, one variance per pass
+    along its own axis.
+
+    A blur of variance v along a pass's axis commutes with that pass's
+    shear; the later passes carry it forward to v u u^T, u the axis pushed
+    through their forward maps (x shear s: [[1, -s], [0, 1]], p shear c:
+    [[1, 0], [-c, 1]], stretch: diag(1, 1/stretch)). The stretch blurs after
+    it moves, along p. q is (xx, xp, pp). Returns the variances of the
+    first set of passes, fewest first, that fits q to 1e-12 with none
+    negative; raises StepSizeError when no set does.
+    """
+    forward, axes = numpy.eye(2), []
+    for axis, s in reversed(passes):
+        axes.append(forward[:, 0] if axis == "x" else forward[:, 1])
+        if axis == "x":
+            forward = forward @ [[1.0, -s], [0.0, 1.0]]
+        elif axis == "p":
+            forward = forward @ [[1.0, 0.0], [-s, 1.0]]
+        else:
+            forward = forward @ [[1.0, 0.0], [0.0, 1.0 / s]]
+    # fit unit axes in x units of the blur's own width ratio, so that xx, xp
+    # and pp are each matched to the same relative precision
+    ratio = math.sqrt(q[0] / q[2]) or 1.0
+    u = numpy.array(axes[::-1]).T / [[ratio], [1.0]]
+    length2 = u[0] ** 2 + u[1] ** 2
+    u = u / numpy.sqrt(length2)
+    terms = numpy.array([u[0] * u[0], u[0] * u[1], u[1] * u[1]])
+    target = q / [ratio**2, ratio, 1.0]
+    tol = 1e-12 * target[2]
+    for size in range(1, 4):
+        for pick in itertools.combinations(range(len(passes)), size):
+            sub = terms[:, pick]
+            try:    # fewer than three passes: least squares, by normal equations
+                var = (numpy.linalg.solve(sub, target) if size == 3
+                       else numpy.linalg.solve(sub.T @ sub, sub.T @ target))
+            except numpy.linalg.LinAlgError:   # parallel axes
+                continue
+            if numpy.all(var >= 0.0) and numpy.all(numpy.abs(sub @ var - target) <= tol):
+                out = numpy.zeros(len(passes))
+                out[list(pick)] = var
+                return out / length2
+    raise StepSizeError(
+        f"the step's blur covariance (xx, xp, pp) = {q.tolist()} has no "
+        "non-negative split over its passes")
 
 
 def _shift_ramp(n: int, shifts):
@@ -366,49 +449,72 @@ def _shift_ramp(n: int, shifts):
     return ramp
 
 
+def _exact_passes(mass: float | None, omega: float, gamma: float, d1: float,
+                  dt: float):
+    """The exact Ornstein-Uhlenbeck step, drift map then the Gaussian blur of
+    covariance Q(dt), as (axis, shift, blur variance) passes.
+
+    The drift is the shears of _shear_factors, then ("stretch", stretch)
+    when damped. Q(dt) is the covariance block of expm(G dt) e_6 for the
+    moment generator G, split into one variance per pass by
+    _blur_variances. The split needs a p pass mid-step: a lone x shear
+    (free streaming) is halved around a zero-shift p pass; with no
+    streaming a single p pass carries the blur, or the stretch alone when
+    damped. With neither drift nor diffusion there are no passes.
+    """
+    stretch = math.exp(2.0 * gamma * dt)
+    passes = _shear_factors(_drift_maps(mass, omega, gamma, dt), stretch)
+    if d1 > 0 and not any(axis == "p" for axis, _ in passes):
+        if passes:
+            halves = [("x", 0.5 * s) for _, s in passes]
+            passes = [*halves, ("p", 0.0), *halves]
+        elif stretch == 1.0:
+            passes = [("p", 0.0)]
+    if stretch != 1.0:
+        passes.append(("stretch", stretch))
+    if d1 == 0:
+        return [(axis, s, 0.0) for axis, s in passes]
+    q = _expm1(_transport_generator(mass, omega, gamma, d1) * dt)[2:5, 5]
+    return [(axis, s, float(v))
+            for (axis, s), v in zip(passes, _blur_variances(passes, q))]
+
+
 @functools.lru_cache(maxsize=4)
 def _step_plan(mass: float | None, omega: float, gamma: float, d1: float, dt: float,
                nx: int, n_p: int, x_half_width: float, p_half_width: float):
-    """The Strang step (diffusion half, drift, diffusion half) as 1-D passes.
+    """The exact step (_exact_passes) as cached 1-D operators on the grid.
 
-    ("x", f) or ("p", f): rfft along that axis, multiply by the cached factor
-    f, irfft; a shear's f is a phase ramp, a diffusion half-step's is
-    exp(-d1 k_p^2 dt/2). ("stretch", C): the damping stretch, a cubic
-    B-spline operator along p, zero outside the box and carrying the
-    Jacobian exp(2 g dt), applied as w @ C. The closing diffusion half is
-    multiplied into a last p factor or into the stretch's columns, so pure
-    diffusion is one exp(-d1 k_p^2 dt) pass, and a step with no drift and no
-    diffusion has no passes.
+    ("x", f) or ("p", f): rfft along that axis, multiply by the factor f,
+    irfft; f is the shear's phase ramp times the blur exp(-v k^2 / 2) of the
+    pass's variance v, or the blur alone for a zero-shift p pass.
+    ("stretch", C): the damping stretch, a cubic B-spline operator along p,
+    zero outside the box and carrying the Jacobian exp(2 g dt), applied as
+    w @ C, with its blur multiplied into C's columns. So pure diffusion is
+    one exp(-d1 k_p^2 dt) pass.
     """
-    stretch = math.exp(2.0 * gamma * dt)
-    factors = _shear_factors(_drift_maps(mass, omega, gamma, dt), stretch)
     x, dx = numpy.linspace(-x_half_width, x_half_width, nx, retstep=True)
     p, dp = numpy.linspace(-p_half_width, p_half_width, n_p, retstep=True)
-    half = numpy.exp(-0.5 * d1 * dt * (2.0 * math.pi * numpy.fft.rfftfreq(n_p, dp)) ** 2)
-    plan = [("p", half)] if d1 > 0 else []
-    for axis, s in factors:
+    kx2 = (2.0 * math.pi * numpy.fft.rfftfreq(nx, dx)) ** 2
+    kp2 = (2.0 * math.pi * numpy.fft.rfftfreq(n_p, dp)) ** 2
+    plan = []
+    for axis, s, v in _exact_passes(mass, omega, gamma, d1, dt):
         if axis == "x":     # w(x + s p, p): column j moves by s p_j / dx nodes
-            ramp = _shift_ramp(nx, s * p / dx)
-        else:               # w(x, p + s x): row i moves by s x_i / dp nodes
-            ramp = numpy.ascontiguousarray(_shift_ramp(n_p, s * x / dp).T)
-        plan.append((axis, ramp))
-    if stretch != 1.0:
-        # C[j, i] is the cubic-spline weight of input node j at the source
-        # point stretch * p_i; reading the identity at integer rows keeps
-        # the interpolation one-dimensional
-        rows = numpy.arange(n_p, dtype=float)[:, None].repeat(n_p, axis=1)
-        cols = numpy.broadcast_to((stretch * p + p_half_width) / dp, (n_p, n_p))
-        op = map_coordinates(numpy.eye(n_p), [rows, cols], order=3,
-                             mode="constant", cval=0.0)
-        plan.append(("stretch", op * stretch))
-    if d1 > 0:
-        kind, op = plan[-1]
-        if kind == "stretch":
-            plan[-1] = (kind, irfft(rfft(op, axis=1) * half, n=n_p, axis=1))
-        elif kind == "p":
-            plan[-1] = (kind, op * half)
+            op = _shift_ramp(nx, s * p / dx) * numpy.exp(-0.5 * v * kx2)[:, None]
+        elif axis == "p":   # w(x, p + s x): row i moves by s x_i / dp nodes
+            op = numpy.exp(-0.5 * v * kp2)
+            if s != 0.0:
+                op = numpy.ascontiguousarray(_shift_ramp(n_p, s * x / dp).T) * op
         else:
-            plan.append(("p", half))
+            # C[j, i] is the cubic-spline weight of input node j at the source
+            # point stretch * p_i; reading the identity at integer rows keeps
+            # the interpolation one-dimensional
+            rows = numpy.arange(n_p, dtype=float)[:, None].repeat(n_p, axis=1)
+            cols = numpy.broadcast_to((s * p + p_half_width) / dp, (n_p, n_p))
+            op = map_coordinates(numpy.eye(n_p), [rows, cols], order=3,
+                                 mode="constant", cval=0.0) * s
+            if v > 0:
+                op = irfft(rfft(op, axis=1) * numpy.exp(-0.5 * v * kp2), n=n_p, axis=1)
+        plan.append((axis, op))
     return tuple(plan)
 
 
@@ -431,8 +537,9 @@ def _diffuse(w, cross: float):
 
 
 def step(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> PhaseSpaceGrid:
-    """Advance one Strang step: diffusion half, exact-map drift, diffusion
-    half, as one cached plan, with the d2 cross stencil on either side.
+    """Advance one step: the exact Ornstein-Uhlenbeck flow of the d2 = 0
+    equation as one cached plan (_step_plan), with the d2 cross stencil
+    for half a step on either side of it when d2 != 0.
 
     dt must resolve the rotation (dt <= 0.005 periods) and the damping
     (gamma dt <= 0.05). Norm drift per step and mass on the boundary ring

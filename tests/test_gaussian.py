@@ -275,7 +275,7 @@ def test_evolve_does_not_depend_on_the_check_interval():
 def test_grid_drift_is_the_mean_flow():
     # the grid solver's backtrace inverts the same generator's mean block
     mass, omega, gamma, dt = 0.5, 1.0, 0.05, 0.03
-    back = wigner_solver._drift_maps(mass, omega, gamma, dt)
+    back = np.eye(2) + wigner_solver._drift_maps(mass, omega, gamma, dt)
     c = _coeffs(gamma=gamma, d1=0.01, omega=omega)
     st = GaussianState(1.3, -0.4, cov_xx=0.5, cov_xp=0.0, cov_pp=0.5)
     out = evolve(st, MirrorParams(mass=mass, omega0=omega), c, dt)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from casidec import scenarios
+from casidec import cli, scenarios
 from casidec.cli import main
 from casidec.errors import ConfigError, DomainError, UnknownScenario
 from casidec.scenarios import (
@@ -104,7 +104,7 @@ def test_manifest_is_the_only_place_with_timing(tmp_path):
     rep = run_scenario("cosmic-background-sphere", {"series_points": 5},
                        out_base=str(tmp_path))
     manifest = json.loads((rep.out_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == 5
+    assert manifest["schema_version"] == 6
     assert manifest["scenario"] == "cosmic-background-sphere"
     assert manifest["config"]["series_points"] == 5
     assert manifest["config"]["mirror"]["temperature"] == 2.7
@@ -373,6 +373,50 @@ def test_cli_zero_grid_inputs_are_refused_by_name(tmp_path, capsys, name, key):
     err = capsys.readouterr().err
     assert f"'{key}' must be > 0" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("t_end", [-1.0, 0.0])
+def test_cli_oracle_refuses_a_nonpositive_end_time(tmp_path, capsys, t_end):
+    # -1 used to exit 2 naming no key; 0 wrote 41 identical t = 0 rows
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "scenario": "wigner-gaussian-oracle", "time": {"t_end": t_end}})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "'time.t_end' must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_parser_is_built_once_and_carries_nothing_over(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CASIDEC_OUT_DIR", str(tmp_path / "env"))
+    cfg = _write_config(tmp_path / "cfg.json", {"scenario": "cosmic-background-sphere"})
+    calls = [["run", cfg, "--out", str(tmp_path / "flag")], ["check"], ["no-such-command"],
+             ["run", cfg]]
+
+    def exit_code(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    def parsed(parser, argv):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+    cli._parser.cache_clear()
+    codes = [exit_code(argv) for argv in calls]
+    cached = [parsed(cli._parser(), argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    fresh = [parsed(cli._parser.__wrapped__(), argv) for argv in calls]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli._parser.__wrapped__)   # a new parser per call
+        assert [exit_code(argv) for argv in calls] == codes == [0, 0, 2, 0]
+    capsys.readouterr()
+    assert cached == fresh
+    assert cached[0]["out"] == str(tmp_path / "flag")
+    assert cached[1]["out"] is None and cached[3]["out"] is None
+    assert (tmp_path / "env" / "cosmic-background-sphere" / "summary.json").exists()
 
 
 def test_non_finite_summary_value_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):

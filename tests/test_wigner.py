@@ -3,8 +3,12 @@ moment identities, rotation-period returns, and the failure guards."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from casidec import (
     CatWignerSpec,
@@ -29,7 +33,7 @@ from casidec import (
     wmin_over_wmax,
 )
 from casidec import wigner_solver
-from casidec.gaussian_dynamics import GaussianState, evolve
+from casidec.gaussian_dynamics import GaussianState, _generator, evolve
 from casidec.params import CODATA, CatSpec, MirrorParams, ground_state_width
 from casidec.spectra_damping import CoefficientSet, coefficient_set
 
@@ -463,9 +467,10 @@ def _shear_p(c):
 ])
 def test_drift_factors_compose_to_the_backtrace(mass, omega, gamma, n_factors):
     dt = 0.005 * TWO_PI
-    back = wigner_solver._drift_maps(mass, omega, gamma, dt)
+    step = wigner_solver._drift_maps(mass, omega, gamma, dt)
+    back = np.eye(2) + step
     stretch = math.exp(2.0 * gamma * dt)
-    factors = wigner_solver._shear_factors(back, stretch)
+    factors = wigner_solver._shear_factors(step, stretch)
     assert len(factors) == n_factors
     product = np.eye(2)
     for axis, s in factors:
@@ -489,38 +494,100 @@ def test_identity_drift_runs_no_transform(monkeypatch):
                                     grid.x_half_width, grid.p_half_width) == ()
 
 
-def _run_passes(w, passes):
-    for kind, op in passes:
-        if kind == "stretch":
-            w = w @ op
-        else:
-            axis = 0 if kind == "x" else 1
-            w = np.fft.irfft(np.fft.rfft(w, axis=axis) * op, n=w.shape[axis], axis=axis)
-    return w
+def _ou_generator(mass, omega, gamma, d1):
+    inv_mass, spring = (0.0, 0.0) if mass is None else (1.0 / mass, mass * omega**2)
+    return _generator(inv_mass, spring, gamma, d1, 0.0)
 
 
-@pytest.mark.parametrize("mass, omega, gamma, n_passes", [
-    (None, 0.0, 0.0, 1),      # pure diffusion: the two halves are one pass
-    (None, 0.0, 0.3, 2),      # opening half, then the stretch with the closing half
-    (0.5, 1.0, 0.0, 5),       # ends on an x shear: the closing half is its own pass
-    (0.5, 1.0, 0.05, 5),      # closing half folded into the stretch
+def _ou_flow(mass, omega, gamma, d1, dt):
+    """Forward drift map and blur covariance (xx, xp, pp) of one exact step."""
+    flow = expm(_ou_generator(mass, omega, gamma, d1) * dt)
+    return flow[:2, :2], flow[2:5, 5]
+
+
+# tolerances sit above what each plan reached (7e-16, 5e-8, 1.2e-15, 4e-8
+# and 9e-16 of the peak; the cubic stretch sets the two damped ones); the
+# Strang split erred by up to 8.3e-6, and leaving out the blur by 8.6e-2
+@pytest.mark.parametrize("mass, omega, gamma, kinds, tol", [
+    (None, 0.0, 0.0, ["p"], 1e-13),                       # pure diffusion
+    (None, 0.0, 0.05, ["stretch"], 1e-7),                 # damping only
+    (0.5, 1.0, 0.0, ["x", "p", "x"], 1e-13),              # undamped rotation
+    (0.5, 1.0, 0.05, ["x", "p", "x", "stretch"], 1e-7),   # damped rotation
+    (0.5, 0.0, 0.0, ["x", "p", "x"], 1e-13),              # free streaming, split around p
 ])
-def test_step_plan_folds_the_closing_diffusion_half(mass, omega, gamma, n_passes):
-    d1, dt, n, x_hw, p_hw = 0.05, 0.005 * TWO_PI, 64, 14.0, 7.0
-    plan = wigner_solver._step_plan(mass, omega, gamma, d1, dt, n, n, x_hw, p_hw)
-    drift = wigner_solver._step_plan(mass, omega, gamma, 0.0, dt, n, n, x_hw, p_hw)
-    k = TWO_PI * np.fft.rfftfreq(n, 2.0 * p_hw / (n - 1))
-    half = ("p", np.exp(-0.5 * d1 * dt * k**2))
-    w = np.random.default_rng(1).standard_normal((n, n))
-    unfolded = _run_passes(w, [half, *drift, half])
-    assert len(plan) == n_passes
-    assert np.max(np.abs(_run_passes(w, plan) - unfolded)) <= 1e-13 * np.max(np.abs(unfolded))
+def test_step_is_the_exact_ornstein_uhlenbeck_flow(mass, omega, gamma, kinds, tol):
+    d1, dt = 0.5, 0.005 * TWO_PI
+    box = dict(nx=256, n_p=256, x_half_width=14.0, p_half_width=7.0)
+    mean, cov = np.array([2.0, 0.25]), np.array([[1.69, 0.05], [0.05, 0.16]])
+    grid = init_gaussian(*mean, cov[0, 0], cov[0, 1], cov[1, 1], **box)
+    out = step(grid, SolverCoefficients(mass=mass, omega=omega, gamma=gamma, d1=d1), dt)
+    phi, q = _ou_flow(mass, omega, gamma, d1, dt)
+    m, c = phi @ mean, phi @ cov @ phi.T + [[q[0], q[1]], [q[1], q[2]]]
+    exact = init_gaussian(*m, c[0, 0], c[0, 1], c[1, 1], **box).values
+    assert np.max(np.abs(out.values - exact)) <= tol * np.max(exact)
+    plan = wigner_solver._step_plan(mass, omega, gamma, d1, dt, 256, 256, 14.0, 7.0)
+    assert [kind for kind, _ in plan] == kinds
+
+
+def _guarded_dt(omega, gamma, fraction):
+    limits = [1.0]
+    if omega > 0:
+        limits.append(0.005 * TWO_PI / omega)
+    if gamma > 0:
+        limits.append(0.05 / gamma)
+    return min(limits) * fraction
+
+
+@settings(max_examples=300, deadline=None)
+@given(mass=st.one_of(st.none(), st.floats(0.05, 5.0)),
+       omega=st.floats(0.0, 3.0), gamma=st.floats(0.0, 1.0),
+       d1=st.floats(0.025, 1.0), exponent=st.floats(-8.0, 0.0))
+def test_blur_variances_are_non_negative_and_sum_to_the_exact_covariance(
+        mass, omega, gamma, d1, exponent):
+    omega = 0.0 if mass is None else omega
+    dt = _guarded_dt(omega, gamma, 10.0 ** exponent)
+    passes = wigner_solver._exact_passes(mass, omega, gamma, d1, dt)
+    total, forward = np.zeros((2, 2)), np.eye(2)
+    for axis, s, var in reversed(passes):
+        assert var >= 0.0
+        u = forward[:, 0] if axis == "x" else forward[:, 1]
+        total += var * np.outer(u, u)
+        forward = forward @ (_shear_x(-s) if axis == "x" else _shear_p(-s) if axis == "p"
+                             else np.diag([1.0, 1.0 / s]))
+    # the reference blur at 30 digits: scipy's expm is good to 5e-12 here
+    with mpmath.workdps(30):
+        flow = mpmath.expm(mpmath.matrix((_ou_generator(mass, omega, gamma, d1) * dt).tolist()))
+        q = [float(flow[i, 5]) for i in (2, 3, 4)]
+    scale = [q[0], math.sqrt(q[0] * q[2]), q[2]]
+    err = np.abs([total[0, 0] - q[0], total[0, 1] - q[1], total[1, 1] - q[2]])
+    assert np.all(err <= 1e-12 * np.array(scale))
+
+
+def test_blur_with_no_axis_to_carry_it_is_refused():
+    # a lone x shear cannot blur along p
+    with pytest.raises(StepSizeError, match="no non-negative split"):
+        wigner_solver._blur_variances([("x", 0.1)], np.array([1e-6, 1e-5, 1e-4]))
+
+
+def test_shears_keep_full_precision_at_tiny_steps():
+    # 1 - cos(w dt) cancelled in the old factoring: at dt = 1e-8 both x
+    # shears rounded to zero and the step dropped the streaming
+    mass, omega = 0.5, 1.0
+    for dt in (1e-3, 1e-6, 1e-8):
+        step_ = wigner_solver._drift_maps(mass, omega, 0.0, dt)
+        factors = wigner_solver._shear_factors(step_, 1.0)
+        s = -math.tan(0.5 * omega * dt) / (mass * omega)
+        c = mass * omega * math.sin(omega * dt)
+        assert [axis for axis, _ in factors] == ["x", "p", "x"]
+        assert factors[0][1] == pytest.approx(s, rel=1e-14)
+        assert factors[1][1] == pytest.approx(c, rel=1e-14)
+        assert factors[2][1] == pytest.approx(s, rel=1e-14)
 
 
 def _exact_drift_step(mean, cov, sc, dt, **grid_kwargs):
     """One drift step of a Gaussian, mapped exactly: the backtrace M sends
     the mean to M^-1 mean and the covariance to M^-1 cov M^-T."""
-    inv = np.linalg.inv(wigner_solver._drift_maps(sc.mass, sc.omega, sc.gamma, dt))
+    inv = np.linalg.inv(np.eye(2) + wigner_solver._drift_maps(sc.mass, sc.omega, sc.gamma, dt))
     m = inv @ np.asarray(mean)
     c = inv @ np.asarray(cov) @ inv.T
     return init_gaussian(m[0], m[1], c[0, 0], c[0, 1], c[1, 1], **grid_kwargs)
