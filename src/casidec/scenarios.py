@@ -90,7 +90,7 @@ __all__ = [
     "scenario_defaults",
 ]
 
-_SCHEMA_VERSION = 6
+_SCHEMA_VERSION = 7
 _OUT_DIR_ENV = "CASIDEC_OUT_DIR"
 _CSV_COLUMNS = ("visibility", "purity", "mean_x", "mean_p",
                 "cov_xx", "cov_xp", "cov_pp")
@@ -462,7 +462,8 @@ def _run_wigner_cat_hight(cfg: dict):
 
 def _run_wigner_gaussian_oracle(cfg: dict):
     # dt is in periods
-    _require_positive(cfg, "coefficients.omega", "time.dt_periods", "time.t_end")
+    _require_positive(cfg, "coefficients.omega", "time.dt_periods", "time.t_end",
+                      "grid.x_half_width", "grid.p_half_width")
     co = cfg["coefficients"]
     init = cfg["initial"]
     sc = SolverCoefficients(**co)

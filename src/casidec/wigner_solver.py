@@ -24,6 +24,14 @@ whose state leaves the box also guards against that wrap. Only the d2 cross
 term is an explicit stencil (see _diffuse for why); when d2 != 0 it runs
 for half a step on either side of the exact step.
 
+When a plan starts and ends with FFT passes along the same axis and d2 = 0
+(pure diffusion, undamped rotation, free streaming), evolve_grid holds the
+field as that axis's rfft between steps, so a step skips its opening rfft
+and closing irfft: pure diffusion takes no transform at all. The monitors
+read that spectral state directly, and each observer sample and the
+returned grid are real. Damped plans end in the real-space stretch, and
+the d2 stencil is real-space, so those runs stay real.
+
 The solver is dimensionless by convention: callers map SI inputs through
 nondimensionalize(), which rescales lengths to the ground-state width (or
 the thermal wavelength for a free particle) and sets hbar_eff = 1. The
@@ -197,7 +205,12 @@ class CatWignerSpec:
 
 @dataclass(eq=False)
 class PhaseSpaceGrid:
-    """Uniform phase-space grid, W indexed [ix, ip], node-centered axes."""
+    """Uniform phase-space grid, W indexed [ix, ip], node-centered axes.
+
+    Between the steps of evolve_grid, values may hold the field's rfft along
+    one axis (a complex array, shorter along that axis); every grid an
+    observer sees or evolve_grid returns is real.
+    """
 
     nx: int
     np: int
@@ -254,20 +267,30 @@ def _cat_field(xg, pg, spec: CatWignerSpec):
 
 def _set_contained(grid: PhaseSpaceGrid, w):
     """Store the sampled field w, renormalized, after checking that it stays
-    below 1e-8 of its peak on the boundary and already integrates to 1e-9."""
+    below 1e-8 of its peak on the boundary and already integrates to 1e-9.
+    Both checks are written to refuse a NaN field."""
     peak = float(np.max(np.abs(w)))
     edge = max(float(np.max(np.abs(w[0, :]))), float(np.max(np.abs(w[-1, :]))),
                float(np.max(np.abs(w[:, 0]))), float(np.max(np.abs(w[:, -1]))))
-    if edge > 1e-8 * peak:
+    if not edge <= 1e-8 * peak:
         raise GridTooSmall(
             f"state reaches {edge / peak:.3g} of its peak at the boundary; "
             "enlarge the box")
     total = float(np.sum(w)) * grid.dx * grid.dp
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise GridTooSmall(
             f"sampled norm {total!r} deviates from 1 beyond 1e-9; "
             "the grid does not resolve or contain the state")
     grid.values = w / total
+
+
+def _check_box(x_half_width: float, p_half_width: float):
+    """Refuse a box half width that is not positive, or whose span leaves
+    the double range."""
+    for name, half in (("x_half_width", x_half_width), ("p_half_width", p_half_width)):
+        if not 0.0 < half <= 0.5 * sys.float_info.max:
+            raise DomainError(f"{name} = {half!r} must be positive, with a span "
+                              "inside the double range")
 
 
 def init_cat(spec: CatWignerSpec, nx: int = 256, n_p: int = 256,
@@ -298,6 +321,7 @@ def init_cat(spec: CatWignerSpec, nx: int = 256, n_p: int = 256,
             f"fringe wavenumber {k:.3g} underresolved: {2 * math.pi / (k * fringe_dk):.1f} "
             "nodes per period, need at least 8")
 
+    _check_box(xhw, phw)
     grid = PhaseSpaceGrid(nx=nx, np=n_p, x_half_width=xhw, p_half_width=phw,
                           values=numpy.zeros((nx, n_p)),
                           fringe_wavenumber=k if k > 0 else None,
@@ -327,10 +351,14 @@ def init_gaussian(mean_x: float, mean_p: float, cov_xx: float, cov_xp: float,
         x_half_width = 1.2 * (abs(mean_x) + 8.0 * math.sqrt(cov_xx))
     if p_half_width is None:
         p_half_width = 1.2 * (abs(mean_p) + 8.0 * math.sqrt(cov_pp))
+    _check_box(x_half_width, p_half_width)
     grid = PhaseSpaceGrid(nx=nx, np=n_p, x_half_width=x_half_width,
                           p_half_width=p_half_width, values=numpy.zeros((nx, n_p)))
     xg, pg = np.meshgrid(grid.x_axis - mean_x, grid.p_axis - mean_p, indexing="ij")
-    quad = (cov_pp * xg**2 - 2.0 * cov_xp * xg * pg + cov_xx * pg**2) / det
+    # a node too far out for the quadratic form to be a double has density 0
+    # (inf) or none (NaN); _set_contained refuses the grid either way
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = (cov_pp * xg**2 - 2.0 * cov_xp * xg * pg + cov_xx * pg**2) / det
     _set_contained(grid, np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det)))
     return grid
 
@@ -449,18 +477,15 @@ def _shift_ramp(n: int, shifts):
     return ramp
 
 
-def _exact_passes(mass: float | None, omega: float, gamma: float, d1: float,
+def _drift_passes(mass: float | None, omega: float, gamma: float, d1: float,
                   dt: float):
-    """The exact Ornstein-Uhlenbeck step, drift map then the Gaussian blur of
-    covariance Q(dt), as (axis, shift, blur variance) passes.
+    """The passes of the exact step as (axis, shift): the shears of
+    _shear_factors, then ("stretch", stretch) when damped.
 
-    The drift is the shears of _shear_factors, then ("stretch", stretch)
-    when damped. Q(dt) is the covariance block of expm(G dt) e_6 for the
-    moment generator G, split into one variance per pass by
-    _blur_variances. The split needs a p pass mid-step: a lone x shear
-    (free streaming) is halved around a zero-shift p pass; with no
-    streaming a single p pass carries the blur, or the stretch alone when
-    damped. With neither drift nor diffusion there are no passes.
+    The blur split (_blur_variances) needs a p pass mid-step: a lone x shear
+    (free streaming) is halved around a zero-shift p pass; with no streaming
+    a single p pass carries the blur, or the stretch alone when damped. With
+    neither drift nor diffusion there are no passes.
     """
     stretch = math.exp(2.0 * gamma * dt)
     passes = _shear_factors(_drift_maps(mass, omega, gamma, dt), stretch)
@@ -472,11 +497,25 @@ def _exact_passes(mass: float | None, omega: float, gamma: float, d1: float,
             passes = [("p", 0.0)]
     if stretch != 1.0:
         passes.append(("stretch", stretch))
-    if d1 == 0:
-        return [(axis, s, 0.0) for axis, s in passes]
-    q = _expm1(_transport_generator(mass, omega, gamma, d1) * dt)[2:5, 5]
-    return [(axis, s, float(v))
-            for (axis, s), v in zip(passes, _blur_variances(passes, q))]
+    return passes
+
+
+def _exact_passes(mass: float | None, omega: float, gamma: float, d1: float,
+                  dt: float):
+    """The exact Ornstein-Uhlenbeck step, drift map then the Gaussian blur of
+    covariance Q(dt), as (axis, shift, blur variance) passes.
+
+    The passes are those of _drift_passes. Q(dt) is the covariance block of
+    expm(G dt) e_6 for the moment generator G, split into one variance per
+    pass by _blur_variances.
+    """
+    passes = _drift_passes(mass, omega, gamma, d1, dt)
+    if d1 > 0:
+        q = _expm1(_transport_generator(mass, omega, gamma, d1) * dt)[2:5, 5]
+        if q[2] > 0:    # else the blur underflows: its split is all zeros
+            return [(axis, s, float(v))
+                    for (axis, s), v in zip(passes, _blur_variances(passes, q))]
+    return [(axis, s, 0.0) for axis, s in passes]
 
 
 @functools.lru_cache(maxsize=4)
@@ -518,9 +557,14 @@ def _step_plan(mass: float | None, omega: float, gamma: float, d1: float, dt: fl
     return tuple(plan)
 
 
+# sub-cycles the d2 stencil may take in one half step
+_MAX_CROSS_CYCLES = 100
+
+
 def _diffuse(w, cross: float):
     """Cross term -d2 d^2W/(dx dp), cross = -d2 dt / (4 dx dp): a central
-    stencil on the interior nodes, sub-cycled to |cross| <= 0.1 (none at 0).
+    stencil on the interior nodes, sub-cycled to |cross| <= 0.1. A call that
+    would take more than _MAX_CROSS_CYCLES sub-cycles raises StepSizeError.
 
     Without position diffusion the term is ill-posed (its symbol d2 k_x k_p
     grows along one diagonal of k-space), so it is not made spectral: at
@@ -528,6 +572,10 @@ def _diffuse(w, cross: float):
     |d2| = 0.05 and a spectral central difference at d2 = -0.1, while this
     stencil runs d2 = +-0.1 to t = 40.
     """
+    if not abs(cross) <= 0.1 * _MAX_CROSS_CYCLES:
+        raise StepSizeError(
+            f"the d2 cross stencil would take {abs(cross) / 0.1:.3g} sub-cycles in a "
+            f"half step (at most {_MAX_CROSS_CYCLES}); take a smaller dt")
     cycles = math.ceil(abs(cross) / 0.1)
     for _ in range(cycles):
         mixed = numpy.zeros_like(w)
@@ -536,16 +584,9 @@ def _diffuse(w, cross: float):
     return w
 
 
-def step(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> PhaseSpaceGrid:
-    """Advance one step: the exact Ornstein-Uhlenbeck flow of the d2 = 0
-    equation as one cached plan (_step_plan), with the d2 cross stencil
-    for half a step on either side of it when d2 != 0.
-
-    dt must resolve the rotation (dt <= 0.005 periods) and the damping
-    (gamma dt <= 0.05). Norm drift per step and mass on the boundary ring
-    are monitored; crossing either tolerance raises StabilityViolation. The
-    ring monitor is what keeps the periodic wrap of the FFT passes harmless.
-    """
+def _check_step_size(sc: SolverCoefficients, dt: float):
+    """Refuse a dt that does not resolve the rotation (dt <= 0.005 periods)
+    or the damping (gamma dt <= 0.05)."""
     if dt <= 0:
         raise StepSizeError("dt must be positive")
     if sc.omega > 0 and dt > 0.005 * 2.0 * math.pi / sc.omega * (1.0 + 1e-9):
@@ -554,28 +595,111 @@ def step(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> PhaseSpaceG
     if sc.gamma * dt > 0.05 * (1.0 + 1e-9):
         raise StepSizeError(f"gamma * dt = {sc.gamma * dt:g} exceeds 0.05")
 
+
+def _carried_axis(sc: SolverCoefficients, dt: float) -> int | None:
+    """The axis whose rfft evolve_grid holds the field as between steps: the
+    axis of the plan's first and last passes when both are FFT passes along
+    it and d2 = 0; None (real space) otherwise."""
+    kinds = [axis for axis, _ in _drift_passes(sc.mass, sc.omega, sc.gamma, sc.d1, dt)]
+    if sc.d2 != 0 or not kinds or kinds[0] != kinds[-1] or kinds[0] == "stretch":
+        return None
+    return 0 if kinds[0] == "x" else 1
+
+
+def _held_axis(grid: PhaseSpaceGrid) -> int | None:
+    """The axis whose rfft grid.values holds, or None for a real field."""
+    if not numpy.iscomplexobj(grid.values):
+        return None
+    return 0 if grid.values.shape[0] != grid.nx else 1
+
+
+def _in_domain(w, held: int | None, to: int | None, shape):
+    """w, the rfft along axis `held` of a field of this shape (None: the real
+    field itself), as the rfft along axis `to` (None: real)."""
+    if held == to:
+        return w
+    if held is not None:
+        w = irfft(w, n=shape[held], axis=held)
+    return w if to is None else rfft(w, axis=to)
+
+
+@functools.lru_cache(maxsize=8)
+def _edge_rows(n: int):
+    """Rows 0 and n - 1 of the inverse real transform as a complex matrix on
+    the rfft bins: (E @ f).real equals irfft(f, n)[[0, -1]] for complex f.
+    Built from irfft of the identity, so it ignores the imaginary parts of
+    the zero and Nyquist bins exactly as irfft does."""
+    eye = numpy.eye(n // 2 + 1)
+    inverse = irfft(eye, n=n, axis=1) - 1j * irfft(1j * eye, n=n, axis=1)
+    return numpy.ascontiguousarray(inverse.T[[0, -1]])
+
+
+def _node_sum(w, held: int | None) -> float:
+    """Sum of the field over all nodes; for an rfft along axis `held`, the
+    real part of its zero-frequency slice."""
+    if held is None:
+        return float(np.sum(w))
+    return float(np.sum(np.take(w, 0, axis=held).real))
+
+
+def _ring_sum(w, held: int | None, shape) -> float:
+    """Sum of |W| over the four edges of the box, corners counted twice. For
+    an rfft along axis `held`, the two edges across that axis are irffts of
+    its edge slices, and the two along it are rows of the inverse transform
+    (_edge_rows)."""
+    if held is None:
+        edges = (w[0, :], w[-1, :], w[:, 0], w[:, -1])
+    elif held == 0:
+        edges = ((_edge_rows(shape[0]) @ w).real,
+                 irfft(w[:, [0, -1]], n=shape[0], axis=0))
+    else:
+        edges = (irfft(w[[0, -1]], n=shape[1], axis=1),
+                 (w @ _edge_rows(shape[1]).T).real)
+    return sum(float(np.sum(np.abs(e))) for e in edges)
+
+
+def step(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> PhaseSpaceGrid:
+    """Advance one step: the exact Ornstein-Uhlenbeck flow of the d2 = 0
+    equation as one cached plan (_step_plan), with the d2 cross stencil
+    for half a step on either side of it when d2 != 0.
+
+    The grid may hold the real field or its rfft along one axis (as
+    evolve_grid carries it), and comes back in the same domain: a real grid
+    comes back real. A pass along the axis the field is already held on
+    takes no transform.
+
+    dt must resolve the rotation (dt <= 0.005 periods) and the damping
+    (gamma dt <= 0.05). Norm drift per step and mass on the boundary ring
+    are monitored; crossing either tolerance raises StabilityViolation. The
+    ring monitor is what keeps the periodic wrap of the FFT passes harmless.
+    """
+    _check_step_size(sc, dt)
     dx, dp = grid.dx, grid.dp
-    w = grid.values
-    norm_before = float(np.sum(w)) * dx * dp
+    shape = (grid.nx, grid.np)
+    held = _held_axis(grid)
+    w, at = grid.values, held
+    norm_before = _node_sum(w, held) * dx * dp
 
     cross_half = -sc.d2 * (0.5 * dt) / (4.0 * dx * dp)
-    w = _diffuse(w, cross_half)
+    if sc.d2 != 0:
+        w, at = _diffuse(_in_domain(w, at, None, shape), cross_half), None
     for kind, op in _step_plan(sc.mass, sc.omega, sc.gamma, sc.d1, dt, grid.nx,
                                grid.np, grid.x_half_width, grid.p_half_width):
         if kind == "stretch":
-            w = w @ op
+            w, at = _in_domain(w, at, None, shape) @ op, None
         else:
             axis = 0 if kind == "x" else 1
-            w = irfft(rfft(w, axis=axis) * op, n=w.shape[axis], axis=axis)
-    w = _diffuse(w, cross_half)
+            w, at = _in_domain(w, at, axis, shape) * op, axis
+    if sc.d2 != 0:
+        w, at = _diffuse(_in_domain(w, at, None, shape), cross_half), None
+    w = _in_domain(w, at, held, shape)
 
-    norm_after = float(np.sum(w)) * dx * dp
+    norm_after = _node_sum(w, held) * dx * dp
     if abs(norm_after - norm_before) > _NORM_TOL:
         raise StabilityViolation(
             f"norm drifted by {norm_after - norm_before:.3g} in one step "
             f"(tolerance {_NORM_TOL:g})")
-    ring = (float(np.sum(np.abs(w[0, :]))) + float(np.sum(np.abs(w[-1, :])))
-            + float(np.sum(np.abs(w[:, 0]))) + float(np.sum(np.abs(w[:, -1]))))
+    ring = _ring_sum(w, held, shape)
     if ring * dx * dp > _BOUNDARY_TOL:
         raise StabilityViolation(
             f"boundary ring carries {ring * dx * dp:.3g} mass (tolerance {_BOUNDARY_TOL:g}); "
@@ -590,8 +714,12 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
 
     Takes the fewest equal steps that tile t_final and are no longer than
     dt (to a relative 1e-9, so a span that is a whole number of dt in exact
-    arithmetic does not gain a step from rounding). A monitor or step-size
-    failure is re-raised with the step index and the time it happened at.
+    arithmetic does not gain a step from rounding). Where the step plan
+    allows (_carried_axis), the field is held as one axis's rfft from the
+    first step to the last; each observer gets a real copy and stepping
+    goes on from the spectral state, so sampling never changes the
+    trajectory. A monitor or step-size failure is re-raised with the step
+    index and the time it happened at.
     """
     if t_final < grid.time:
         raise DomainError("t_final lies before the grid's current time")
@@ -602,17 +730,32 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
         return grid
     n = max(1, math.ceil(span / dt * (1.0 - 1e-9)))
     h = span / n
-    if observer is not None and sample_every > 0:
+
+    def located(exc, i, t):
+        return type(exc)(f"step {i} of {n} (h = {h:.6g}) from t = {t:.6g}: {exc}")
+
+    sampling = observer is not None and sample_every > 0
+    if sampling:
         observer(grid)
+    try:
+        _check_step_size(sc, h)
+        carry = _carried_axis(sc, h)
+    except StepSizeError as exc:
+        raise located(exc, 1, grid.time) from exc
+    shape = (grid.nx, grid.np)
+
+    def real(state):
+        return replace(state, values=_in_domain(state.values, carry, None, shape))
+
+    state = replace(grid, values=_in_domain(grid.values, None, carry, shape))
     for i in range(1, n + 1):
         try:
-            grid = step(grid, sc, h)
+            state = step(state, sc, h)
         except (StabilityViolation, StepSizeError) as exc:
-            raise type(exc)(f"step {i} of {n} (h = {h:.6g}) from t = {grid.time:.6g}: "
-                            f"{exc}") from exc
-        if observer is not None and sample_every > 0 and i % sample_every == 0:
-            observer(grid)
-    return grid
+            raise located(exc, i, state.time) from exc
+        if sampling and i % sample_every == 0:
+            observer(real(state))
+    return real(state)
 
 
 def grid_norm(grid: PhaseSpaceGrid) -> float:
@@ -620,17 +763,17 @@ def grid_norm(grid: PhaseSpaceGrid) -> float:
 
 
 def grid_moments(grid: PhaseSpaceGrid) -> tuple[float, float, float, float, float]:
-    """(mean_x, mean_p, cov_xx, cov_xp, cov_pp) by Riemann sums."""
+    """(mean_x, mean_p, cov_xx, cov_xp, cov_pp) by Riemann sums: the means
+    and variances from the two marginals, cov_xp as one bilinear form."""
     w = grid.values
-    dxdp = grid.dx * grid.dp
-    x = grid.x_axis[:, None]
-    p = grid.p_axis[None, :]
-    n = float(np.sum(w)) * dxdp
-    mx = float(np.sum(w * x)) * dxdp / n
-    mp_ = float(np.sum(w * p)) * dxdp / n
-    xx = float(np.sum(w * (x - mx) ** 2)) * dxdp / n
-    pp = float(np.sum(w * (p - mp_) ** 2)) * dxdp / n
-    xp = float(np.sum(w * (x - mx) * (p - mp_))) * dxdp / n
+    x, p = grid.x_axis, grid.p_axis
+    wx, wp = np.sum(w, axis=1), np.sum(w, axis=0)
+    n = float(np.sum(wx))
+    mx = float(wx @ x) / n
+    mp_ = float(wp @ p) / n
+    xx = float(wx @ (x - mx) ** 2) / n
+    pp = float(wp @ (p - mp_) ** 2) / n
+    xp = float((x - mx) @ w @ (p - mp_)) / n
     return mx, mp_, xx, xp, pp
 
 
@@ -712,7 +855,11 @@ def measure_td(times, visibilities) -> DecayFit:
             f"series spans only {span:.2f} e-foldings (need {_FIT_MIN_EFOLDS}) "
             "and never reached the floor")
     ln_v = np.log(v)
-    slope, intercept = np.polyfit(t, ln_v, 1)
+    # fit in units of the last time: polyfit scales by the norm of t, and
+    # t^2 underflows for times below about 1e-154
+    unit = float(np.max(np.abs(t))) or 1.0
+    slope, intercept = np.polyfit(t / unit, ln_v, 1)
+    slope /= unit
     if slope >= 0:
         raise FitFailure("visibility does not decay")
     fit = slope * t + intercept

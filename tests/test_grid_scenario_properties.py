@@ -1,0 +1,114 @@
+"""Property test of the grid scenarios: every draw of their numeric keys
+within the config schema either runs or raises a CasidecError.
+
+The grids are small (16 to 64 a side) and the step budget is cut to a few
+hundred steps, so a draw that asks for more is refused by the same
+ConfigError that guards the full cap.
+"""
+
+import math
+import tempfile
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from casidec import scenarios
+from casidec.errors import CasidecError
+
+_STEP_BUDGET = 300
+
+
+def _number(draw, lo, hi):
+    """Mostly a value in [lo, hi], where runs are likely; one draw in ten is
+    any finite float, which the schema also accepts."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.floats(allow_nan=False, allow_infinity=False))
+    return draw(st.floats(lo, hi))
+
+
+def _dt_for(draw, span):
+    """A step that tiles span in at most ten steps, or any float."""
+    if span > 0 and math.isfinite(span) and draw(st.integers(0, 9)) > 0:
+        return span / draw(st.integers(1, 10))
+    return draw(st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _grid_size(draw):
+    return {"nx": draw(st.integers(16, 64)), "np": draw(st.integers(16, 64))}
+
+
+@st.composite
+def _cat_overrides(draw):
+    alpha = _number(draw, 0.05, 1.0)
+    d1 = _number(draw, 0.05, 5.0)
+    t_over = _number(draw, 0.2, 3.0)
+    n_samples = draw(st.integers(1, 30))
+    try:
+        span = t_over * 2.0 / (d1 * (4.0 * alpha) ** 2) / n_samples
+    except (ArithmeticError, ValueError):
+        span = math.nan
+    return {
+        "cat": {"alpha_mag": alpha, "phase": _number(draw, -math.pi, math.pi)},
+        "coefficients": {"d1": d1, "gamma": _number(draw, 0.0, 0.5)},
+        "grid": _grid_size(draw),
+        "time": {"dt": _dt_for(draw, span), "n_samples": n_samples},
+        "t_end_over_td": t_over,
+    }
+
+
+@st.composite
+def _oracle_overrides(draw):
+    co = {"mass": _number(draw, 0.3, 1.5), "omega": _number(draw, 0.5, 2.0),
+          "gamma": _number(draw, 0.0, 0.3), "d1": _number(draw, 0.0, 0.05),
+          "d2": _number(draw, -0.05, 0.05)}
+    dt_periods = _number(draw, 5e-4, 6e-3)
+    n_samples = draw(st.integers(1, 10))
+    try:
+        # widths near the oscillator's own ratio, and a box that holds the
+        # free rotation of the mean and of the widths
+        mw = co["mass"] * co["omega"]
+        xx = draw(st.floats(0.5, 2.0))
+        pp = xx * mw**2 * draw(st.floats(0.5, 2.0))
+        mean = (draw(st.floats(-1.0, 1.0)), mw * draw(st.floats(-1.0, 1.0)))
+        reach = math.hypot(mean[0], mean[1] / mw)
+        box = (1.2 * (reach + 8.0 * math.sqrt(xx + pp / mw**2)),
+               1.2 * (mw * reach + 8.0 * math.sqrt(pp + mw**2 * xx)))
+        t_end = dt_periods * 2.0 * math.pi / co["omega"] * draw(st.integers(1, 30)) * n_samples
+    except (ArithmeticError, ValueError):
+        xx, pp, mean, box, t_end = 1.0, 0.25, (0.0, 0.0), (10.0, 5.0), math.nan
+    if not (math.isfinite(t_end) and t_end > 0) or draw(st.integers(0, 9)) == 0:
+        t_end = draw(st.floats(allow_nan=False, allow_infinity=False))
+    # _number(draw, v, v): the derived value v, or any float one time in ten
+    return {
+        "coefficients": co,
+        "initial": {"mean_x": _number(draw, mean[0], mean[0]),
+                    "mean_p": _number(draw, mean[1], mean[1]),
+                    "cov_xx": _number(draw, xx, xx),
+                    "cov_xp": _number(draw, -0.3, 0.3) * math.sqrt(xx * pp),
+                    "cov_pp": _number(draw, pp, pp)},
+        "grid": {**_grid_size(draw), "x_half_width": _number(draw, box[0], box[0]),
+                 "p_half_width": _number(draw, box[1], box[1])},
+        "time": {"dt_periods": dt_periods, "t_end": t_end, "n_samples": n_samples},
+    }
+
+
+def _runs_or_fails_typed(name, overrides):
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.object(scenarios, "_MAX_GRID_STEPS", _STEP_BUDGET):
+        try:
+            scenarios.run_scenario(name, overrides, out_base=out)
+        except CasidecError:
+            pass
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_cat_overrides())
+def test_cat_scenario_draws_run_or_fail_typed(overrides):
+    _runs_or_fails_typed("wigner-cat-highT", overrides)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_oracle_overrides())
+def test_oracle_scenario_draws_run_or_fail_typed(overrides):
+    _runs_or_fails_typed("wigner-gaussian-oracle", overrides)

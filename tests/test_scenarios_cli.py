@@ -104,7 +104,7 @@ def test_manifest_is_the_only_place_with_timing(tmp_path):
     rep = run_scenario("cosmic-background-sphere", {"series_points": 5},
                        out_base=str(tmp_path))
     manifest = json.loads((rep.out_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == 6
+    assert manifest["schema_version"] == 7
     assert manifest["scenario"] == "cosmic-background-sphere"
     assert manifest["config"]["series_points"] == 5
     assert manifest["config"]["mirror"]["temperature"] == 2.7
@@ -361,6 +361,8 @@ def test_step_cap_admits_whole_steps_up_to_the_cap():
 @pytest.mark.parametrize("name,key", [
     ("wigner-gaussian-oracle", "coefficients.omega"),
     ("wigner-gaussian-oracle", "time.dt_periods"),
+    ("wigner-gaussian-oracle", "grid.x_half_width"),
+    ("wigner-gaussian-oracle", "grid.p_half_width"),
     ("wigner-cat-highT", "cat.alpha_mag"),
     ("wigner-cat-highT", "coefficients.d1"),
     ("wigner-cat-highT", "t_end_over_td"),

@@ -2,6 +2,7 @@
 moment identities, rotation-period returns, and the failure guards."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -218,6 +219,40 @@ def test_gaussian_grid_matches_requested_moments():
     assert grid_norm(grid) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_grid_moments_equal_the_direct_riemann_sums():
+    grid = init_gaussian(1.3, -0.4, 0.9, 0.2, 0.3, nx=96, n_p=80)
+    rng = np.random.default_rng(3)
+    for w in (grid.values, grid.values + 1e-3 * rng.random(grid.values.shape)):
+        grid.values = w
+        x, p, dxdp = grid.x_axis[:, None], grid.p_axis[None, :], grid.dx * grid.dp
+        n = np.sum(w) * dxdp
+        mx, mp_ = np.sum(w * x) * dxdp / n, np.sum(w * p) * dxdp / n
+        direct = (mx, mp_, np.sum(w * (x - mx) ** 2) * dxdp / n,
+                  np.sum(w * (x - mx) * (p - mp_)) * dxdp / n,
+                  np.sum(w * (p - mp_) ** 2) * dxdp / n)
+        assert grid_moments(grid) == pytest.approx(direct, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, x_half_width=1.7e308),
+    lambda: init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, p_half_width=-5.0),
+    lambda: init_cat(CatWignerSpec(1.0), x_half_width=1.7e308),
+])
+def test_a_box_whose_span_leaves_double_range_is_refused(build):
+    # 2 * 1.7e308 overflowed in linspace
+    with pytest.raises(DomainError, match="half_width"):
+        build()
+
+
+def test_a_gaussian_beyond_its_quadratic_forms_range_is_refused():
+    # the quadratic form overflowed (a RuntimeWarning), and where it met
+    # inf - inf the NaN field passed both containment checks
+    for cov_xp in (0.0, 0.1):
+        with pytest.raises(GridTooSmall):
+            init_gaussian(1e243, 0.8, 13.3, cov_xp, 0.26, nx=52, n_p=34,
+                          x_half_width=1.4e243, p_half_width=3.9e242)
+
+
 @pytest.mark.parametrize("build", [
     lambda: init_gaussian(0.0, 0.0, 1.0, 2.0, 0.25),          # not pos. definite
     lambda: init_gaussian(0.0, 0.0, -1.0, 0.0, 0.25),
@@ -374,6 +409,15 @@ def test_step_size_guards():
     damped = SolverCoefficients(mass=0.5, omega=0.0, gamma=10.0, d1=0.0)
     with pytest.raises(StepSizeError):
         step(grid, damped, 0.01)  # gamma dt = 0.1 > 0.05
+
+
+def test_a_cross_stencil_past_its_sub_cycle_cap_is_refused():
+    # at d2 = 1e300 the sub-cycle loop ran without end
+    grid = init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, nx=32, n_p=32)
+    for d2 in (1e300, -1e300):
+        sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=0.0, d1=0.01, d2=d2)
+        with pytest.raises(StepSizeError, match="sub-cycles"):
+            step(grid, sc, 0.01)
 
 
 def test_stability_violation_on_garbage():
@@ -569,6 +613,12 @@ def test_blur_with_no_axis_to_carry_it_is_refused():
         wigner_solver._blur_variances([("x", 0.1)], np.array([1e-6, 1e-5, 1e-4]))
 
 
+def test_a_blur_below_double_range_is_none():
+    # its covariance underflowed to zero and the split divided 0 by 0
+    passes = wigner_solver._exact_passes(1.69, 0.5, 0.08, 2.2e-309, 4.5e-310)
+    assert [var for _, _, var in passes] == [0.0] * len(passes)
+
+
 def test_shears_keep_full_precision_at_tiny_steps():
     # 1 - cos(w dt) cancelled in the old factoring: at dt = 1e-8 both x
     # shears rounded to zero and the step dropped the streaming
@@ -631,6 +681,118 @@ def test_damped_cat_run_builds_one_drift_plan(tmp_path):
     assert wigner_solver._step_plan.cache_info().misses == 1
 
 
+# ------------------------------------------------- carried spectral state
+
+
+def _real_space_step(grid, sc, dt):
+    """One step as every pass once ran it: a full rfft, factor and irfft
+    round trip per FFT pass, and the d2 stencil around the plan."""
+    w = grid.values
+    cross_half = -sc.d2 * (0.5 * dt) / (4.0 * grid.dx * grid.dp)
+    w = wigner_solver._diffuse(w, cross_half)
+    for kind, op in wigner_solver._step_plan(sc.mass, sc.omega, sc.gamma, sc.d1, dt,
+                                             grid.nx, grid.np, grid.x_half_width,
+                                             grid.p_half_width):
+        if kind == "stretch":
+            w = w @ op
+        else:
+            axis = 0 if kind == "x" else 1
+            w = np.fft.irfft(np.fft.rfft(w, axis=axis) * op, n=w.shape[axis], axis=axis)
+    w = wigner_solver._diffuse(w, cross_half)
+    return w
+
+
+_PLAN_KINDS = {   # coefficients of each plan kind, and the axis a run holds
+    "pure diffusion": (SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=0.02), 1),
+    "undamped rotation": (SolverCoefficients(mass=0.5, omega=1.0, gamma=0.0, d1=0.02), 0),
+    "free streaming": (SolverCoefficients(mass=0.5, omega=0.0, gamma=0.0, d1=0.02), 0),
+    "damped": (SolverCoefficients(mass=0.5, omega=1.0, gamma=0.05, d1=0.02), None),
+    "d2 stencil": (SolverCoefficients(mass=0.5, omega=1.0, gamma=0.0, d1=0.02, d2=0.05),
+                   None),
+}
+_CARRY_BOX = dict(nx=63, n_p=56, x_half_width=12.0, p_half_width=6.0)
+_CARRY_DT = 0.002
+
+
+@pytest.mark.parametrize("kind", list(_PLAN_KINDS))
+def test_step_on_a_real_grid_matches_the_round_trip_step(kind):
+    sc, held = _PLAN_KINDS[kind]
+    assert wigner_solver._carried_axis(sc, _CARRY_DT) == held
+    grid = init_gaussian(1.0, 0.25, 1.0, 0.05, 0.25, **_CARRY_BOX)
+    out = step(grid, sc, _CARRY_DT)
+    assert out.values.dtype == np.float64 and out.values.shape == grid.values.shape
+    ref = _real_space_step(grid, sc, _CARRY_DT)
+    assert np.max(np.abs(out.values - ref)) <= 1e-13 * np.max(ref)
+
+
+@pytest.mark.parametrize("kind", list(_PLAN_KINDS))
+def test_a_carried_run_matches_real_space_stepping(kind):
+    sc, _held = _PLAN_KINDS[kind]
+    grid = init_gaussian(1.0, 0.25, 1.0, 0.05, 0.25, **_CARRY_BOX)
+    ref = grid
+    for _ in range(350):
+        ref = replace(ref, values=_real_space_step(ref, sc, _CARRY_DT))
+    finals = []
+    for every in (0, 7):
+        seen = []
+        out = evolve_grid(grid, sc, 350 * _CARRY_DT, _CARRY_DT, sample_every=every,
+                          observer=lambda g: seen.append(g.values.dtype))
+        assert out.values.dtype == np.float64
+        assert seen == [np.float64] * (51 if every else 0)
+        finals.append(out.values)
+    assert np.max(np.abs(finals[0] - ref.values)) <= 1e-13 * np.max(ref.values)
+    # sampling hands out real copies and never changes the trajectory
+    assert np.array_equal(finals[0], finals[1])
+
+
+@pytest.mark.parametrize("nx, n_p", [(32, 32), (33, 30), (30, 33)])
+def test_spectral_monitor_readings_equal_the_real_space_ones(nx, n_p):
+    rng = np.random.default_rng(7)
+    shape = (nx, n_p)
+    for held in (0, 1):
+        for _ in range(5):
+            spectrum = np.fft.rfft(rng.standard_normal(shape), axis=held)
+            # irfft ignores the imaginary parts of the zero and Nyquist
+            # bins, and so must the readings
+            if held == 0:
+                spectrum[[0, -1], :] += 1j * rng.standard_normal((2, n_p))
+            else:
+                spectrum[:, [0, -1]] += 1j * rng.standard_normal((nx, 2))
+            field = np.fft.irfft(spectrum, n=shape[held], axis=held)
+            total = wigner_solver._node_sum(field, None)
+            ring = wigner_solver._ring_sum(field, None, shape)
+            assert wigner_solver._node_sum(spectrum, held) == pytest.approx(
+                total, rel=1e-12, abs=1e-12 * np.sum(np.abs(field)))
+            assert wigner_solver._ring_sum(spectrum, held, shape) == pytest.approx(
+                ring, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, sc, start", [
+    ("undamped rotation", SolverCoefficients(mass=2.0, omega=1.0, gamma=0.0, d1=0.0),
+     (5.0, 0.0)),
+    ("free streaming", SolverCoefficients(mass=0.5, omega=0.0, gamma=0.0, d1=0.0),
+     (0.0, 2.0)),
+    ("pure diffusion", SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=2.0),
+     (0.0, 0.0)),
+])
+def test_a_run_leaving_the_box_fails_alike_in_both_domains(kind, sc, start):
+    grid = init_gaussian(*start, 1.0, 0.0, 0.25, nx=64, n_p=64,
+                         x_half_width=12.0, p_half_width=6.0)
+    dt, t_final = 0.01, 3.0
+    n = 300
+    real, expected = grid, None
+    for i in range(1, n + 1):
+        try:
+            real = step(real, sc, dt)
+        except StabilityViolation as exc:
+            expected = f"step {i} of {n} (h = {dt:.6g}) from t = {real.time:.6g}: {exc}"
+            break
+    assert expected is not None, f"{kind} never left the box"
+    with pytest.raises(StabilityViolation) as info:
+        evolve_grid(grid, sc, t_final, dt)
+    assert str(info.value) == expected
+
+
 # -------------------------------------------------------------- fitting
 
 
@@ -640,6 +802,13 @@ def test_measure_td_recovers_a_clean_exponential():
     assert fit.td == pytest.approx(3.7, rel=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert fit.n_points == 40
+
+
+def test_measure_td_fits_times_below_the_square_root_of_the_double_range():
+    # polyfit's column scaling squared the times to zero and divided by it
+    times = np.linspace(0.0, 15.0, 40) * 1e-248
+    fit = measure_td(times, np.exp(-times / 3.7e-248))
+    assert fit.td == pytest.approx(3.7e-248, rel=1e-9)
 
 
 def test_measure_td_truncates_at_the_floor():
