@@ -90,6 +90,7 @@ from .wigner_solver import (
     PhaseSpaceGrid,
     ScaleSet,
     SolverCoefficients,
+    StepPlan,
     evolve_grid,
     fringe_visibility,
     grid_moments,
@@ -101,6 +102,7 @@ from .wigner_solver import (
     measure_td,
     nondimensionalize,
     step,
+    step_plan,
     wmin_over_wmax,
 )
 

@@ -215,12 +215,16 @@ def _require_positive(cfg: dict, *keys: str):
             raise ConfigError(f"'{key}' must be > 0, got {value!r}")
 
 
-def _steps_per_sample(per_sample: float, n_samples: int, keys: str) -> int:
-    """Whole steps per sample, refused by the keys that set them past _MAX_GRID_STEPS."""
+def _sample_steps(t_end: float, n_samples: int, dt: float, keys: str) -> tuple[int, float]:
+    """Whole steps per sample, each no longer than dt (to a relative 1e-9, as in
+    evolve_grid), and their size; refused by the keys that set them past
+    _MAX_GRID_STEPS."""
+    per_sample = t_end / (n_samples * dt) * (1.0 - 1e-9)
     if not per_sample <= _MAX_GRID_STEPS // n_samples:
         raise ConfigError(f"{keys} ask for {per_sample * n_samples:.3g} grid steps; "
                           f"a run takes at most {_MAX_GRID_STEPS}")
-    return math.ceil(per_sample)
+    per = max(1, math.ceil(per_sample))
+    return per, t_end / (n_samples * per)
 
 
 def _cat_series(td: float, n: int, delta_x: float, width: float,
@@ -419,9 +423,7 @@ def _run_wigner_cat_hight(cfg: dict):
 
     n_samples = cfg["time"]["n_samples"]
     dt = cfg["time"]["dt"]
-    # equal steps, a whole number per sample, so one step plan serves the run
-    per = _steps_per_sample(t_end / (n_samples * dt) * (1.0 - 1e-9), n_samples,
-                            "'time.dt' and 't_end_over_td'")
+    per, h = _sample_steps(t_end, n_samples, dt, "'time.dt' and 't_end_over_td'")
     grid = init_cat(spec, nx=cfg["grid"]["nx"], n_p=cfg["grid"]["np"])
     times, vis, rows = [], [], []
 
@@ -431,8 +433,7 @@ def _run_wigner_cat_hight(cfg: dict):
         vis.append(v)
         rows.append(_wigner_row(g, v))
 
-    grid = evolve_grid(grid, sc, t_end, t_end / (n_samples * per),
-                       sample_every=per, observer=observe)
+    grid = evolve_grid(grid, sc, t_end, h, sample_every=per, observer=observe)
 
     fit = measure_td(times, vis)
     px, _ = marginals(grid)
@@ -470,7 +471,7 @@ def _run_wigner_gaussian_oracle(cfg: dict):
     dt = cfg["time"]["dt_periods"] * 2.0 * math.pi / sc.omega
     t_end = cfg["time"]["t_end"]
     n_samples = cfg["time"]["n_samples"]
-    _steps_per_sample(t_end / (n_samples * dt), n_samples, "'time.dt_periods' and 'time.t_end'")
+    per, h = _sample_steps(t_end, n_samples, dt, "'time.dt_periods' and 'time.t_end'")
     grid = init_gaussian(**init, nx=cfg["grid"]["nx"], n_p=cfg["grid"]["np"],
                          x_half_width=cfg["grid"]["x_half_width"],
                          p_half_width=cfg["grid"]["p_half_width"])
@@ -481,15 +482,12 @@ def _run_wigner_gaussian_oracle(cfg: dict):
                             d1=co["d1"], d2=co["d2"])
     state = GaussianState(**init)
 
-    rows, states = [], []
-    prev_t = 0.0
-    for i in range(n_samples + 1):
-        t = t_end * i / n_samples
-        if i:
-            grid = evolve_grid(grid, sc, t, dt)
-            state = evolve(state, params, coeffs, t - prev_t)
-        prev_t = t
-        rows.append(_wigner_row(grid, None))
+    rows, states = [], [state]
+    grid = evolve_grid(grid, sc, t_end, h, sample_every=per,
+                       observer=lambda g: rows.append(_wigner_row(g, None)))
+    times = [t_end * i / n_samples for i in range(n_samples + 1)]
+    for t0, t1 in zip(times, times[1:]):
+        state = evolve(state, params, coeffs, t1 - t0)
         states.append(state)
 
     errors = {}

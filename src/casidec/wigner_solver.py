@@ -17,20 +17,22 @@ the mass the contraction removes, is a 1-D cubic B-spline pass along p,
 zero outside the box. The blur splits into one non-negative variance per
 pass, along that pass's axis, multiplied into its factor; it adds a
 zero-shift p pass only where no pass can carry it (pure diffusion, free
-streaming). All passes are cached per (coefficients, dt, grid) as one step
-plan. The FFT passes treat the box as periodic, so mass that reaches the
-edge would wrap to the far side: the boundary-ring monitor that stops a run
-whose state leaves the box also guards against that wrap. Only the d2 cross
-term is an explicit stencil (see _diffuse for why); when d2 != 0 it runs
-for half a step on either side of the exact step.
+streaming). step_plan builds these passes for one box and step size, and
+step applies them; evolve_grid builds one plan per run and hands it to
+every step, and nothing is kept between runs. The FFT passes treat the box
+as periodic, so mass that reaches the edge would wrap to the far side: the
+boundary-ring monitor that stops a run whose state leaves the box also
+guards against that wrap. Only the d2 cross term is an explicit stencil
+(see _diffuse for why); when d2 != 0 it runs for half a step on either
+side of the exact step.
 
 When a plan starts and ends with FFT passes along the same axis and d2 = 0
-(pure diffusion, undamped rotation, free streaming), evolve_grid holds the
-field as that axis's rfft between steps, so a step skips its opening rfft
-and closing irfft: pure diffusion takes no transform at all. The monitors
-read that spectral state directly, and each observer sample and the
-returned grid are real. Damped plans end in the real-space stretch, and
-the d2 stencil is real-space, so those runs stay real.
+(pure diffusion, undamped rotation, free streaming), it carries that axis:
+evolve_grid holds the field as its rfft between steps, so a step skips its
+opening rfft and closing irfft, and pure diffusion takes no transform at
+all. The monitors read that spectral state directly, and each observer
+sample and the returned grid are real. Damped plans end in the real-space
+stretch, and the d2 stencil is real-space, so those runs stay real.
 
 The solver is dimensionless by convention: callers map SI inputs through
 nondimensionalize(), which rescales lengths to the ground-state width (or
@@ -43,7 +45,6 @@ wavenumber, normalized to its initial value.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
@@ -74,6 +75,8 @@ __all__ = [
     "PhaseSpaceGrid",
     "init_cat",
     "init_gaussian",
+    "StepPlan",
+    "step_plan",
     "step",
     "evolve_grid",
     "grid_norm",
@@ -208,8 +211,9 @@ class PhaseSpaceGrid:
     """Uniform phase-space grid, W indexed [ix, ip], node-centered axes.
 
     Between the steps of evolve_grid, values may hold the field's rfft along
-    one axis (a complex array, shorter along that axis); every grid an
-    observer sees or evolve_grid returns is real.
+    the step plan's carried axis (StepPlan.carry: a complex array, shorter
+    along that axis); every grid an observer sees or evolve_grid returns is
+    real.
     """
 
     nx: int
@@ -391,7 +395,6 @@ def _expm1(m):
     return e
 
 
-@functools.lru_cache(maxsize=64)
 def _drift_maps(mass: float | None, omega: float, gamma: float, dt: float):
     """The exact backtrace exp(-A dt) less the identity (by _expm1), A the
     drift block of the moment generator."""
@@ -477,15 +480,18 @@ def _shift_ramp(n: int, shifts):
     return ramp
 
 
-def _drift_passes(mass: float | None, omega: float, gamma: float, d1: float,
+def _exact_passes(mass: float | None, omega: float, gamma: float, d1: float,
                   dt: float):
-    """The passes of the exact step as (axis, shift): the shears of
-    _shear_factors, then ("stretch", stretch) when damped.
+    """The exact Ornstein-Uhlenbeck step, drift map then the Gaussian blur of
+    covariance Q(dt), as (axis, shift, blur variance) passes.
 
-    The blur split (_blur_variances) needs a p pass mid-step: a lone x shear
-    (free streaming) is halved around a zero-shift p pass; with no streaming
-    a single p pass carries the blur, or the stretch alone when damped. With
-    neither drift nor diffusion there are no passes.
+    The drift is the shears of _shear_factors, then ("stretch", stretch) when
+    damped. Q(dt) is the covariance block of expm(G dt) e_6 for the moment
+    generator G, split into one variance per pass by _blur_variances. That
+    split needs a p pass mid-step: a lone x shear (free streaming) is halved
+    around a zero-shift p pass; with no streaming a single p pass carries the
+    blur, or the stretch alone when damped. With neither drift nor diffusion
+    there are no passes.
     """
     stretch = math.exp(2.0 * gamma * dt)
     passes = _shear_factors(_drift_maps(mass, omega, gamma, dt), stretch)
@@ -497,64 +503,12 @@ def _drift_passes(mass: float | None, omega: float, gamma: float, d1: float,
             passes = [("p", 0.0)]
     if stretch != 1.0:
         passes.append(("stretch", stretch))
-    return passes
-
-
-def _exact_passes(mass: float | None, omega: float, gamma: float, d1: float,
-                  dt: float):
-    """The exact Ornstein-Uhlenbeck step, drift map then the Gaussian blur of
-    covariance Q(dt), as (axis, shift, blur variance) passes.
-
-    The passes are those of _drift_passes. Q(dt) is the covariance block of
-    expm(G dt) e_6 for the moment generator G, split into one variance per
-    pass by _blur_variances.
-    """
-    passes = _drift_passes(mass, omega, gamma, d1, dt)
     if d1 > 0:
         q = _expm1(_transport_generator(mass, omega, gamma, d1) * dt)[2:5, 5]
         if q[2] > 0:    # else the blur underflows: its split is all zeros
             return [(axis, s, float(v))
                     for (axis, s), v in zip(passes, _blur_variances(passes, q))]
     return [(axis, s, 0.0) for axis, s in passes]
-
-
-@functools.lru_cache(maxsize=4)
-def _step_plan(mass: float | None, omega: float, gamma: float, d1: float, dt: float,
-               nx: int, n_p: int, x_half_width: float, p_half_width: float):
-    """The exact step (_exact_passes) as cached 1-D operators on the grid.
-
-    ("x", f) or ("p", f): rfft along that axis, multiply by the factor f,
-    irfft; f is the shear's phase ramp times the blur exp(-v k^2 / 2) of the
-    pass's variance v, or the blur alone for a zero-shift p pass.
-    ("stretch", C): the damping stretch, a cubic B-spline operator along p,
-    zero outside the box and carrying the Jacobian exp(2 g dt), applied as
-    w @ C, with its blur multiplied into C's columns. So pure diffusion is
-    one exp(-d1 k_p^2 dt) pass.
-    """
-    x, dx = numpy.linspace(-x_half_width, x_half_width, nx, retstep=True)
-    p, dp = numpy.linspace(-p_half_width, p_half_width, n_p, retstep=True)
-    kx2 = (2.0 * math.pi * numpy.fft.rfftfreq(nx, dx)) ** 2
-    kp2 = (2.0 * math.pi * numpy.fft.rfftfreq(n_p, dp)) ** 2
-    plan = []
-    for axis, s, v in _exact_passes(mass, omega, gamma, d1, dt):
-        if axis == "x":     # w(x + s p, p): column j moves by s p_j / dx nodes
-            op = _shift_ramp(nx, s * p / dx) * numpy.exp(-0.5 * v * kx2)[:, None]
-        elif axis == "p":   # w(x, p + s x): row i moves by s x_i / dp nodes
-            op = numpy.exp(-0.5 * v * kp2)
-            if s != 0.0:
-                op = numpy.ascontiguousarray(_shift_ramp(n_p, s * x / dp).T) * op
-        else:
-            # C[j, i] is the cubic-spline weight of input node j at the source
-            # point stretch * p_i; reading the identity at integer rows keeps
-            # the interpolation one-dimensional
-            rows = numpy.arange(n_p, dtype=float)[:, None].repeat(n_p, axis=1)
-            cols = numpy.broadcast_to((s * p + p_half_width) / dp, (n_p, n_p))
-            op = map_coordinates(numpy.eye(n_p), [rows, cols], order=3,
-                                 mode="constant", cval=0.0) * s
-            if v > 0:
-                op = irfft(rfft(op, axis=1) * numpy.exp(-0.5 * v * kp2), n=n_p, axis=1)
-        plan.append((axis, op))
-    return tuple(plan)
 
 
 # sub-cycles the d2 stencil may take in one half step
@@ -584,9 +538,49 @@ def _diffuse(w, cross: float):
     return w
 
 
-def _check_step_size(sc: SolverCoefficients, dt: float):
-    """Refuse a dt that does not resolve the rotation (dt <= 0.005 periods)
-    or the damping (gamma dt <= 0.05)."""
+def _edge_rows(n: int):
+    """Rows 0 and n - 1 of the inverse real transform as a complex matrix on
+    the rfft bins: (E @ f).real equals irfft(f, n)[[0, -1]] for complex f.
+    Bin k weighs 2/n, and 1/n at zero and Nyquist, times exp(2 pi i j k / n)
+    for row j; those two columns are real, so E ignores the imaginary parts
+    of their bins exactly as irfft does."""
+    k = numpy.arange(n // 2 + 1)
+    weight = numpy.where((k == 0) | (2 * k == n), 1.0, 2.0) / n
+    last = numpy.exp(-2j * math.pi * k / n)
+    if n % 2 == 0:
+        last[-1] = -1.0
+    return numpy.array([weight + 0j, weight * last])
+
+
+@dataclass(frozen=True, eq=False)
+class StepPlan:
+    """One step on one box, built by step_plan: the (kind, operator) passes,
+    the carried axis (None: real space) with its _edge_rows for the ring
+    monitor, and the d2 stencil's coefficient for half a step (_diffuse)."""
+
+    box: tuple          # (nx, np, x_half_width, p_half_width)
+    dt: float
+    passes: tuple
+    carry: int | None
+    edges: numpy.ndarray | None
+    cross: float
+
+
+def step_plan(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> StepPlan:
+    """The exact step (_exact_passes) over dt as 1-D operators on grid's box.
+
+    ("x", f) or ("p", f): rfft along that axis, multiply by the factor f,
+    irfft; f is the shear's phase ramp times the blur exp(-v k^2 / 2) of the
+    pass's variance v, or the blur alone for a zero-shift p pass.
+    ("stretch", C): the damping stretch, a cubic B-spline operator along p,
+    zero outside the box and carrying the Jacobian exp(2 g dt), applied as
+    w @ C, with its blur multiplied into C's columns. So pure diffusion is
+    one exp(-d1 k_p^2 dt) pass. A plan whose first and last passes are FFT
+    passes along one axis, at d2 = 0, carries that axis.
+
+    dt must resolve the rotation (dt <= 0.005 periods) and the damping
+    (gamma dt <= 0.05); StepSizeError otherwise.
+    """
     if dt <= 0:
         raise StepSizeError("dt must be positive")
     if sc.omega > 0 and dt > 0.005 * 2.0 * math.pi / sc.omega * (1.0 + 1e-9):
@@ -594,23 +588,36 @@ def _check_step_size(sc: SolverCoefficients, dt: float):
             f"dt = {dt:g} exceeds 0.005 rotation periods ({0.01 * math.pi / sc.omega:g})")
     if sc.gamma * dt > 0.05 * (1.0 + 1e-9):
         raise StepSizeError(f"gamma * dt = {sc.gamma * dt:g} exceeds 0.05")
-
-
-def _carried_axis(sc: SolverCoefficients, dt: float) -> int | None:
-    """The axis whose rfft evolve_grid holds the field as between steps: the
-    axis of the plan's first and last passes when both are FFT passes along
-    it and d2 = 0; None (real space) otherwise."""
-    kinds = [axis for axis, _ in _drift_passes(sc.mass, sc.omega, sc.gamma, sc.d1, dt)]
-    if sc.d2 != 0 or not kinds or kinds[0] != kinds[-1] or kinds[0] == "stretch":
-        return None
-    return 0 if kinds[0] == "x" else 1
-
-
-def _held_axis(grid: PhaseSpaceGrid) -> int | None:
-    """The axis whose rfft grid.values holds, or None for a real field."""
-    if not numpy.iscomplexobj(grid.values):
-        return None
-    return 0 if grid.values.shape[0] != grid.nx else 1
+    nx, n_p = grid.nx, grid.np
+    x, p, dx, dp = grid.x_axis, grid.p_axis, grid.dx, grid.dp
+    kx2 = (2.0 * math.pi * numpy.fft.rfftfreq(nx, dx)) ** 2
+    kp2 = (2.0 * math.pi * numpy.fft.rfftfreq(n_p, dp)) ** 2
+    passes = []
+    for axis, s, v in _exact_passes(sc.mass, sc.omega, sc.gamma, sc.d1, dt):
+        if axis == "x":     # w(x + s p, p): column j moves by s p_j / dx nodes
+            op = _shift_ramp(nx, s * p / dx) * numpy.exp(-0.5 * v * kx2)[:, None]
+        elif axis == "p":   # w(x, p + s x): row i moves by s x_i / dp nodes
+            op = numpy.exp(-0.5 * v * kp2)
+            if s != 0.0:
+                op = numpy.ascontiguousarray(_shift_ramp(n_p, s * x / dp).T) * op
+        else:
+            # C[j, i] is the cubic-spline weight of input node j at the source
+            # point stretch * p_i; reading the identity at integer rows keeps
+            # the interpolation one-dimensional
+            rows = numpy.arange(n_p, dtype=float)[:, None].repeat(n_p, axis=1)
+            cols = numpy.broadcast_to((s * p + grid.p_half_width) / dp, (n_p, n_p))
+            op = map_coordinates(numpy.eye(n_p), [rows, cols], order=3,
+                                 mode="constant", cval=0.0) * s
+            if v > 0:
+                op = irfft(rfft(op, axis=1) * numpy.exp(-0.5 * v * kp2), n=n_p, axis=1)
+        passes.append((axis, op))
+    carry = None
+    if sc.d2 == 0 and passes and passes[0][0] == passes[-1][0] != "stretch":
+        carry = 0 if passes[0][0] == "x" else 1
+    return StepPlan(box=(nx, n_p, grid.x_half_width, grid.p_half_width), dt=dt,
+                    passes=tuple(passes), carry=carry,
+                    edges=None if carry is None else _edge_rows((nx, n_p)[carry]),
+                    cross=-sc.d2 * (0.5 * dt) / (4.0 * dx * dp))
 
 
 def _in_domain(w, held: int | None, to: int | None, shape):
@@ -623,17 +630,6 @@ def _in_domain(w, held: int | None, to: int | None, shape):
     return w if to is None else rfft(w, axis=to)
 
 
-@functools.lru_cache(maxsize=8)
-def _edge_rows(n: int):
-    """Rows 0 and n - 1 of the inverse real transform as a complex matrix on
-    the rfft bins: (E @ f).real equals irfft(f, n)[[0, -1]] for complex f.
-    Built from irfft of the identity, so it ignores the imaginary parts of
-    the zero and Nyquist bins exactly as irfft does."""
-    eye = numpy.eye(n // 2 + 1)
-    inverse = irfft(eye, n=n, axis=1) - 1j * irfft(1j * eye, n=n, axis=1)
-    return numpy.ascontiguousarray(inverse.T[[0, -1]])
-
-
 def _node_sum(w, held: int | None) -> float:
     """Sum of the field over all nodes; for an rfft along axis `held`, the
     real part of its zero-frequency slice."""
@@ -642,56 +638,53 @@ def _node_sum(w, held: int | None) -> float:
     return float(np.sum(np.take(w, 0, axis=held).real))
 
 
-def _ring_sum(w, held: int | None, shape) -> float:
+def _ring_sum(w, held: int | None, shape, edges) -> float:
     """Sum of |W| over the four edges of the box, corners counted twice. For
     an rfft along axis `held`, the two edges across that axis are irffts of
-    its edge slices, and the two along it are rows of the inverse transform
-    (_edge_rows)."""
+    its edge slices, and the two along it are `edges`, the rows of its
+    inverse transform from _edge_rows."""
     if held is None:
-        edges = (w[0, :], w[-1, :], w[:, 0], w[:, -1])
+        sides = (w[0, :], w[-1, :], w[:, 0], w[:, -1])
     elif held == 0:
-        edges = ((_edge_rows(shape[0]) @ w).real,
-                 irfft(w[:, [0, -1]], n=shape[0], axis=0))
+        sides = ((edges @ w).real, irfft(w[:, [0, -1]], n=shape[0], axis=0))
     else:
-        edges = (irfft(w[[0, -1]], n=shape[1], axis=1),
-                 (w @ _edge_rows(shape[1]).T).real)
-    return sum(float(np.sum(np.abs(e))) for e in edges)
+        sides = (irfft(w[[0, -1]], n=shape[1], axis=1), (w @ edges.T).real)
+    return sum(float(np.sum(np.abs(e))) for e in sides)
 
 
-def step(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> PhaseSpaceGrid:
-    """Advance one step: the exact Ornstein-Uhlenbeck flow of the d2 = 0
-    equation as one cached plan (_step_plan), with the d2 cross stencil
-    for half a step on either side of it when d2 != 0.
+def step(grid: PhaseSpaceGrid, plan: StepPlan) -> PhaseSpaceGrid:
+    """Advance one step by plan (from step_plan): the exact Ornstein-Uhlenbeck
+    flow of the d2 = 0 equation, with the d2 cross stencil for half a step on
+    either side of it when d2 != 0.
 
-    The grid may hold the real field or its rfft along one axis (as
-    evolve_grid carries it), and comes back in the same domain: a real grid
-    comes back real. A pass along the axis the field is already held on
-    takes no transform.
+    The grid may hold the real field or, as evolve_grid carries it, its rfft
+    along plan.carry, and comes back in the same domain: a real grid comes
+    back real. A pass along the axis the field is already held on takes no
+    transform. A plan built for another box raises DomainError.
 
-    dt must resolve the rotation (dt <= 0.005 periods) and the damping
-    (gamma dt <= 0.05). Norm drift per step and mass on the boundary ring
-    are monitored; crossing either tolerance raises StabilityViolation. The
-    ring monitor is what keeps the periodic wrap of the FFT passes harmless.
+    Norm drift per step and mass on the boundary ring are monitored;
+    crossing either tolerance raises StabilityViolation. The ring monitor is
+    what keeps the periodic wrap of the FFT passes harmless.
     """
-    _check_step_size(sc, dt)
+    box = (grid.nx, grid.np, grid.x_half_width, grid.p_half_width)
+    if box != plan.box:
+        raise DomainError(f"step plan built for the box {plan.box}, not {box}")
     dx, dp = grid.dx, grid.dp
     shape = (grid.nx, grid.np)
-    held = _held_axis(grid)
+    held = plan.carry if numpy.iscomplexobj(grid.values) else None
     w, at = grid.values, held
     norm_before = _node_sum(w, held) * dx * dp
 
-    cross_half = -sc.d2 * (0.5 * dt) / (4.0 * dx * dp)
-    if sc.d2 != 0:
-        w, at = _diffuse(_in_domain(w, at, None, shape), cross_half), None
-    for kind, op in _step_plan(sc.mass, sc.omega, sc.gamma, sc.d1, dt, grid.nx,
-                               grid.np, grid.x_half_width, grid.p_half_width):
+    if plan.cross != 0:
+        w, at = _diffuse(_in_domain(w, at, None, shape), plan.cross), None
+    for kind, op in plan.passes:
         if kind == "stretch":
             w, at = _in_domain(w, at, None, shape) @ op, None
         else:
             axis = 0 if kind == "x" else 1
             w, at = _in_domain(w, at, axis, shape) * op, axis
-    if sc.d2 != 0:
-        w, at = _diffuse(_in_domain(w, at, None, shape), cross_half), None
+    if plan.cross != 0:
+        w, at = _diffuse(_in_domain(w, at, None, shape), plan.cross), None
     w = _in_domain(w, at, held, shape)
 
     norm_after = _node_sum(w, held) * dx * dp
@@ -699,13 +692,13 @@ def step(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> PhaseSpaceG
         raise StabilityViolation(
             f"norm drifted by {norm_after - norm_before:.3g} in one step "
             f"(tolerance {_NORM_TOL:g})")
-    ring = _ring_sum(w, held, shape)
+    ring = _ring_sum(w, held, shape, plan.edges)
     if ring * dx * dp > _BOUNDARY_TOL:
         raise StabilityViolation(
             f"boundary ring carries {ring * dx * dp:.3g} mass (tolerance {_BOUNDARY_TOL:g}); "
             "the state is leaving the box and would wrap in the periodic passes")
 
-    return replace(grid, values=w, time=grid.time + dt)
+    return replace(grid, values=w, time=grid.time + plan.dt)
 
 
 def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
@@ -714,12 +707,13 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
 
     Takes the fewest equal steps that tile t_final and are no longer than
     dt (to a relative 1e-9, so a span that is a whole number of dt in exact
-    arithmetic does not gain a step from rounding). Where the step plan
-    allows (_carried_axis), the field is held as one axis's rfft from the
-    first step to the last; each observer gets a real copy and stepping
-    goes on from the spectral state, so sampling never changes the
-    trajectory. A monitor or step-size failure is re-raised with the step
-    index and the time it happened at.
+    arithmetic does not gain a step from rounding). Builds one step plan
+    (step_plan) for that step and hands it to every step. Where the plan
+    carries an axis, the field is held as that axis's rfft from the first
+    step to the last; each observer gets a real copy and stepping goes on
+    from the spectral state, so sampling never changes the trajectory. A
+    monitor or step-size failure is re-raised with the step index and the
+    time it happened at.
     """
     if t_final < grid.time:
         raise DomainError("t_final lies before the grid's current time")
@@ -738,19 +732,18 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     if sampling:
         observer(grid)
     try:
-        _check_step_size(sc, h)
-        carry = _carried_axis(sc, h)
+        plan = step_plan(grid, sc, h)
     except StepSizeError as exc:
         raise located(exc, 1, grid.time) from exc
     shape = (grid.nx, grid.np)
 
     def real(state):
-        return replace(state, values=_in_domain(state.values, carry, None, shape))
+        return replace(state, values=_in_domain(state.values, plan.carry, None, shape))
 
-    state = replace(grid, values=_in_domain(grid.values, None, carry, shape))
+    state = replace(grid, values=_in_domain(grid.values, None, plan.carry, shape))
     for i in range(1, n + 1):
         try:
-            state = step(state, sc, h)
+            state = step(state, plan)
         except (StabilityViolation, StepSizeError) as exc:
             raise located(exc, i, state.time) from exc
         if sampling and i % sample_every == 0:

@@ -75,6 +75,10 @@ def _oracle_overrides(draw):
         box = (1.2 * (reach + 8.0 * math.sqrt(xx + pp / mw**2)),
                1.2 * (mw * reach + 8.0 * math.sqrt(pp + mw**2 * xx)))
         t_end = dt_periods * 2.0 * math.pi / co["omega"] * draw(st.integers(1, 30)) * n_samples
+        # a product that overflows gives inf or NaN without raising, and a
+        # NaN bound is no strategy at all
+        if not all(map(math.isfinite, (pp, *mean, *box, math.sqrt(xx * pp)))):
+            raise OverflowError("a derived value leaves the double range")
     except (ArithmeticError, ValueError):
         xx, pp, mean, box, t_end = 1.0, 0.25, (0.0, 0.0), (10.0, 5.0), math.nan
     if not (math.isfinite(t_end) and t_end > 0) or draw(st.integers(0, 9)) == 0:

@@ -349,13 +349,20 @@ def test_cli_tiny_grid_step_is_refused_within_a_second(tmp_path, capsys, payload
     assert not (tmp_path / "out").exists()
 
 
-def test_step_cap_admits_whole_steps_up_to_the_cap():
+def test_step_cap_admits_whole_steps_up_to_the_cap(tmp_path, monkeypatch):
     per_cap = scenarios._MAX_GRID_STEPS // 50
-    assert scenarios._steps_per_sample(per_cap - 0.5, 50, "k") == per_cap
-    assert scenarios._steps_per_sample(float(per_cap), 50, "k") == per_cap
-    for over in (per_cap + 1e-9 * per_cap, math.inf, math.nan):
+    for t_end in (50 * (per_cap - 0.5), 50.0 * per_cap):
+        assert scenarios._sample_steps(t_end, 50, 1.0, "k") == (per_cap, t_end / (50 * per_cap))
+    for t_end in (50.0 * per_cap * (1.0 + 2e-9), math.inf, math.nan):
         with pytest.raises(ConfigError):
-            scenarios._steps_per_sample(over, 50, "k")
+            scenarios._sample_steps(t_end, 50, 1.0, "k")
+    # the oracle's keys: 10 steps per sample, which t_end / (5 dt) reads as
+    # 10.000000000000002; its cap check, without the rounding, refused them
+    monkeypatch.setattr(scenarios, "_MAX_GRID_STEPS", 50)
+    dt = 0.005 * 2.0 * math.pi
+    overrides = {"grid": {"nx": 64, "np": 64}, "time": {"t_end": 50 * dt, "n_samples": 5}}
+    report = run_scenario("wigner-gaussian-oracle", overrides, out_base=str(tmp_path))
+    assert len((report.out_dir / "series.csv").read_text().splitlines()) == 1 + 6
 
 
 @pytest.mark.parametrize("name,key", [

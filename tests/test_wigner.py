@@ -31,6 +31,7 @@ from casidec import (
     measure_td,
     nondimensionalize,
     step,
+    step_plan,
     wmin_over_wmax,
 )
 from casidec import wigner_solver
@@ -403,12 +404,12 @@ def test_step_size_guards():
     grid = init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, nx=64, n_p=64)
     sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=0.0, d1=0.0)
     with pytest.raises(StepSizeError):
-        step(grid, sc, 0.1 * TWO_PI)
+        step(grid, step_plan(grid, sc, 0.1 * TWO_PI))
     with pytest.raises(StepSizeError):
-        step(grid, sc, -0.01)
+        step(grid, step_plan(grid, sc, -0.01))
     damped = SolverCoefficients(mass=0.5, omega=0.0, gamma=10.0, d1=0.0)
     with pytest.raises(StepSizeError):
-        step(grid, damped, 0.01)  # gamma dt = 0.1 > 0.05
+        step(grid, step_plan(grid, damped, 0.01))  # gamma dt = 0.1 > 0.05
 
 
 def test_a_cross_stencil_past_its_sub_cycle_cap_is_refused():
@@ -417,7 +418,7 @@ def test_a_cross_stencil_past_its_sub_cycle_cap_is_refused():
     for d2 in (1e300, -1e300):
         sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=0.0, d1=0.01, d2=d2)
         with pytest.raises(StepSizeError, match="sub-cycles"):
-            step(grid, sc, 0.01)
+            step(grid, step_plan(grid, sc, 0.01))
 
 
 def test_stability_violation_on_garbage():
@@ -425,7 +426,7 @@ def test_stability_violation_on_garbage():
     grid.values = np.roll(grid.values, 20, axis=0)  # mass shoved onto the wall
     sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=0.0, d1=0.0)
     with pytest.raises(StabilityViolation):
-        step(grid, sc, 0.005)
+        step(grid, step_plan(grid, sc, 0.005))
 
 
 def test_evolve_grid_bookkeeping():
@@ -529,13 +530,12 @@ def test_identity_drift_runs_no_transform(monkeypatch):
 
     for name in ("rfft", "irfft", "map_coordinates"):
         monkeypatch.setattr(wigner_solver, name, forbidden)
-    wigner_solver._step_plan.cache_clear()
     grid = init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, nx=64, n_p=64)
     sc = SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=0.0)
-    out = step(grid, sc, 0.01)
+    plan = step_plan(grid, sc, 0.01)
+    out = step(grid, plan)
     assert np.array_equal(out.values, grid.values)
-    assert wigner_solver._step_plan(None, 0.0, 0.0, 0.0, 0.01, 64, 64,
-                                    grid.x_half_width, grid.p_half_width) == ()
+    assert plan.passes == ()
 
 
 def _ou_generator(mass, omega, gamma, d1):
@@ -564,13 +564,13 @@ def test_step_is_the_exact_ornstein_uhlenbeck_flow(mass, omega, gamma, kinds, to
     box = dict(nx=256, n_p=256, x_half_width=14.0, p_half_width=7.0)
     mean, cov = np.array([2.0, 0.25]), np.array([[1.69, 0.05], [0.05, 0.16]])
     grid = init_gaussian(*mean, cov[0, 0], cov[0, 1], cov[1, 1], **box)
-    out = step(grid, SolverCoefficients(mass=mass, omega=omega, gamma=gamma, d1=d1), dt)
+    plan = step_plan(grid, SolverCoefficients(mass=mass, omega=omega, gamma=gamma, d1=d1), dt)
+    out = step(grid, plan)
     phi, q = _ou_flow(mass, omega, gamma, d1, dt)
     m, c = phi @ mean, phi @ cov @ phi.T + [[q[0], q[1]], [q[1], q[2]]]
     exact = init_gaussian(*m, c[0, 0], c[0, 1], c[1, 1], **box).values
     assert np.max(np.abs(out.values - exact)) <= tol * np.max(exact)
-    plan = wigner_solver._step_plan(mass, omega, gamma, d1, dt, 256, 256, 14.0, 7.0)
-    assert [kind for kind, _ in plan] == kinds
+    assert [kind for kind, _ in plan.passes] == kinds
 
 
 def _guarded_dt(omega, gamma, fraction):
@@ -656,29 +656,67 @@ def test_drift_step_matches_the_exact_map(nx, n_p, gamma, tol):
     grid = init_gaussian(*mean, cov[0][0], cov[0][1], cov[1][1], **box)
     sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=gamma, d1=0.0)
     dt = 0.005 * TWO_PI
-    out = step(grid, sc, dt)
+    out = step(grid, step_plan(grid, sc, dt))
     exact = _exact_drift_step(mean, cov, sc, dt, **box).values
     assert np.max(np.abs(out.values - exact)) <= tol * np.max(exact)
 
 
-def test_repeated_steps_reuse_the_drift_plan():
-    wigner_solver._step_plan.cache_clear()
+# ------------------------------------------------------------ step plan
+
+
+def _counting(monkeypatch, *names):
+    """Wrap the named wigner_solver functions; returns their call counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(wigner_solver, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(wigner_solver, name, counted)
+    return counts
+
+
+def test_one_run_builds_one_plan(monkeypatch):
+    counts = _counting(monkeypatch, "_exact_passes")
     grid = init_gaussian(1.0, 0.0, 1.0, 0.0, 0.25, nx=64, n_p=64)
     sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=0.05, d1=0.01)
-    evolve_grid(grid, sc, 0.1, 0.01)
-    info = wigner_solver._step_plan.cache_info()
-    assert (info.misses, info.hits) == (1, 9)
+    evolve_grid(grid, sc, 0.1, 0.01, sample_every=2, observer=lambda g: None)
+    assert counts == {"_exact_passes": 1}
 
 
-def test_damped_cat_run_builds_one_drift_plan(tmp_path):
-    # every sample interval takes the same steps, so no rounding jitter in
-    # the step size misses the cache
+@pytest.mark.parametrize("name, overrides", [
+    ("wigner-gaussian-oracle", {"grid": {"nx": 64, "np": 64},
+                                "time": {"t_end": 2.0, "n_samples": 4}}),
+    ("wigner-cat-highT", {"coefficients": {"gamma": 0.1}, "grid": {"nx": 64, "np": 128},
+                          "time": {"n_samples": 10}}),
+])
+def test_identical_runs_make_identical_calls(tmp_path, monkeypatch, name, overrides):
+    # the benchmark's repeat check in small: with the step plan in a
+    # process-wide cache, a repeated run skipped the drift map and the stretch
     from casidec.scenarios import run_scenario
 
-    wigner_solver._step_plan.cache_clear()
-    run_scenario("wigner-cat-highT", {"coefficients": {"gamma": 0.1}},
-                 out_base=str(tmp_path))
-    assert wigner_solver._step_plan.cache_info().misses == 1
+    seen = []
+    for i in range(2):
+        with monkeypatch.context() as patch:
+            counts = _counting(patch, "_drift_maps", "map_coordinates")
+            run_scenario(name, overrides, out_base=str(tmp_path / str(i)))
+        seen.append(counts)
+    assert seen[0] == seen[1] == {"_drift_maps": 1, "map_coordinates": 1}
+
+
+@pytest.mark.parametrize("box", [
+    dict(nx=65, n_p=64, x_half_width=14.0, p_half_width=7.0),
+    dict(nx=64, n_p=63, x_half_width=14.0, p_half_width=7.0),
+    dict(nx=64, n_p=64, x_half_width=15.0, p_half_width=7.0),
+    dict(nx=64, n_p=64, x_half_width=14.0, p_half_width=7.5),
+])
+def test_step_refuses_a_plan_built_for_another_box(box):
+    sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=0.0, d1=0.01)
+    grid = init_gaussian(1.0, 0.0, 1.0, 0.0, 0.25, nx=64, n_p=64,
+                         x_half_width=14.0, p_half_width=7.0)
+    plan = step_plan(init_gaussian(1.0, 0.0, 1.0, 0.0, 0.25, **box), sc, 0.01)
+    with pytest.raises(DomainError, match="box"):
+        step(grid, plan)
+    step(grid, step_plan(grid, sc, 0.01))
 
 
 # ------------------------------------------------- carried spectral state
@@ -690,9 +728,7 @@ def _real_space_step(grid, sc, dt):
     w = grid.values
     cross_half = -sc.d2 * (0.5 * dt) / (4.0 * grid.dx * grid.dp)
     w = wigner_solver._diffuse(w, cross_half)
-    for kind, op in wigner_solver._step_plan(sc.mass, sc.omega, sc.gamma, sc.d1, dt,
-                                             grid.nx, grid.np, grid.x_half_width,
-                                             grid.p_half_width):
+    for kind, op in step_plan(grid, sc, dt).passes:
         if kind == "stretch":
             w = w @ op
         else:
@@ -717,9 +753,10 @@ _CARRY_DT = 0.002
 @pytest.mark.parametrize("kind", list(_PLAN_KINDS))
 def test_step_on_a_real_grid_matches_the_round_trip_step(kind):
     sc, held = _PLAN_KINDS[kind]
-    assert wigner_solver._carried_axis(sc, _CARRY_DT) == held
     grid = init_gaussian(1.0, 0.25, 1.0, 0.05, 0.25, **_CARRY_BOX)
-    out = step(grid, sc, _CARRY_DT)
+    plan = step_plan(grid, sc, _CARRY_DT)
+    assert plan.carry == held
+    out = step(grid, plan)
     assert out.values.dtype == np.float64 and out.values.shape == grid.values.shape
     ref = _real_space_step(grid, sc, _CARRY_DT)
     assert np.max(np.abs(out.values - ref)) <= 1e-13 * np.max(ref)
@@ -760,11 +797,23 @@ def test_spectral_monitor_readings_equal_the_real_space_ones(nx, n_p):
                 spectrum[:, [0, -1]] += 1j * rng.standard_normal((nx, 2))
             field = np.fft.irfft(spectrum, n=shape[held], axis=held)
             total = wigner_solver._node_sum(field, None)
-            ring = wigner_solver._ring_sum(field, None, shape)
+            ring = wigner_solver._ring_sum(field, None, shape, None)
             assert wigner_solver._node_sum(spectrum, held) == pytest.approx(
                 total, rel=1e-12, abs=1e-12 * np.sum(np.abs(field)))
-            assert wigner_solver._ring_sum(spectrum, held, shape) == pytest.approx(
+            edges = wigner_solver._edge_rows(shape[held])
+            assert wigner_solver._ring_sum(spectrum, held, shape, edges) == pytest.approx(
                 ring, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 17, 256, 511])
+def test_edge_rows_are_the_edge_rows_of_irfft(n):
+    # random imaginary parts on the zero and Nyquist bins too, which irfft
+    # ignores
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal((n // 2 + 1, 3)) + 1j * rng.standard_normal((n // 2 + 1, 3))
+    want = np.fft.irfft(f, n=n, axis=0)[[0, -1]]
+    got = (wigner_solver._edge_rows(n) @ f).real
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("kind, sc, start", [
@@ -780,10 +829,10 @@ def test_a_run_leaving_the_box_fails_alike_in_both_domains(kind, sc, start):
                          x_half_width=12.0, p_half_width=6.0)
     dt, t_final = 0.01, 3.0
     n = 300
-    real, expected = grid, None
+    real, expected, plan = grid, None, step_plan(grid, sc, dt)
     for i in range(1, n + 1):
         try:
-            real = step(real, sc, dt)
+            real = step(real, plan)
         except StabilityViolation as exc:
             expected = f"step {i} of {n} (h = {dt:.6g}) from t = {real.time:.6g}: {exc}"
             break
