@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
-from .errors import (ConfigError, DomainError, IoError, RegimeViolation, RegimeWarning,
-                     UnknownScenario)
+from .errors import (ConfigError, DomainError, GridTooSmall, IoError, RegimeViolation,
+                     RegimeWarning, UnknownScenario)
 from .params import (
     CODATA,
     CatSpec,
@@ -70,6 +70,7 @@ from .gaussian_dynamics import (
 from .wigner_solver import (
     CatWignerSpec,
     SolverCoefficients,
+    check_cat_contained,
     evolve_grid,
     fringe_visibility,
     grid_moments,
@@ -425,6 +426,10 @@ def _run_wigner_cat_hight(cfg: dict):
     dt = cfg["time"]["dt"]
     per, h = _sample_steps(t_end, n_samples, dt, "'time.dt' and 't_end_over_td'")
     grid = init_cat(spec, nx=cfg["grid"]["nx"], n_p=cfg["grid"]["np"])
+    try:    # rather than step until the ring monitor stops the run
+        check_cat_contained(spec, grid, sc, h * np.arange(1, per * n_samples + 1))
+    except GridTooSmall as exc:
+        raise ConfigError(f"'cat.alpha_mag' and 't_end_over_td': {exc}") from exc
     times, vis, rows = [], [], []
 
     def observe(g):
@@ -462,12 +467,15 @@ def _run_wigner_cat_hight(cfg: dict):
 
 
 def _run_wigner_gaussian_oracle(cfg: dict):
+    co = cfg["coefficients"]
+    if co["d2"] != 0:
+        raise ConfigError(f"'coefficients.d2' = {co['d2']!r}: the grid integrates only the "
+                          "d2 = 0 equation; with d2 and no position diffusion it is ill-posed")
     # dt is in periods
     _require_positive(cfg, "coefficients.omega", "time.dt_periods", "time.t_end",
                       "grid.x_half_width", "grid.p_half_width")
-    co = cfg["coefficients"]
     init = cfg["initial"]
-    sc = SolverCoefficients(**co)
+    sc = SolverCoefficients(**{key: co[key] for key in ("mass", "omega", "gamma", "d1")})
     dt = cfg["time"]["dt_periods"] * 2.0 * math.pi / sc.omega
     t_end = cfg["time"]["t_end"]
     n_samples = cfg["time"]["n_samples"]

@@ -2,15 +2,14 @@
 
 Integrates
 
-    dW/dt = -(p/m) dW/dx + m w*^2 x dW/dp + 2 g d(p W)/dp
-            + d1 d^2W/dp^2 - d2 d^2W/(dx dp)
+    dW/dt = -(p/m) dW/dx + m w*^2 x dW/dp + 2 g d(p W)/dp + d1 d^2W/dp^2
 
-on a uniform (x, p) grid. At d2 = 0 this is an Ornstein-Uhlenbeck equation,
-and each step applies its flow over dt exactly in time: the drift map
-(rotation, shear, damping contraction), then a Gaussian blur whose
-covariance Q(dt) is the covariance block of expm(G dt) e_6, G the moment
-generator of gaussian_dynamics. The drift's backtrace matrix is factored
-into three shears and a momentum stretch. Each shear is a per-row (or
+on a uniform (x, p) grid: the transport equation at d2 = 0, an
+Ornstein-Uhlenbeck equation. Each step applies its flow over dt exactly in
+time: the drift map (rotation, shear, damping contraction), then a Gaussian
+blur whose covariance Q(dt) is the covariance block of expm(G dt) e_6, G
+the moment generator of gaussian_dynamics. The drift's backtrace matrix is
+factored into three shears and a momentum stretch. Each shear is a per-row (or
 per-column) shift applied as an FFT phase ramp, exact for a band-limited
 field; the stretch, which carries the Jacobian exp(2 g dt) that restores
 the mass the contraction removes, is a 1-D cubic B-spline pass along p,
@@ -22,21 +21,19 @@ step applies them; evolve_grid builds one plan per run and hands it to
 every step, and nothing is kept between runs. The FFT passes treat the box
 as periodic, so mass that reaches the edge would wrap to the far side: the
 boundary-ring monitor that stops a run whose state leaves the box also
-guards against that wrap. Only the d2 cross term is an explicit stencil
-(see _diffuse for why); when d2 != 0 it runs for half a step on either
-side of the exact step.
+guards against that wrap. Cross diffusion d2 is not integrated: with no
+position diffusion its term d2 k_x k_p is ill-posed, so nondimensionalize
+refuses it; the exact moment flow of gaussian_dynamics keeps it.
 
-When d2 = 0 and a plan's first and last FFT passes are x passes (rotation
-and free streaming, damped or not), or every pass is a p pass (pure
-diffusion), it carries that axis: evolve_grid holds the field as its rfft
+Every plan with passes carries an axis: p when every pass is a p pass (pure
+diffusion), x otherwise. evolve_grid holds the field as that axis's rfft
 between steps, so a step skips its opening rfft and closing irfft, and pure
 diffusion takes no transform at all. The stretch is a matmul along p, so it
 commutes with the rfft along x and acts on the held x spectrum as one real
 matmul on its stacked real and imaginary parts: a damped step takes 4
-transforms instead of 6. The monitors read that spectral state directly,
-and each observer sample and the returned grid are real. The d2 stencil is
-real-space, so d2 != 0 runs stay real, as do damping-only runs, whose one
-pass is the stretch.
+transforms instead of 6, and a damping-only step none. The monitors read
+that spectral state directly, and each observer sample and the returned
+grid are real.
 
 The solver is dimensionless by convention: callers map SI inputs through
 nondimensionalize(), which rescales lengths to the ground-state width (or
@@ -78,6 +75,7 @@ __all__ = [
     "CatWignerSpec",
     "PhaseSpaceGrid",
     "init_cat",
+    "check_cat_contained",
     "init_gaussian",
     "StepPlan",
     "step_plan",
@@ -100,14 +98,13 @@ class SolverCoefficients:
 
     mass=None drops the streaming term entirely (infinitely heavy in the
     kinetic sense); that needs omega = 0 since the restoring force scales
-    with the mass.
+    with the mass. It has no d2: the grid integrates the d2 = 0 equation.
     """
 
     mass: float | None
     omega: float
     gamma: float
     d1: float
-    d2: float = 0.0
 
     def __post_init__(self):
         if self.mass is None:
@@ -139,8 +136,11 @@ def nondimensionalize(params: MirrorParams, coeffs: CoefficientSet,
     The solver mass is then exactly 1/2 and the frequency 1. Free motion
     needs a thermal bath to set the scale: lengths in the thermal
     wavelength, time in 1/Gamma, which sends the Einstein-relation d1 to
-    exactly 1.
+    exactly 1. d2 != 0 raises DomainError: the grid integrates d2 = 0.
     """
+    if coeffs.d2 != 0:
+        raise DomainError(f"d2 = {coeffs.d2!r}: the grid solver integrates the d2 = 0 "
+                          "equation; evolve the moments with gaussian_dynamics instead")
     hbar = constants.hbar
     if coeffs.omega_star > 0:
         x_scale = math.sqrt(hbar / (2.0 * params.mass * coeffs.omega_star))
@@ -159,7 +159,6 @@ def nondimensionalize(params: MirrorParams, coeffs: CoefficientSet,
         omega=coeffs.omega_star * t_scale,
         gamma=coeffs.gamma * t_scale,
         d1=coeffs.d1 * x_scale**2 * t_scale / hbar**2,
-        d2=coeffs.d2 * t_scale / hbar,
     )
     return sc, ScaleSet(x_scale=x_scale, p_scale=hbar / x_scale, t_scale=t_scale, kind=kind)
 
@@ -341,6 +340,32 @@ def init_cat(spec: CatWignerSpec, nx: int = 256, n_p: int = 256,
     return grid
 
 
+def check_cat_contained(spec: CatWignerSpec, grid: PhaseSpaceGrid,
+                        sc: SolverCoefficients, times) -> None:
+    """Raise GridTooSmall when, at one of `times`, the cat that init_cat put
+    on grid would carry more mass on the box's p edges than the ring monitor
+    allows. Without streaming (sc.mass None) p evolves on its own: each lobe
+    stays Gaussian, its centre (+-half the separation, momentum-oriented)
+    shrinks by e^{-2 g t}, and its variance is _SIGMA_P^2 e^{-4 g t} +
+    d1 (1 - e^{-4 g t}) / (2 g), or _SIGMA_P^2 + 2 d1 t at g = 0. A lobe's
+    density at a distance peaks at a width equal to it, past which the
+    periodic field only flattens, so the width is capped there."""
+    t = numpy.asarray(times, dtype=float)
+    g, decay = sc.gamma, numpy.exp(-4.0 * sc.gamma * t)
+    gained = 2.0 * sc.d1 * t if g == 0 else -sc.d1 * numpy.expm1(-4.0 * g * t) / (2.0 * g)
+    var = _SIGMA_P**2 * decay + gained
+    lobe = (0.5 * spec.separation if spec.orientation == "momentum" else 0.0) * numpy.sqrt(decay)
+    dist = grid.p_half_width + numpy.array([-lobe, lobe])
+    capped = numpy.minimum(var, dist**2)
+    edge = numpy.sum(numpy.exp(-dist**2 / (2.0 * capped)) / numpy.sqrt(2 * math.pi * capped), 0)
+    worst = int(numpy.argmax(edge))
+    if not edge[worst] * grid.dp <= _BOUNDARY_TOL:
+        raise GridTooSmall(
+            f"by t = {t[worst]:.6g} the momentum envelope widens to "
+            f"{math.sqrt(var[worst]):.3g}, which puts {edge[worst] * grid.dp:.3g} of the mass "
+            f"on the box's p edges (the ring monitor stops a run at {_BOUNDARY_TOL:g})")
+
+
 def init_gaussian(mean_x: float, mean_p: float, cov_xx: float, cov_xp: float,
                   cov_pp: float, nx: int = 256, n_p: int = 256,
                   x_half_width: float | None = None,
@@ -515,31 +540,10 @@ def _exact_passes(mass: float | None, omega: float, gamma: float, d1: float,
     return [(axis, s, 0.0) for axis, s in passes]
 
 
-# sub-cycles the d2 stencil may take in one half step
-_MAX_CROSS_CYCLES = 100
-
-
-def _diffuse(w, cross: float):
-    """Cross term -d2 d^2W/(dx dp), cross = -d2 dt / (4 dx dp): a central
-    stencil on the interior nodes, sub-cycled to |cross| <= 0.1. A call that
-    would take more than _MAX_CROSS_CYCLES sub-cycles raises StepSizeError.
-
-    Without position diffusion the term is ill-posed (its symbol d2 k_x k_p
-    grows along one diagonal of k-space), so it is not made spectral: at
-    the oracle defaults an exact spectral factor trips the ring monitor from
-    |d2| = 0.05 and a spectral central difference at d2 = -0.1, while this
-    stencil runs d2 = +-0.1 to t = 40.
-    """
-    if not abs(cross) <= 0.1 * _MAX_CROSS_CYCLES:
-        raise StepSizeError(
-            f"the d2 cross stencil would take {abs(cross) / 0.1:.3g} sub-cycles in a "
-            f"half step (at most {_MAX_CROSS_CYCLES}); take a smaller dt")
-    cycles = math.ceil(abs(cross) / 0.1)
-    for _ in range(cycles):
-        mixed = numpy.zeros_like(w)
-        mixed[1:-1, 1:-1] = (w[2:, 2:] - w[2:, :-2] - w[:-2, 2:] + w[:-2, :-2])
-        w = w + (cross / cycles) * mixed
-    return w
+def _diffuse(k2, v: float):
+    """rfft-domain factor of a Gaussian blur of variance v along an axis with
+    squared wavenumbers k2: each plan pass's share of the diffusion."""
+    return numpy.exp(-0.5 * v * k2)
 
 
 def _edge_rows(n: int):
@@ -559,16 +563,14 @@ def _edge_rows(n: int):
 @dataclass(frozen=True, eq=False)
 class StepPlan:
     """One step on one box, built by step_plan: the (kind, operator) passes,
-    the carried axis (None: real space; 0 for every plan with x passes at
-    both ends, damped or not) with its _edge_rows for the ring monitor, and
-    the d2 stencil's coefficient for half a step (_diffuse)."""
+    and the carried axis (1 when every pass is a p pass, else 0; None for a
+    plan with no passes) with its _edge_rows for the ring monitor."""
 
     box: tuple          # (nx, np, x_half_width, p_half_width)
     dt: float
     passes: tuple
     carry: int | None
     edges: numpy.ndarray | None
-    cross: float
 
 
 def step_plan(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> StepPlan:
@@ -580,10 +582,9 @@ def step_plan(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> StepPl
     ("stretch", C): the damping stretch, a cubic B-spline operator along p,
     zero outside the box and carrying the Jacobian exp(2 g dt), applied as
     w @ C, with its blur multiplied into C's columns. So pure diffusion is
-    one exp(-d1 k_p^2 dt) pass. At d2 = 0 a plan whose first and last FFT
-    passes are x passes carries x, wherever its stretch sits (the stretch
-    acts on the x spectrum as well as on the field), and a plan of p passes
-    alone carries p; every other plan steps in real space.
+    one exp(-d1 k_p^2 dt) pass. A plan of p passes alone carries p; every
+    other plan with passes carries x (the stretch acts on the x spectrum as
+    on the field); a plan with no passes carries nothing.
 
     dt must resolve the rotation (dt <= 0.005 periods) and the damping
     (gamma dt <= 0.05); StepSizeError otherwise.
@@ -602,9 +603,9 @@ def step_plan(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> StepPl
     passes = []
     for axis, s, v in _exact_passes(sc.mass, sc.omega, sc.gamma, sc.d1, dt):
         if axis == "x":     # w(x + s p, p): column j moves by s p_j / dx nodes
-            op = _shift_ramp(nx, s * p / dx) * numpy.exp(-0.5 * v * kx2)[:, None]
+            op = _shift_ramp(nx, s * p / dx) * _diffuse(kx2, v)[:, None]
         elif axis == "p":   # w(x, p + s x): row i moves by s x_i / dp nodes
-            op = numpy.exp(-0.5 * v * kp2)
+            op = _diffuse(kp2, v)
             if s != 0.0:
                 op = numpy.ascontiguousarray(_shift_ramp(n_p, s * x / dp).T) * op
         else:
@@ -616,19 +617,13 @@ def step_plan(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> StepPl
             op = map_coordinates(numpy.eye(n_p), [rows, cols], order=3,
                                  mode="constant", cval=0.0) * s
             if v > 0:
-                op = irfft(rfft(op, axis=1) * numpy.exp(-0.5 * v * kp2), n=n_p, axis=1)
+                op = irfft(rfft(op, axis=1) * _diffuse(kp2, v), n=n_p, axis=1)
         passes.append((axis, op))
-    kinds = [kind for kind, _ in passes]
-    ffts = [kind for kind in kinds if kind != "stretch"]
-    carry = None
-    if sc.d2 == 0 and ffts and ffts[0] == ffts[-1] == "x":
-        carry = 0
-    elif sc.d2 == 0 and set(kinds) == {"p"}:
-        carry = 1
+    kinds = {kind for kind, _ in passes}
+    carry = (1 if kinds == {"p"} else 0) if kinds else None
     return StepPlan(box=(nx, n_p, grid.x_half_width, grid.p_half_width), dt=dt,
                     passes=tuple(passes), carry=carry,
-                    edges=None if carry is None else _edge_rows((nx, n_p)[carry]),
-                    cross=-sc.d2 * (0.5 * dt) / (4.0 * dx * dp))
+                    edges=None if carry is None else _edge_rows((nx, n_p)[carry]))
 
 
 def _in_domain(w, held: int | None, to: int | None, shape):
@@ -677,13 +672,13 @@ def _ring_sum(w, held: int | None, shape, edges) -> float:
 
 def step(grid: PhaseSpaceGrid, plan: StepPlan) -> PhaseSpaceGrid:
     """Advance one step by plan (from step_plan): the exact Ornstein-Uhlenbeck
-    flow of the d2 = 0 equation, with the d2 cross stencil for half a step on
-    either side of it when d2 != 0.
+    flow over plan.dt.
 
     The grid may hold the real field or, as evolve_grid carries it, its rfft
-    along plan.carry, and comes back in the same domain: a real grid comes
-    back real. A pass along the axis the field is already held on takes no
-    transform. A plan built for another box raises DomainError.
+    along plan.carry, and comes back in the same domain: a real grid, which
+    only a direct caller passes, comes back real. A pass along the axis the
+    field is already held on takes no transform. A plan built for another
+    box raises DomainError.
 
     Norm drift per step and mass on the boundary ring are monitored;
     crossing either tolerance raises StabilityViolation. The ring monitor is
@@ -698,8 +693,6 @@ def step(grid: PhaseSpaceGrid, plan: StepPlan) -> PhaseSpaceGrid:
     w, at = grid.values, held
     norm_before = _node_sum(w, held) * dx * dp
 
-    if plan.cross != 0:
-        w, at = _diffuse(_in_domain(w, at, None, shape), plan.cross), None
     for kind, op in plan.passes:
         if kind == "stretch":   # along p: it acts on the x spectrum as on the field
             if at == 1:
@@ -708,8 +701,6 @@ def step(grid: PhaseSpaceGrid, plan: StepPlan) -> PhaseSpaceGrid:
         else:
             axis = 0 if kind == "x" else 1
             w, at = _in_domain(w, at, axis, shape) * op, axis
-    if plan.cross != 0:
-        w, at = _diffuse(_in_domain(w, at, None, shape), plan.cross), None
     w = _in_domain(w, at, held, shape)
 
     norm_after = _node_sum(w, held) * dx * dp

@@ -384,6 +384,51 @@ def test_cli_zero_grid_inputs_are_refused_by_name(tmp_path, capsys, name, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    # on 64 x 64 these stepped about 850 steps, then the ring monitor stopped them
+    {"cat": {"alpha_mag": 0.3}, "grid": {"nx": 64, "np": 64}},
+    {"cat": {"alpha_mag": 1.0}, "grid": {"nx": 64, "np": 64}},
+    # an envelope far wider than the box, whose open-space density at the edge
+    # is below the tolerance; the periodic field is nearly flat there
+    {"t_end_over_td": 1e16, "time": {"dt": 1e15}},
+])
+def test_a_cat_that_outgrows_its_momentum_box_is_refused_before_any_step(
+        tmp_path, monkeypatch, overrides):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an oversized cat reached the grid")
+
+    monkeypatch.setattr(scenarios, "evolve_grid", unreachable)
+    with pytest.raises(ConfigError, match="'cat.alpha_mag' and 't_end_over_td'"):
+        run_scenario("wigner-cat-highT", overrides, out_base=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_damped_cat_is_judged_by_its_damped_envelope(tmp_path):
+    # damping holds the lobes' variance below d1 / (2 gamma); the undamped
+    # envelope sigma_p^2 + 2 d1 t_end put 7.6e-7 on the p edges and refused it
+    overrides = {"cat": {"alpha_mag": 1.0}, "coefficients": {"gamma": 0.3},
+                 "grid": {"nx": 64, "np": 64}}
+    report = run_scenario("wigner-cat-highT", overrides, out_base=str(tmp_path))
+    assert (report.out_dir / "summary.json").exists()
+
+
+@pytest.mark.parametrize("d2", [0.1, -1e-300])
+def test_cli_oracle_refuses_a_cross_diffusion(tmp_path, capsys, d2):
+    # the grid integrates the d2 = 0 equation; d2 = +-0.1 ran as a stencil
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "scenario": "wigner-gaussian-oracle", "coefficients": {"d2": d2}})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "'coefficients.d2'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_oracle_accepts_an_explicit_zero_cross_diffusion(tmp_path):
+    overrides = {"coefficients": {"d2": 0.0}, "grid": {"nx": 64, "np": 64},
+                 "time": {"t_end": 1.0, "n_samples": 2}}
+    report = run_scenario("wigner-gaussian-oracle", overrides, out_base=str(tmp_path))
+    assert report.summary["inputs"]["d2"] == 0.0
+
+
 @pytest.mark.parametrize("t_end", [-1.0, 0.0])
 def test_cli_oracle_refuses_a_nonpositive_end_time(tmp_path, capsys, t_end):
     # -1 used to exit 2 naming no key; 0 wrote 41 identical t = 0 rows

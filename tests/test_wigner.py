@@ -115,6 +115,13 @@ def test_nondimensionalize_free_needs_a_bath():
         nondimensionalize(params, CoefficientSet(omega_star=0.0, gamma=0.0, d1=0.0))
 
 
+@pytest.mark.parametrize("d2", [1e-60, -1e-60])
+def test_nondimensionalize_refuses_a_cross_diffusion(d2):
+    # the grid integrates the d2 = 0 equation; gaussian_dynamics keeps d2
+    with pytest.raises(DomainError, match="d2"):
+        nondimensionalize(MIRROR, coefficient_set(MIRROR, d2=d2))
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(mass=None, omega=1.0, gamma=0.0, d1=0.0),   # streaming needs a mass
     dict(mass=0.0, omega=1.0, gamma=0.0, d1=0.0),
@@ -275,6 +282,33 @@ def test_grids_too_small_are_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("gamma, refused", [(0.0, True), (0.5, False)])
+def test_the_cat_containment_check_follows_the_damped_envelope(gamma, refused):
+    # alpha 0.3 on its default box to the scenario's t_end: undamped, the
+    # envelope widens to 3.8 and puts 3e-3 on the p edges; at gamma 0.5 its
+    # variance levels off at d1 / (2 gamma), width 1
+    spec = CatWignerSpec(alpha_mag=0.3)
+    sc = SolverCoefficients(mass=None, omega=0.0, gamma=gamma, d1=1.0)
+    times = np.linspace(0.0, 6.944, 1001)[1:]
+    if refused:
+        with pytest.raises(GridTooSmall, match="p edges"):
+            wigner_solver.check_cat_contained(spec, init_cat(spec), sc, times)
+    else:
+        wigner_solver.check_cat_contained(spec, init_cat(spec), sc, times)
+
+
+def test_the_cat_containment_check_reads_every_time_given():
+    # damping pulls the momentum lobes in more slowly than their variance
+    # levels off, so the edge mass peaks mid-run (2.3e-8 at t = 0.49) and
+    # falls below the tolerance by t = 3
+    spec = CatWignerSpec(alpha_mag=2.0, orientation="momentum")
+    grid = init_cat(spec, nx=128, n_p=64)
+    sc = SolverCoefficients(mass=None, omega=0.0, gamma=1.0, d1=2.7)
+    wigner_solver.check_cat_contained(spec, grid, sc, [3.0])
+    with pytest.raises(GridTooSmall, match="by t = 0.49 "):
+        wigner_solver.check_cat_contained(spec, grid, sc, np.linspace(0.0, 3.0, 301)[1:])
+
+
 # ------------------------------------------------------------- stepping
 
 
@@ -342,17 +376,6 @@ def test_pure_diffusion_matches_the_exact_cat_pointwise(decay_times):
     assert np.max(np.abs(grid.values - exact)) <= 1e-12 * np.max(exact)
 
 
-@pytest.mark.parametrize("d2", [0.1, -0.1])
-def test_cross_term_tracks_the_moment_oracle(tmp_path, d2):
-    # the d2 term runs as the interior stencil; an exact spectral factor
-    # for it trips the ring monitor at both values
-    from casidec.scenarios import run_scenario
-
-    rep = run_scenario("wigner-gaussian-oracle", {"coefficients": {"d2": d2}},
-                       out_base=str(tmp_path))
-    assert rep.summary["derived"]["max_rel_moment_error_overall"] <= 1e-3
-
-
 def test_damped_evolution_matches_moment_integrator():
     state = GaussianState(mean_x=1.0, mean_p=0.3, cov_xx=0.7, cov_xp=0.1, cov_pp=0.4)
     params = MirrorParams(mass=0.5, omega0=1.0)
@@ -410,15 +433,6 @@ def test_step_size_guards():
     damped = SolverCoefficients(mass=0.5, omega=0.0, gamma=10.0, d1=0.0)
     with pytest.raises(StepSizeError):
         step(grid, step_plan(grid, damped, 0.01))  # gamma dt = 0.1 > 0.05
-
-
-def test_a_cross_stencil_past_its_sub_cycle_cap_is_refused():
-    # at d2 = 1e300 the sub-cycle loop ran without end
-    grid = init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, nx=32, n_p=32)
-    for d2 in (1e300, -1e300):
-        sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=0.0, d1=0.01, d2=d2)
-        with pytest.raises(StepSizeError, match="sub-cycles"):
-            step(grid, step_plan(grid, sc, 0.01))
 
 
 def test_stability_violation_on_garbage():
@@ -535,7 +549,9 @@ def test_identity_drift_runs_no_transform(monkeypatch):
     plan = step_plan(grid, sc, 0.01)
     out = step(grid, plan)
     assert np.array_equal(out.values, grid.values)
-    assert plan.passes == ()
+    assert plan.passes == () and plan.carry is None
+    # so a run holds no axis and transforms nothing either
+    assert np.array_equal(evolve_grid(grid, sc, 0.05, 0.01).values, grid.values)
 
 
 def _ou_generator(mass, omega, gamma, d1):
@@ -724,17 +740,14 @@ def test_step_refuses_a_plan_built_for_another_box(box):
 
 def _real_space_step(grid, sc, dt):
     """One step as every pass once ran it: a full rfft, factor and irfft
-    round trip per FFT pass, and the d2 stencil around the plan."""
+    round trip per FFT pass."""
     w = grid.values
-    cross_half = -sc.d2 * (0.5 * dt) / (4.0 * grid.dx * grid.dp)
-    w = wigner_solver._diffuse(w, cross_half)
     for kind, op in step_plan(grid, sc, dt).passes:
         if kind == "stretch":
             w = w @ op
         else:
             axis = 0 if kind == "x" else 1
             w = np.fft.irfft(np.fft.rfft(w, axis=axis) * op, n=w.shape[axis], axis=axis)
-    w = wigner_solver._diffuse(w, cross_half)
     return w
 
 
@@ -745,9 +758,7 @@ _PLAN_KINDS = {   # coefficients of each plan kind, and the axis a run holds
     "damped": (SolverCoefficients(mass=0.5, omega=1.0, gamma=0.05, d1=0.02), 0),
     "damped free streaming": (SolverCoefficients(mass=0.5, omega=0.0, gamma=0.05, d1=0.02),
                               0),
-    "damping only": (SolverCoefficients(mass=None, omega=0.0, gamma=0.05, d1=0.02), None),
-    "d2 stencil": (SolverCoefficients(mass=0.5, omega=1.0, gamma=0.0, d1=0.02, d2=0.05),
-                   None),
+    "damping only": (SolverCoefficients(mass=None, omega=0.0, gamma=0.05, d1=0.02), 0),
 }
 _CARRY_BOX = dict(nx=63, n_p=56, x_half_width=12.0, p_half_width=6.0)
 _CARRY_DT = 0.002
@@ -785,13 +796,13 @@ def test_a_carried_run_matches_real_space_stepping(kind):
     assert np.array_equal(finals[0], finals[1])
 
 
-def test_a_carried_damped_step_makes_four_transforms(monkeypatch):
-    # irfft x, rfft p, irfft p, rfft x: the stretch acts on the held x
-    # spectrum, where the real-space stretch took an irfft and an rfft more
-    sc, held = _PLAN_KINDS["damped"]
+def _full_field_transforms(monkeypatch, kind, passes):
+    """The array shapes one carried step of this plan kind hands to rfft and
+    irfft: those of the full field, and all of them."""
+    sc, held = _PLAN_KINDS[kind]
     grid = init_gaussian(1.0, 0.25, 1.0, 0.05, 0.25, **_CARRY_BOX)
     plan = step_plan(grid, sc, _CARRY_DT)
-    assert [kind for kind, _ in plan.passes] == ["x", "p", "x", "stretch"]
+    assert [kind for kind, _ in plan.passes] == passes
     state = replace(grid, values=np.fft.rfft(grid.values, axis=held))
     shapes = []
     for name in ("rfft", "irfft"):
@@ -803,8 +814,20 @@ def test_a_carried_damped_step_makes_four_transforms(monkeypatch):
     assert np.iscomplexobj(out.values)
     # the ring monitor's irfft of the two edge columns is not a full-field one
     edge_columns = (_CARRY_BOX["nx"] // 2 + 1, 2)
-    full = [shape for shape in shapes if shape != edge_columns]
+    return [shape for shape in shapes if shape != edge_columns], shapes
+
+
+def test_a_carried_damped_step_makes_four_transforms(monkeypatch):
+    # irfft x, rfft p, irfft p, rfft x: the stretch acts on the held x
+    # spectrum, where the real-space stretch took an irfft and an rfft more
+    full, shapes = _full_field_transforms(monkeypatch, "damped", ["x", "p", "x", "stretch"])
     assert len(full) == 4 and len(shapes) == 5
+
+
+def test_a_carried_damping_only_step_makes_no_transform(monkeypatch):
+    # its one pass, the stretch, acts on the held x spectrum
+    full, shapes = _full_field_transforms(monkeypatch, "damping only", ["stretch"])
+    assert len(full) == 0 and len(shapes) == 1
 
 
 @pytest.mark.parametrize("nx, n_p", [(32, 32), (33, 30), (30, 33)])
