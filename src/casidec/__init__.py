@@ -18,7 +18,6 @@ from .errors import (
     QuadratureFailure,
     RegimeViolation,
     RegimeWarning,
-    RootFindingFailure,
     StabilityViolation,
     StepSizeError,
     UnknownScenario,

@@ -24,7 +24,6 @@ from .errors import (
     OptimizationFailure,
     QuadratureFailure,
     RegimeViolation,
-    RootFindingFailure,
     StabilityViolation,
     StepSizeError,
     UnknownScenario,
@@ -32,9 +31,8 @@ from .errors import (
 from .scenarios import describe, format_float, list_scenarios, run_scenario
 
 _CONFIG_FAILURES = (ConfigError, UnknownScenario, NonPhysicalInput, DomainError)
-_NUMERICAL_FAILURES = (QuadratureFailure, RootFindingFailure, StepSizeError,
-                       OptimizationFailure, StabilityViolation, GridTooSmall,
-                       FitFailure)
+_NUMERICAL_FAILURES = (QuadratureFailure, StepSizeError, OptimizationFailure,
+                       StabilityViolation, GridTooSmall, FitFailure)
 
 
 def _exit_code(exc: Exception) -> int:

@@ -21,10 +21,6 @@ class QuadratureFailure(CasidecError):
     """An integral has no finite value for the given inputs."""
 
 
-class RootFindingFailure(CasidecError):
-    """Root finding did not converge."""
-
-
 class StepSizeError(CasidecError):
     """Integrator step size too large for the requested evolution."""
 

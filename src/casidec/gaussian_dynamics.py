@@ -186,13 +186,11 @@ def linear_entropy(state: GaussianState, constants: PhysicalConstants = CODATA) 
 def entropy_production_rate(state: GaussianState, params: MirrorParams,
                             coeffs: CoefficientSet,
                             constants: PhysicalConstants = CODATA, *,
-                            rotation_averaged: bool = False,
-                            diffusion_xx: float = 0.0) -> float:
+                            rotation_averaged: bool = False) -> float:
     """Initial linear-entropy production rate dS/dt of the state.
 
     Analytically, d(det cov)/dt = -4 Gamma det cov + 2 D1 cov_xx
-    + 2 D2 cov_xp (+ 2 Dxx cov_pp for a test-only position diffusion), and
-    dS/dt = (hbar/4) (det cov)^(-3/2) d(det cov)/dt. With
+    + 2 D2 cov_xp, and dS/dt = (hbar/4) (det cov)^(-3/2) d(det cov)/dt. With
     rotation_averaged=True the covariances entering the diffusion terms
     are replaced by their averages over one free rotation at omega_star,
     which removes the unphysical transient reward for position squeezing
@@ -208,15 +206,13 @@ def entropy_production_rate(state: GaussianState, params: MirrorParams,
         mw = params.mass * coeffs.omega_star
         xx, xp, pp = (0.5 * (xx + pp / mw**2), 0.0, 0.5 * (pp + mw**2 * state.cov_xx))
     det = state.det_cov
-    ddet = (-4.0 * coeffs.gamma * det + 2.0 * coeffs.d1 * xx
-            + 2.0 * coeffs.d2 * xp + 2.0 * diffusion_xx * pp)
+    ddet = -4.0 * coeffs.gamma * det + 2.0 * coeffs.d1 * xx + 2.0 * coeffs.d2 * xp
     return 0.25 * constants.hbar * det ** (-1.5) * ddet
 
 
 def secular_linear_entropy(state: GaussianState, params: MirrorParams,
                            coeffs: CoefficientSet, t: float, omega: float,
-                           constants: PhysicalConstants = CODATA, *,
-                           diffusion_xx: float = 0.0) -> float:
+                           constants: PhysicalConstants = CODATA) -> float:
     """Linear entropy at time t from the period-averaged moment system.
 
     Exact closed form of the rotation-averaged (secular) covariance
@@ -237,7 +233,7 @@ def secular_linear_entropy(state: GaussianState, params: MirrorParams,
     occ = (mw * state.cov_xx + state.cov_pp / mw) / (2.0 * hbar)
     sq = math.hypot((mw * state.cov_xx - state.cov_pp / mw) / (2.0 * hbar),
                     state.cov_xp / hbar)
-    source = (coeffs.d1 / mw + mw * diffusion_xx) / hbar
+    source = coeffs.d1 / mw / hbar
     if coeffs.gamma > 0:
         decay = math.exp(-2.0 * coeffs.gamma * t)
         occ = source / (2.0 * coeffs.gamma) + (occ - source / (2.0 * coeffs.gamma)) * decay
@@ -323,8 +319,7 @@ _SIEVE_TOL = 1e-6
 def sieve_search(params: MirrorParams, coeffs: CoefficientSet,
                  constants: PhysicalConstants = CODATA, *,
                  r_max: float = 2.0,
-                 objective: str = "rotation_averaged",
-                 diffusion_xx: float = 0.0) -> SieveResult:
+                 objective: str = "rotation_averaged") -> SieveResult:
     """Predictability sieve over the pure squeezed-state family.
 
     Minimizes the entropy production rate over squeezing magnitude r (the
@@ -339,7 +334,7 @@ def sieve_search(params: MirrorParams, coeffs: CoefficientSet,
     omega/Gamma is large (it resolves every rotation), so the check uses
     the closed secular form, which agrees with evolve() to O(Gamma/omega).
     """
-    if coeffs.d1 <= 0 and diffusion_xx <= 0:
+    if coeffs.d1 <= 0:
         raise DomainError("the sieve needs a positive diffusion coefficient")
     if objective not in ("rotation_averaged", "instantaneous"):
         raise DomainError(f"unknown sieve objective {objective!r}")
@@ -351,20 +346,21 @@ def sieve_search(params: MirrorParams, coeffs: CoefficientSet,
 
     averaged = objective == "rotation_averaged"
 
-    def rate(r, theta):
-        st = squeezed_pure_state(r, theta, params, omega_ref, constants)
+    def state(r, theta):
+        return squeezed_pure_state(r, theta, params, omega_ref, constants)
+
+    def rate(st):
         return entropy_production_rate(st, params, coeffs, constants,
-                                       rotation_averaged=averaged,
-                                       diffusion_xx=diffusion_xx)
+                                       rotation_averaged=averaged)
 
     if averaged:
-        r_star, best = _golden_minimize(lambda r: rate(r, 0.0), 0.0, r_max, _SIEVE_TOL)
+        r_star, best = _golden_minimize(lambda r: rate(state(r, 0.0)), 0.0, r_max, _SIEVE_TOL)
         theta_star = 0.0
     else:
         best = math.inf
         r_star = theta_star = 0.0
         for theta in _THETA_GRID:
-            r_opt, val = _golden_minimize(lambda r: rate(r, theta), 0.0, r_max, _SIEVE_TOL)
+            r_opt, val = _golden_minimize(lambda r: rate(state(r, theta)), 0.0, r_max, _SIEVE_TOL)
             if val < best:
                 best, r_star, theta_star = val, r_opt, theta
     if abs(r_star) < _SIEVE_TOL:
@@ -376,28 +372,18 @@ def sieve_search(params: MirrorParams, coeffs: CoefficientSet,
         eval_times = (0.0,)
 
     rows = []
-    entropies = []  # parallel: per row, entropy at each positive eval time
     for r in _R_GRID:
         for theta in (_THETA_GRID if r > 0 else (0.0,)):
-            st = squeezed_pure_state(r, theta, params, omega_ref, constants)
-            row = [r, theta, rate(r, theta)]
-            ent = []
-            for te in eval_times:
-                if te == 0.0:
-                    ent.append(rate(r, theta))
-                else:
-                    ent.append(secular_linear_entropy(
-                        st, params, coeffs, te, omega_ref, constants,
-                        diffusion_xx=diffusion_xx))
-            row.extend(ent)
-            rows.append(tuple(row))
-            entropies.append(ent)
+            st = state(r, theta)
+            rate_st = rate(st)
+            rows.append((r, theta, rate_st, *(
+                rate_st if te == 0.0
+                else secular_linear_entropy(st, params, coeffs, te, omega_ref, constants)
+                for te in eval_times)))
 
-    r_values = [row[0] for row in rows]
-    argmin_r = []
-    for j in range(len(eval_times)):
-        col = [e[j] for e in entropies]
-        argmin_r.append(r_values[col.index(min(col))])
+    # the r of the least-entropy row at each evaluation time (columns 3 on)
+    argmin_r = [min(rows, key=lambda row: row[j])[0]
+                for j in range(3, 3 + len(eval_times))]
     r_floor = min(_R_GRID)
     stable = all(r == r_floor for r in argmin_r) if averaged else True
 

@@ -31,7 +31,6 @@ from .errors import (
     QuadratureFailure,
     RegimeViolation,
     RegimeWarning,
-    RootFindingFailure,
 )
 from .params import CODATA, MirrorParams, PhysicalConstants
 
@@ -150,18 +149,16 @@ class CharacteristicRoots:
     residual_rel_max: float
 
 
-_NEWTON_MAX_STEPS = 200
-
-
 def characteristic_roots(params: MirrorParams,
                          constants: PhysicalConstants = CODATA) -> CharacteristicRoots:
     """Solve the cubic dispersion relation of the damped mirror exactly.
 
     For omega0 = 0 the roots {0, 0, 1/eps} are returned in closed form.
-    Otherwise the cubic has exactly one real root, the runaway r > 1/eps:
-    it is negative on s <= 1/eps and increasing and convex beyond. Newton
-    iteration from 1/eps therefore converges to r, quadratically. Deflating
-    by r leaves the oscillatory pair as the roots of the quadratic
+    Otherwise the cubic has exactly one real root, the runaway r > 1/eps,
+    and Cardano's formula gives it: with a = (eps omega0)^2 and
+    u = cbrt(1 + 27a/2 + sqrt(27a (1 + 27a/4))), r = (1 + u + 1/u)/(3 eps),
+    a sum of positive terms at every a, so nothing cancels. Deflating by r
+    leaves the oscillatory pair as the roots of the quadratic
     s^2 - (1/eps - r) s + omega0^2/(eps r) = 0 (Vieta). The work runs in
     arbitrary precision, at 30 + 4.2 log10(1/(eps omega0)) digits: the pair's
     sum 1/eps - r cancels (eps omega0)^2 of 1/eps, and the real part's
@@ -189,18 +186,9 @@ def characteristic_roots(params: MirrorParams,
         w0_hp = mpf(w0)
         gamma_hp = mpf(hbar) * w0_hp**2 / (12 * mp.pi * mpf(params.mass) * mpf(c) ** 2)
 
-        runaway_hp = 1 / eps_hp
-        tol = mpf(10) ** (3 - digits)
-        for _ in range(_NEWTON_MAX_STEPS):
-            step = ((eps_hp * runaway_hp - 1) * runaway_hp**2 - w0_hp**2) / (
-                (3 * eps_hp * runaway_hp - 2) * runaway_hp)
-            runaway_hp -= step
-            if abs(step) <= tol * runaway_hp:
-                break
-        else:
-            raise RootFindingFailure(
-                f"Newton iteration for the runaway root did not converge in "
-                f"{_NEWTON_MAX_STEPS} steps (last step {float(step / runaway_hp):.3g} relative)")
+        a = (eps_hp * w0_hp) ** 2
+        u = mp.cbrt(1 + 27 * a / 2 + mp.sqrt(27 * a * (1 + 27 * a / 4)))
+        runaway_hp = (1 + u + 1 / u) / (3 * eps_hp)
         half_sum = (1 / eps_hp - runaway_hp) / 2
         s_plus = mp.mpc(half_sum, mp.sqrt(w0_hp**2 / (eps_hp * runaway_hp) - half_sum**2))
 

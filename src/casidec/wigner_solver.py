@@ -349,15 +349,21 @@ def check_cat_contained(spec: CatWignerSpec, grid: PhaseSpaceGrid,
     shrinks by e^{-2 g t}, and its variance is _SIGMA_P^2 e^{-4 g t} +
     d1 (1 - e^{-4 g t}) / (2 g), or _SIGMA_P^2 + 2 d1 t at g = 0. A lobe's
     density at a distance peaks at a width equal to it, past which the
-    periodic field only flattens, so the width is capped there."""
+    periodic field only flattens, so the width is capped there. At a damping
+    so strong that g t or the edge's distance over the width overflows, the
+    exponentials take their limit 0, and a width that underflows to 0 is
+    held at the least normal double."""
     t = numpy.asarray(times, dtype=float)
-    g, decay = sc.gamma, numpy.exp(-4.0 * sc.gamma * t)
-    gained = 2.0 * sc.d1 * t if g == 0 else -sc.d1 * numpy.expm1(-4.0 * g * t) / (2.0 * g)
-    var = _SIGMA_P**2 * decay + gained
-    lobe = (0.5 * spec.separation if spec.orientation == "momentum" else 0.0) * numpy.sqrt(decay)
-    dist = grid.p_half_width + numpy.array([-lobe, lobe])
-    capped = numpy.minimum(var, dist**2)
-    edge = numpy.sum(numpy.exp(-dist**2 / (2.0 * capped)) / numpy.sqrt(2 * math.pi * capped), 0)
+    with np.errstate(over="ignore"):
+        g, decay = sc.gamma, numpy.exp(-4.0 * sc.gamma * t)
+        gained = 2.0 * sc.d1 * t if g == 0 else -sc.d1 * numpy.expm1(-4.0 * g * t) / (2.0 * g)
+        var = _SIGMA_P**2 * decay + gained
+        lobe = ((0.5 * spec.separation if spec.orientation == "momentum" else 0.0)
+                * numpy.sqrt(decay))
+        dist = grid.p_half_width + numpy.array([-lobe, lobe])
+        capped = numpy.maximum(numpy.minimum(var, dist**2), sys.float_info.min)
+        edge = numpy.sum(numpy.exp(-dist**2 / (2.0 * capped))
+                         / numpy.sqrt(2 * math.pi * capped), 0)
     worst = int(numpy.argmax(edge))
     if not edge[worst] * grid.dp <= _BOUNDARY_TOL:
         raise GridTooSmall(

@@ -12,7 +12,7 @@ import tempfile
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from casidec import scenarios
@@ -113,8 +113,19 @@ def _runs_or_fails_typed(name, overrides):
         pass
 
 
+def _strongly_damped_cat(gamma):
+    return {"cat": {"alpha_mag": 0.25, "phase": 0.0},
+            "coefficients": {"d1": 1.0, "gamma": gamma},
+            "grid": {"nx": 16, "np": 26}, "time": {"dt": 1.0, "n_samples": 1},
+            "t_end_over_td": 1.0}
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_cat_overrides())
+# dampings this strong used to overflow in the box check, untyped
+@example(_strongly_damped_cat(4.9935920412842106e+306))
+@example(_strongly_damped_cat(2.247116418577895e+307))
+@example(_strongly_damped_cat(8.98846567431158e+307))
 def test_cat_scenario_draws_run_or_fail_typed(overrides):
     _runs_or_fails_typed("wigner-cat-highT", overrides)
 

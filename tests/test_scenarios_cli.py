@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from casidec import cli, scenarios
+from casidec import cli, errors, scenarios
 from casidec.cli import main
 from casidec.errors import ConfigError, DomainError, UnknownScenario
 from casidec.scenarios import (
@@ -241,6 +241,26 @@ def test_cli_failed_consistency_exits_4(tmp_path, capsys):
         "scenario": "identity-suite", "draws": 50, "tolerance": 1e-30})
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
     assert "FAIL" in capsys.readouterr().err
+
+
+# the documented exit code of every package error
+_EXIT_CODES = {
+    errors.ConfigError: 2, errors.UnknownScenario: 2, errors.NonPhysicalInput: 2,
+    errors.DomainError: 2,
+    errors.RegimeViolation: 3,
+    errors.QuadratureFailure: 4, errors.StepSizeError: 4, errors.OptimizationFailure: 4,
+    errors.StabilityViolation: 4, errors.GridTooSmall: 4, errors.FitFailure: 4,
+    errors.IoError: 1,
+}
+
+
+def test_every_error_class_maps_to_its_documented_exit_code():
+    defined = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.CasidecError)
+               and cls is not errors.CasidecError}
+    assert defined == set(_EXIT_CODES)
+    for cls, code in _EXIT_CODES.items():
+        assert cli._exit_code(cls("x")) == code, cls.__name__
 
 
 def test_cli_io_failure_exits_1(tmp_path, capsys):
@@ -506,6 +526,16 @@ def test_cli_heavy_mirror_roots_meet_their_bound(tmp_path, capsys, mass):
         (tmp_path / "out" / "1d-mirror-vacuum" / "summary.json").read_text())["derived"]
     ratio = derived["hbar_omega0_over_Mc2"]
     assert derived["characteristic_roots"]["re_deviation_rel"] <= 10.0 * ratio**2
+
+
+def test_cli_light_mirror_is_refused_for_its_speed(tmp_path, capsys):
+    # at 1e-70 kg the cubic solver used to stop converging (exit 4) before the
+    # run reached its real fault: the packets would move faster than light
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "scenario": "1d-mirror-vacuum", "mirror": {"mass": 1e-70}})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "v/c" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_check_runs_the_identity_suite(tmp_path, capsys):

@@ -69,18 +69,6 @@ def test_instantaneous_objective_runs_away():
     assert res.r_star == pytest.approx(2.0, abs=1e-3)
 
 
-def test_rotated_diffusion_moves_the_optimum():
-    # all diffusion rotated into position: momentum squeezing should win
-    coeffs = coefficient_set(MIRROR)
-    rotated = CoefficientSet(omega_star=coeffs.omega_star, gamma=coeffs.gamma,
-                             d1=0.0, d2=0.0)
-    dxx = coeffs.d1 / (MIRROR.mass * coeffs.omega_star) ** 2
-    res = sieve_search(MIRROR, rotated, objective="instantaneous",
-                       diffusion_xx=dxx)
-    assert res.r_star > 0.5
-    assert res.theta_star == pytest.approx(math.pi)
-
-
 def test_sieve_guards():
     with pytest.raises(DomainError):
         sieve_search(MIRROR, CoefficientSet(omega_star=1e10, gamma=1e-12, d1=0.0))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -176,6 +176,26 @@ def test_roots_hold_over_the_whole_mass_range(log_mass, log_omega0):
     assert roots.re_deviation_rel <= 10.0 * ratio**2
     assert roots.runaway == pytest.approx(6 * math.pi * mass * CODATA.c**2 / CODATA.hbar,
                                           rel=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_eps_omega0=st.floats(0.0, 250.0), log_omega0=st.floats(6.0, 12.0))
+@example(log_eps_omega0=26.0, log_omega0=10.0)
+@example(log_eps_omega0=250.0, log_omega0=6.0)
+def test_roots_hold_for_light_mirrors(log_eps_omega0, log_omega0):
+    # light mirrors: eps omega0 >= 1 puts the runaway root far from 1/eps, where
+    # an iteration started at 1/eps used to stop converging (eps omega0 >~ 3e25)
+    omega0 = 10.0**log_omega0
+    eps = 10.0**log_eps_omega0 / omega0
+    mass = CODATA.hbar / (6 * math.pi * eps * CODATA.c**2)
+    roots = characteristic_roots(MirrorParams(mass=mass, omega0=omega0))
+    s1, s2 = roots.oscillatory
+    assert all(math.isfinite(v) for v in (roots.runaway, s1.real, s1.imag, s2.real, s2.imag))
+    assert roots.residual_rel_max <= 1e-14
+    # the sum s1 + s2 + r cancels here, so only the scaled product is checked
+    product = (roots.runaway * eps) * (s1 / omega0) * (s2 / omega0)
+    assert product.real == pytest.approx(1.0, rel=1e-12)
+    assert abs(product.imag) <= 1e-12
 
 
 def test_roots_free_particle_closed_form():
