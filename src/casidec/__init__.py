@@ -54,8 +54,6 @@ from .spectra_damping import (
     gamma_vacuum_sphere,
 )
 from .decoherence_times import (
-    Regime,
-    TdResult,
     td_cat_vacuum,
     td_from_diffusion,
     td_from_separation,

@@ -13,36 +13,12 @@ import functools
 import json
 import sys
 
-from .errors import (
-    CasidecError,
-    ConfigError,
-    DomainError,
-    FitFailure,
-    GridTooSmall,
-    IoError,
-    NonPhysicalInput,
-    OptimizationFailure,
-    QuadratureFailure,
-    RegimeViolation,
-    StabilityViolation,
-    StepSizeError,
-    UnknownScenario,
-)
+from .errors import CasidecError, ConfigError
 from .scenarios import describe, format_float, list_scenarios, run_scenario
 
-_CONFIG_FAILURES = (ConfigError, UnknownScenario, NonPhysicalInput, DomainError)
-_NUMERICAL_FAILURES = (QuadratureFailure, StepSizeError, OptimizationFailure,
-                       StabilityViolation, GridTooSmall, FitFailure)
 
-
-def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, RegimeViolation):
-        return 3
-    if isinstance(exc, _NUMERICAL_FAILURES):
-        return 4
-    if isinstance(exc, _CONFIG_FAILURES):
-        return 2
-    return 1
+def _exit_code(exc: CasidecError) -> int:
+    return exc.exit_code
 
 
 def _print_derived(derived: dict):

@@ -250,21 +250,24 @@ def squeezed_pure_state(r: float, theta: float, params: MirrorParams, omega: flo
                         constants: PhysicalConstants = CODATA) -> GaussianState:
     """Pure squeezed state at frequency omega: r = 0 is the coherent state.
 
-    cov_xx = (hbar / 2 M omega) (cosh 2r - sinh 2r cos theta), cov_pp its
-    mirror with +cos theta, cov_xp = -(hbar/2) sinh 2r sin theta; the
-    determinant is hbar^2/4 for every (r, theta).
+    cov_xx = (hbar / 2 M omega) (e^-2r cos^2(theta/2) + e^2r sin^2(theta/2)),
+    cov_pp = (hbar M omega / 2) (e^-2r sin^2(theta/2) + e^2r cos^2(theta/2)),
+    cov_xp = -(hbar/2) sinh 2r sin theta; the determinant is hbar^2/4 for
+    every (r, theta). The sums of positive terms equal cosh 2r -/+ sinh 2r
+    cos theta, whose difference form cancels at theta = 0 for large r.
     """
     if omega <= 0:
         raise DomainError("squeezed state needs a positive reference frequency")
     if r < 0:
         raise NonPhysicalInput("squeezing magnitude must be >= 0")
-    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    shrink, stretch = math.exp(-2.0 * r), math.exp(2.0 * r)
+    c2, s2 = math.cos(0.5 * theta) ** 2, math.sin(0.5 * theta) ** 2
     mw = params.mass * omega
     return GaussianState(
         mean_x=0.0, mean_p=0.0,
-        cov_xx=(constants.hbar / (2.0 * mw)) * (ch - sh * math.cos(theta)),
-        cov_xp=-(constants.hbar / 2.0) * sh * math.sin(theta),
-        cov_pp=(constants.hbar * mw / 2.0) * (ch + sh * math.cos(theta)),
+        cov_xx=(constants.hbar / (2.0 * mw)) * (shrink * c2 + stretch * s2),
+        cov_xp=-(constants.hbar / 2.0) * math.sinh(2.0 * r) * math.sin(theta),
+        cov_pp=(constants.hbar * mw / 2.0) * (shrink * s2 + stretch * c2),
     )
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .decoherence_times import td_cat_vacuum
 from .errors import DomainError, NonPhysicalInput
 
 __all__ = [

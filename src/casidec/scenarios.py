@@ -91,7 +91,7 @@ __all__ = [
     "scenario_defaults",
 ]
 
-_SCHEMA_VERSION = 8
+_SCHEMA_VERSION = 9
 _OUT_DIR_ENV = "CASIDEC_OUT_DIR"
 _CSV_COLUMNS = ("visibility", "purity", "mean_x", "mean_p",
                 "cov_xx", "cov_xp", "cov_pp")
@@ -277,9 +277,9 @@ def _run_1d_mirror_vacuum(cfg: dict):
             "hbar_omega0_over_Mc2": CODATA.hbar * params.omega0 / (
                 params.mass * CODATA.c**2),
             "td_routes_s": {
-                "amplitude": td_amp.td,
-                "separation": td_sep.td,
-                "relative_weight": td_rel.td,
+                "amplitude": td_amp,
+                "separation": td_sep,
+                "relative_weight": td_rel,
             },
             "characteristic_roots": {
                 "oscillatory_re_per_s": osc.real,
@@ -289,7 +289,7 @@ def _run_1d_mirror_vacuum(cfg: dict):
             },
         },
     }
-    return summary, _cat_series(td_amp.td, cfg["series_points"], dq.delta_x,
+    return summary, _cat_series(td_amp, cfg["series_points"], dq.delta_x,
                                 dq.ground_width, (CODATA.hbar / (2.0 * dq.ground_width)) ** 2)
 
 
@@ -309,12 +309,12 @@ def _run_sphere_rayleigh_vacuum(cfg: dict):
         "rayleigh_suppression": gamma_sph / gamma_flat,
         "size_parameter": size,
         "v_over_c": v_over_c,
-        "td_routes_s": {"amplitude": td_amp.td},
+        "td_routes_s": {"amplitude": td_amp},
     }
     # the closed-form route holds only deep inside size < 324^(1/6) v/c
     if size < 324.0 ** (1.0 / 6.0) * v_over_c:
         derived["td_routes_s"]["relative_weight"] = td_relative_sphere(
-            v_over_c, params.omega0, params.radius).td
+            v_over_c, params.omega0, params.radius)
     else:
         derived["relative_weight_note"] = (
             "skipped: size parameter exceeds the validity window of the "
@@ -327,7 +327,7 @@ def _run_sphere_rayleigh_vacuum(cfg: dict):
                    "radius_m": params.radius, "alpha_mag": dq.alpha_mag},
         "derived": derived,
     }
-    return summary, _cat_series(td_amp.td, cfg["series_points"], dq.delta_x,
+    return summary, _cat_series(td_amp, cfg["series_points"], dq.delta_x,
                                 dq.ground_width, (CODATA.hbar / (2.0 * dq.ground_width)) ** 2)
 
 
@@ -351,22 +351,21 @@ def _thermal_sphere_summary(name: str, cfg: dict):
             "thermal_length_m": lam,
             "d1_kg2_m2_per_s3": d1,
             "td_routes_s": {
-                "thermal_length": td_lam.td,
-                "combined": td_all.td,
-                "diffusion": td_diff.td,
+                "thermal_length": td_lam,
+                "combined": td_all,
+                "diffusion": td_diff,
             },
-            "td_times_dx2_s_m2": td_all.td * delta_x**2,
+            "td_times_dx2_s_m2": td_all * delta_x**2,
         },
     }
-    return summary, _cat_series(td_all.td, cfg["series_points"], delta_x, lam,
+    return summary, _cat_series(td_all, cfg["series_points"], delta_x, lam,
                                 params.mass * CODATA.k_boltzmann * params.temperature)
 
 
 def _run_sieve_pointer_states(cfg: dict):
     params = MirrorParams(**cfg["mirror"])
-    gamma = gamma_vacuum_1d(params)
-    d1 = diffusion_asymptotic(params, gamma)
-    coeffs = coefficient_set(params, gamma=gamma, d1=d1)
+    coeffs = coefficient_set(params)
+    gamma, d1 = coeffs.gamma, coeffs.d1
     res = sieve_search(params, coeffs, r_max=cfg["r_max"],
                        objective=cfg["objective"])
 
@@ -550,28 +549,28 @@ def _run_identity_suite(cfg: dict):
             sep = separation_from_alpha(alpha[i], osc)
             v_over_c = packet_velocity(osc, alpha[i]) / CODATA.c
 
-            a = td_cat_vacuum(alpha[i], gamma).td
-            b = td_from_separation(sep, width, gamma).td
+            a = td_cat_vacuum(alpha[i], gamma)
+            b = td_from_separation(sep, width, gamma)
             dev["amplitude_vs_separation"] = max(
                 dev["amplitude_vs_separation"], abs(a / b - 1.0))
 
-            c = td_relative_1d(v_over_c, omega0[i]).td
+            c = td_relative_1d(v_over_c, omega0[i])
             dev["amplitude_vs_relative_weight"] = max(
                 dev["amplitude_vs_relative_weight"], abs(a / c - 1.0))
 
             r_sph = size_frac[i] * v_over_c * CODATA.c / omega0[i]
             sphere = MirrorParams(mass=mass[i], omega0=omega0[i], radius=r_sph)
             g_sph = gamma_vacuum_sphere(sphere)
-            d = td_cat_vacuum(alpha[i], g_sph).td
-            e = td_relative_sphere(v_over_c, omega0[i], r_sph).td
+            d = td_cat_vacuum(alpha[i], g_sph)
+            e = td_relative_sphere(v_over_c, omega0[i], r_sph)
             dev["sphere_vs_relative_weight"] = max(
                 dev["sphere_vs_relative_weight"], abs(d / e - 1.0))
 
             free = MirrorParams(mass=mass[i], temperature=temp[i], radius=radius[i])
             g_th = gamma_thermal_sphere(free)
             lam = thermal_de_broglie(free)
-            f = td_high_T(lam, delta_x[i], g_th).td
-            g = td_thermal_sphere_free(free, delta_x[i]).td
+            f = td_high_T(lam, delta_x[i], g_th)
+            g = td_thermal_sphere_free(free, delta_x[i])
             dev["thermal_chain"] = max(dev["thermal_chain"], abs(f / g - 1.0))
 
     tol = cfg["tolerance"]

@@ -342,16 +342,15 @@ class CoefficientSet:
             raise NonPhysicalInput("omega_star, gamma, d1 must be >= 0")
 
 
-def coefficient_set(params: MirrorParams, constants: PhysicalConstants = CODATA, *,
-                    gamma: float | None = None, d1: float | None = None,
-                    d2: float = 0.0, delta_omega: float = 0.0) -> CoefficientSet:
+def coefficient_set(params: MirrorParams,
+                    constants: PhysicalConstants = CODATA) -> CoefficientSet:
     """Assemble a CoefficientSet from the printed regime formulas.
 
-    gamma defaults to the regime dispatcher; d1 defaults to the asymptotic
-    thermal-interpolated diffusion coefficient for that gamma. delta_omega
-    is the caller-supplied frequency shift (default 0).
+    gamma comes from the regime dispatcher, d1 from the asymptotic
+    thermal-interpolated diffusion coefficient for that gamma; the trap
+    frequency is unshifted and d2 is 0. Build a CoefficientSet directly
+    for any other values.
     """
-    g = damping_rate(params, constants) if gamma is None else gamma
-    if d1 is None:
-        d1 = diffusion_asymptotic(params, g, constants)
-    return CoefficientSet(omega_star=params.omega0 + delta_omega, gamma=g, d1=d1, d2=d2)
+    gamma = damping_rate(params, constants)
+    return CoefficientSet(omega_star=params.omega0, gamma=gamma,
+                          d1=diffusion_asymptotic(params, gamma, constants))

@@ -42,10 +42,10 @@ def test_criterion_01_cosmic_background_anchor():
     """Sphere in the 2.7 K background: td * dx^2 = 2.7e-21 s m^2 within 5%."""
     params = MirrorParams(mass=1.0, temperature=2.7, radius=1e-2)
     res = td_thermal_sphere_free(params, delta_x=1e-6)
-    product = res.td * (1e-6) ** 2
-    print(f"criterion 1: td*dx^2 = {product:.6e} s m^2, td(1um) = {res.td:.4e} s")
+    product = res * (1e-6) ** 2
+    print(f"criterion 1: td*dx^2 = {product:.6e} s m^2, td(1um) = {res:.4e} s")
     assert product == pytest.approx(2.7e-21, rel=0.05)
-    assert res.td == pytest.approx(2.7e-9, rel=0.05)
+    assert res == pytest.approx(2.7e-9, rel=0.05)
 
 
 def test_criterion_02_lifetime_identity_suite(tmp_path):
@@ -185,7 +185,7 @@ def test_criterion_09_pair_emission_consistency():
     """Which-way overlap decay constant identical to the photon-counting
     lifetime; linear and exponentiated modes agree to (t/td)^2 / 2."""
     alpha, gamma = 10.0, 3.112458978295733e-12
-    td = td_cat_vacuum(alpha, gamma).td
+    td = td_cat_vacuum(alpha, gamma)
     t_probe = 0.37 * td
     overlap = which_way_overlap(t_probe, alpha, gamma)
     implied_td = -t_probe / math.log(overlap)

@@ -55,10 +55,10 @@ def test_amplitude_separation_and_relative_weight_agree(mass, omega0, alpha):
         osc = MirrorParams(mass=mass, omega0=omega0)
         gamma = gamma_vacuum_1d(osc)
         v_over_c = packet_velocity(osc, alpha) / CODATA.c
-        return (td_cat_vacuum(alpha, gamma).td,
+        return (td_cat_vacuum(alpha, gamma),
                 td_from_separation(separation_from_alpha(alpha, osc),
-                                   ground_state_width(osc), gamma).td,
-                td_relative_1d(v_over_c, omega0).td)
+                                   ground_state_width(osc), gamma),
+                td_relative_1d(v_over_c, omega0))
 
     amplitude, separation, weight = routes()
     assert abs(amplitude / separation - 1.0) <= TOL
@@ -78,8 +78,8 @@ def test_sphere_chain_agrees(mass, omega0, alpha, size_frac):
         v_over_c = packet_velocity(MirrorParams(mass=mass, omega0=omega0), alpha) / CODATA.c
         radius = size_frac * v_over_c * CODATA.c / omega0
         sphere = MirrorParams(mass=mass, omega0=omega0, radius=radius)
-        return (td_cat_vacuum(alpha, gamma_vacuum_sphere(sphere)).td,
-                td_relative_sphere(v_over_c, omega0, radius).td)
+        return (td_cat_vacuum(alpha, gamma_vacuum_sphere(sphere)),
+                td_relative_sphere(v_over_c, omega0, radius))
 
     amplitude, weight = routes()
     assert abs(amplitude / weight - 1.0) <= TOL
@@ -92,8 +92,8 @@ def test_thermal_chain_agrees(mass, temperature, radius, delta_x):
     @_quiet
     def routes():
         free = MirrorParams(mass=mass, temperature=temperature, radius=radius)
-        return (td_high_T(thermal_de_broglie(free), delta_x, gamma_thermal_sphere(free)).td,
-                td_thermal_sphere_free(free, delta_x).td)
+        return (td_high_T(thermal_de_broglie(free), delta_x, gamma_thermal_sphere(free)),
+                td_thermal_sphere_free(free, delta_x))
 
     high_t, sphere = routes()
     assert abs(high_t / sphere - 1.0) <= TOL

@@ -27,7 +27,7 @@ def test_pair_probability_linear_growth():
 
 
 def test_overlap_decay_constant_is_the_photon_counting_lifetime():
-    td = td_cat_vacuum(ALPHA, GAMMA).td
+    td = td_cat_vacuum(ALPHA, GAMMA)
     for t_over_td in (0.3, 1.0, 2.4):
         t = t_over_td * td
         overlap = which_way_overlap(t, ALPHA, GAMMA)
@@ -37,7 +37,7 @@ def test_overlap_decay_constant_is_the_photon_counting_lifetime():
 
 def test_linear_and_exponentiated_agree_in_window():
     # |exp(-x) - (1 - x)| <= x^2 / 2 inside the perturbative window
-    td = td_cat_vacuum(ALPHA, GAMMA).td
+    td = td_cat_vacuum(ALPHA, GAMMA)
     for frac in (0.01, 0.05, 0.1):
         t = frac * td
         lin = which_way_overlap(t, ALPHA, GAMMA, exponentiated=False)
@@ -46,7 +46,7 @@ def test_linear_and_exponentiated_agree_in_window():
 
 
 def test_linear_overlap_floor():
-    td = td_cat_vacuum(ALPHA, GAMMA).td
+    td = td_cat_vacuum(ALPHA, GAMMA)
     assert which_way_overlap(10 * td, ALPHA, GAMMA, exponentiated=False) == -1.0
     assert which_way_overlap(2 * td, ALPHA, GAMMA, exponentiated=False) == pytest.approx(-1.0)
 
@@ -58,7 +58,7 @@ def test_reduced_offdiagonal_is_half_the_overlap():
 
 
 def test_emission_state_bookkeeping():
-    td = td_cat_vacuum(ALPHA, GAMMA).td
+    td = td_cat_vacuum(ALPHA, GAMMA)
     early = emission_state(0.05 * td, ALPHA, GAMMA)
     assert early.perturbative
     assert early.vacuum_weight + early.pair_weight == pytest.approx(1.0, rel=1e-12)

@@ -104,7 +104,7 @@ def test_manifest_is_the_only_place_with_timing(tmp_path):
     rep = run_scenario("cosmic-background-sphere", {"series_points": 5},
                        out_base=str(tmp_path))
     manifest = json.loads((rep.out_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == 8
+    assert manifest["schema_version"] == 9
     assert manifest["scenario"] == "cosmic-background-sphere"
     assert manifest["config"]["series_points"] == 5
     assert manifest["config"]["mirror"]["temperature"] == 2.7
@@ -536,6 +536,23 @@ def test_cli_light_mirror_is_refused_for_its_speed(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
     assert "v/c" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, r_star", [
+    ({"r_max": 7.5}, 0.0),
+    ({"r_max": 4.0, "objective": "instantaneous"}, 4.0),
+])
+def test_cli_sieve_runs_at_large_squeezing(tmp_path, capsys, overrides, r_star):
+    # cosh 2r - sinh 2r cos(theta) used to cancel at theta = 0, so the squeezed
+    # state failed the purity gate ("defined at a pure state", exit 2)
+    cfg = _write_config(tmp_path / "cfg.json",
+                        {"scenario": "sieve-pointer-states", **overrides})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    derived = json.loads(
+        (tmp_path / "out" / "sieve-pointer-states" / "summary.json").read_text())["derived"]
+    assert derived["r_star"] == pytest.approx(r_star, abs=1e-3)
+    assert derived["theta_star"] == pytest.approx(0.0, abs=1e-3)
 
 
 def test_cli_check_runs_the_identity_suite(tmp_path, capsys):

@@ -361,9 +361,6 @@ def test_coefficient_set_defaults_to_regime_formulas():
     assert c.d2 == 0.0
 
 
-def test_coefficient_set_overrides():
-    c = coefficient_set(MIRROR, gamma=1e-13, d1=2e-57, d2=1e-60, delta_omega=-1e5)
-    assert (c.gamma, c.d1, c.d2) == (1e-13, 2e-57, 1e-60)
-    assert c.omega_star == MIRROR.omega0 - 1e5
+def test_coefficient_set_rejects_negative_rates():
     with pytest.raises(NonPhysicalInput):
         CoefficientSet(omega_star=1.0, gamma=-0.1, d1=1.0)

@@ -119,7 +119,7 @@ def test_nondimensionalize_free_needs_a_bath():
 def test_nondimensionalize_refuses_a_cross_diffusion(d2):
     # the grid integrates the d2 = 0 equation; gaussian_dynamics keeps d2
     with pytest.raises(DomainError, match="d2"):
-        nondimensionalize(MIRROR, coefficient_set(MIRROR, d2=d2))
+        nondimensionalize(MIRROR, replace(coefficient_set(MIRROR), d2=d2))
 
 
 @pytest.mark.parametrize("kwargs", [
