@@ -70,6 +70,9 @@ class GaussianState:
     cov_pp: float
 
     def __post_init__(self):
+        moments = (self.mean_x, self.mean_p, self.cov_xx, self.cov_xp, self.cov_pp)
+        if not all(math.isfinite(v) for v in moments):
+            raise NonPhysicalInput(f"moments must be finite, got {moments}")
         if not (self.cov_xx > 0 and self.cov_pp > 0):
             raise NonPhysicalInput("diagonal covariances must be positive")
         if self.det_cov <= 0:
@@ -145,14 +148,14 @@ def evolve(state: GaussianState, params: MirrorParams, coeffs: CoefficientSet,
     equation is not completely positive, so a coefficient set can leave the
     physical cone; that raises StepSizeError with the time and determinant.
     """
-    if t < 0:
-        raise DomainError("evolution time must be >= 0")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"evolution time must be finite and >= 0, got {t!r}")
     if t == 0.0:
         return state
     limit = _default_dt(coeffs)
     if dt is None:
         dt = limit
-    elif dt <= 0:
+    elif not dt > 0:
         raise StepSizeError("dt must be positive")
     elif dt > limit * (1.0 + 1e-12):
         raise StepSizeError(f"dt = {dt:g} exceeds the stability budget {limit:g}")

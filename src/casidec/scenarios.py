@@ -66,6 +66,7 @@ from .gaussian_dynamics import (
     purity,
     secular_linear_entropy,
     sieve_search,
+    squeezed_pure_state,
 )
 from .wigner_solver import (
     CatWignerSpec,
@@ -393,9 +394,7 @@ def _run_sieve_pointer_states(cfg: dict):
     # time series: the selected pointer state, period-averaged closed form
     # (step-resolved integration to 0.5/gamma is unreachable at vacuum scale)
     n = cfg["series_points"]
-    width = ground_state_width(params)
-    state = GaussianState(mean_x=0.0, mean_p=0.0, cov_xx=width**2, cov_xp=0.0,
-                          cov_pp=(CODATA.hbar / (2.0 * width)) ** 2)
+    state = squeezed_pure_state(res.r_star, res.theta_star, params, coeffs.omega_star)
     mw = params.mass * coeffs.omega_star
     occ0 = (mw * state.cov_xx + state.cov_pp / mw) / (2.0 * CODATA.hbar)
     occ_inf = coeffs.d1 / (2.0 * gamma * CODATA.hbar * mw)
@@ -413,8 +412,12 @@ def _run_sieve_pointer_states(cfg: dict):
 
 
 def _run_wigner_cat_hight(cfg: dict):
+    cat = dict(cfg["cat"])
+    if cat.pop("orientation") != "position":
+        raise ConfigError(f"'cat.orientation' = {cfg['cat']['orientation']!r}: the grid's cat is "
+                          "separated in position, with its fringes along p")
     _require_positive(cfg, "cat.alpha_mag", "coefficients.d1", "t_end_over_td", "time.dt")
-    spec = CatWignerSpec(**cfg["cat"])
+    spec = CatWignerSpec(**cat)
     sc = SolverCoefficients(mass=None, omega=0.0, **cfg["coefficients"])
     k = spec.fringe_wavenumber
     td_plain = 1.0 / (sc.d1 * k**2)
@@ -426,7 +429,7 @@ def _run_wigner_cat_hight(cfg: dict):
     per, h = _sample_steps(t_end, n_samples, dt, "'time.dt' and 't_end_over_td'")
     grid = init_cat(spec, nx=cfg["grid"]["nx"], n_p=cfg["grid"]["np"])
     try:    # rather than step until the ring monitor stops the run
-        check_cat_contained(spec, grid, sc, h * np.arange(1, per * n_samples + 1))
+        check_cat_contained(grid, sc, h * np.arange(1, per * n_samples + 1))
     except GridTooSmall as exc:
         raise ConfigError(f"'cat.alpha_mag' and 't_end_over_td': {exc}") from exc
     times, vis, rows = [], [], []
@@ -706,8 +709,9 @@ _register(
     "landscape at later times by actually evolving every candidate. The\n"
     "optimum sits at zero squeezing: coherent states are the pointer\n"
     "states of vacuum-friction decoherence. The CSV follows the selected\n"
-    "state's purity under the full evolution (it stays pure: it is a\n"
-    "fixed point of the covariance flow).",
+    "state to 0.5 / gamma under the period-averaged closed form: its\n"
+    "purity and rotation-averaged covariances. Only the coherent state\n"
+    "stays pure (it is a fixed point of the covariance flow).",
     {
         "mirror": {"mass": 1e-21, "omega0": 1e10},
         "r_max": 2.0,

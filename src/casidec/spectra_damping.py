@@ -338,8 +338,10 @@ class CoefficientSet:
     d2: float = 0.0
 
     def __post_init__(self):
-        if self.omega_star < 0 or self.gamma < 0 or self.d1 < 0:
-            raise NonPhysicalInput("omega_star, gamma, d1 must be >= 0")
+        if not all(0 <= v < math.inf for v in (self.omega_star, self.gamma, self.d1)):
+            raise NonPhysicalInput("omega_star, gamma, d1 must be finite and >= 0")
+        if not math.isfinite(self.d2):
+            raise NonPhysicalInput(f"d2 = {self.d2!r} must be finite")
 
 
 def coefficient_set(params: MirrorParams,

@@ -26,19 +26,19 @@ position diffusion its term d2 k_x k_p is ill-posed, so nondimensionalize
 refuses it; the exact moment flow of gaussian_dynamics keeps it.
 
 Every plan with passes carries an axis: p when every pass is a p pass (pure
-diffusion), x otherwise. evolve_grid holds the field as that axis's rfft
-between steps, so a step skips its opening rfft and closing irfft, and pure
-diffusion takes no transform at all. The stretch is a matmul along p, so it
-commutes with the rfft along x and acts on the held x spectrum as one real
-matmul on its stacked real and imaginary parts: a damped step takes 4
-transforms instead of 6, and a damping-only step none. The monitors read
-that spectral state directly, and each observer sample and the returned
-grid are real.
+diffusion), x otherwise. step runs on that axis's rfft, and evolve_grid
+holds the field there between steps, so a step skips its opening rfft and
+closing irfft, and pure diffusion takes no transform at all. The stretch is
+a matmul along p, so it commutes with the rfft along x and acts on the x
+spectrum as one real matmul on its stacked real and imaginary parts: a
+damped step takes 4 transforms instead of 6, and a damping-only step none.
+The monitors read the spectrum directly; each observer sample and the
+returned grid are real.
 
 The solver is dimensionless by convention: callers map SI inputs through
 nondimensionalize(), which rescales lengths to the ground-state width (or
-the thermal wavelength for a free particle) and sets hbar_eff = 1. The
-default initial state is a two-packet superposition whose interference
+the thermal wavelength for a free particle) and sets hbar_eff = 1. The cat
+is a two-packet superposition separated in position, whose interference
 fringes sit along p with wavenumber equal to the packet separation; fringe
 visibility is the Fourier amplitude of the midpoint slice at that
 wavenumber, normalized to its initial value.
@@ -110,10 +110,10 @@ class SolverCoefficients:
         if self.mass is None:
             if self.omega != 0:
                 raise NonPhysicalInput("mass=None (no streaming) requires omega = 0")
-        elif self.mass <= 0:
-            raise NonPhysicalInput("solver mass must be positive")
-        if self.omega < 0 or self.gamma < 0 or self.d1 < 0:
-            raise NonPhysicalInput("omega, gamma, d1 must be >= 0")
+        elif not 0 < self.mass < math.inf:
+            raise NonPhysicalInput(f"solver mass must be positive and finite, got {self.mass!r}")
+        if not all(0 <= v < math.inf for v in (self.omega, self.gamma, self.d1)):
+            raise NonPhysicalInput("omega, gamma, d1 must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -167,42 +167,36 @@ def nondimensionalize(params: MirrorParams, coeffs: CoefficientSet,
 class CatWignerSpec:
     """Two-packet superposition in solver units.
 
-    alpha_mag fixes the packet separation (4 alpha ground widths along the
-    separated axis); phase is the relative phase of the branches;
-    orientation chooses whether the packets are separated in position
-    (fringes along p) or momentum (fringes along x).
+    alpha_mag fixes the packet separation (4 alpha ground widths in
+    position, so the fringes lie along p); phase is the relative phase of
+    the branches.
     """
 
     alpha_mag: float
     phase: float = 0.0
-    orientation: str = "position"
 
     def __post_init__(self):
-        if self.alpha_mag < 0:
-            raise NonPhysicalInput("alpha_mag must be non-negative")
+        if not (0 <= self.alpha_mag < math.inf and math.isfinite(self.phase)):
+            raise NonPhysicalInput(f"alpha_mag = {self.alpha_mag!r} must be finite and "
+                                   f">= 0, and phase = {self.phase!r} finite")
         if self.alpha_mag == 0 and math.cos(self.phase) <= -1.0 + 1e-12:
             raise NonPhysicalInput(
                 "alpha_mag = 0 with phase pi leaves a state of zero norm")
-        if self.orientation not in ("position", "momentum"):
-            raise NonPhysicalInput(f"unknown orientation {self.orientation!r}")
 
     @classmethod
     def from_cat_spec(cls, cat: CatSpec, params: MirrorParams,
-                      constants: PhysicalConstants = CODATA,
-                      orientation: str = "position") -> "CatWignerSpec":
+                      constants: PhysicalConstants = CODATA) -> "CatWignerSpec":
         cat = resolve_cat(cat, params, constants)
-        return cls(alpha_mag=cat.alpha_mag, phase=cat.phase, orientation=orientation)
+        return cls(alpha_mag=cat.alpha_mag, phase=cat.phase)
 
     @property
     def separation(self) -> float:
-        """Packet separation along the separated axis, solver length units."""
-        if self.orientation == "position":
-            return 4.0 * self.alpha_mag
-        return 2.0 * self.alpha_mag  # momentum units are twice as fine
+        """Packet separation in position, solver length units."""
+        return 4.0 * self.alpha_mag
 
     @property
     def fringe_wavenumber(self) -> float:
-        """Wavenumber of the interference fringes along the conjugate axis.
+        """Wavenumber of the interference fringes along p.
 
         Equal to the separation because hbar_eff = 1 on the solver grid.
         """
@@ -226,7 +220,6 @@ class PhaseSpaceGrid:
     values: numpy.ndarray
     time: float = 0.0
     fringe_wavenumber: float | None = None
-    fringe_axis: str = "p"
     fringe_ref: float | None = None
 
     @property
@@ -257,18 +250,15 @@ _BOUNDARY_TOL = 1e-8
 
 def _cat_field(xg, pg, spec: CatWignerSpec):
     """Analytic two-packet Wigner field on mesh arrays (xg, pg)."""
-    if spec.orientation == "position":
-        u, v, su, sv = xg, pg, _SIGMA_X, _SIGMA_P
-    else:
-        u, v, su, sv = pg, xg, _SIGMA_P, _SIGMA_X
     half = 0.5 * spec.separation
     k = spec.fringe_wavenumber
     norm = 1.0 / (2.0 * math.pi * _SIGMA_X * _SIGMA_P)
-    env_v = np.exp(-v**2 / (2.0 * sv**2))
-    lobes = (np.exp(-(u - half) ** 2 / (2.0 * su**2))
-             + np.exp(-(u + half) ** 2 / (2.0 * su**2))) * env_v
-    interference = 2.0 * np.exp(-u**2 / (2.0 * su**2)) * env_v * np.cos(k * v - spec.phase)
-    overlap = math.exp(-spec.separation**2 / (8.0 * su**2))
+    env_p = np.exp(-pg**2 / (2.0 * _SIGMA_P**2))
+    lobes = (np.exp(-(xg - half) ** 2 / (2.0 * _SIGMA_X**2))
+             + np.exp(-(xg + half) ** 2 / (2.0 * _SIGMA_X**2))) * env_p
+    interference = (2.0 * np.exp(-xg**2 / (2.0 * _SIGMA_X**2)) * env_p
+                    * np.cos(k * pg - spec.phase))
+    overlap = math.exp(-spec.separation**2 / (8.0 * _SIGMA_X**2))
     return norm * (lobes + interference) / (2.0 * (1.0 + math.cos(spec.phase) * overlap))
 
 
@@ -305,8 +295,8 @@ def init_cat(spec: CatWignerSpec, nx: int = 256, n_p: int = 256,
              p_half_width: float | None = None) -> PhaseSpaceGrid:
     """Build the initial cat state on a grid sized to hold it.
 
-    Default box: the separated axis gets 1.5 times (half separation plus
-    five packet widths), the conjugate axis twelve packet widths. Raises
+    Default box: x gets 1.5 times (half separation plus five packet
+    widths), p twelve packet widths. Raises
     GridTooSmall when the analytic field exceeds 1e-8 of its peak on the
     boundary or the fringes get fewer than eight nodes per period. The
     grid is renormalized once after sampling; the sampled norm must
@@ -314,25 +304,19 @@ def init_cat(spec: CatWignerSpec, nx: int = 256, n_p: int = 256,
     """
     if nx < 16 or n_p < 16:
         raise GridTooSmall("grid must be at least 16 x 16")
-    sep, k = spec.separation, spec.fringe_wavenumber
-    if spec.orientation == "position":
-        xhw = 1.5 * (0.5 * sep + 5.0 * _SIGMA_X) if x_half_width is None else x_half_width
-        phw = 12.0 * _SIGMA_P if p_half_width is None else p_half_width
-        fringe_axis, fringe_dk = "p", 2.0 * phw / (n_p - 1)
-    else:
-        xhw = 12.0 * _SIGMA_X if x_half_width is None else x_half_width
-        phw = 1.5 * (0.5 * sep + 5.0 * _SIGMA_P) if p_half_width is None else p_half_width
-        fringe_axis, fringe_dk = "x", 2.0 * xhw / (nx - 1)
-    if k * fringe_dk > math.pi / 4.0:
+    k = spec.fringe_wavenumber
+    xhw = 1.5 * (0.5 * spec.separation + 5.0 * _SIGMA_X) if x_half_width is None else x_half_width
+    phw = 12.0 * _SIGMA_P if p_half_width is None else p_half_width
+    dp = 2.0 * phw / (n_p - 1)
+    if k * dp > math.pi / 4.0:
         raise GridTooSmall(
-            f"fringe wavenumber {k:.3g} underresolved: {2 * math.pi / (k * fringe_dk):.1f} "
+            f"fringe wavenumber {k:.3g} underresolved: {2 * math.pi / (k * dp):.1f} "
             "nodes per period, need at least 8")
 
     _check_box(xhw, phw)
     grid = PhaseSpaceGrid(nx=nx, np=n_p, x_half_width=xhw, p_half_width=phw,
                           values=numpy.zeros((nx, n_p)),
-                          fringe_wavenumber=k if k > 0 else None,
-                          fringe_axis=fringe_axis)
+                          fringe_wavenumber=k if k > 0 else None)
     xg, pg = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
     _set_contained(grid, _cat_field(xg, pg, spec))
     if grid.fringe_wavenumber is not None:
@@ -340,30 +324,27 @@ def init_cat(spec: CatWignerSpec, nx: int = 256, n_p: int = 256,
     return grid
 
 
-def check_cat_contained(spec: CatWignerSpec, grid: PhaseSpaceGrid,
-                        sc: SolverCoefficients, times) -> None:
+def check_cat_contained(grid: PhaseSpaceGrid, sc: SolverCoefficients, times) -> None:
     """Raise GridTooSmall when, at one of `times`, the cat that init_cat put
     on grid would carry more mass on the box's p edges than the ring monitor
-    allows. Without streaming (sc.mass None) p evolves on its own: each lobe
-    stays Gaussian, its centre (+-half the separation, momentum-oriented)
-    shrinks by e^{-2 g t}, and its variance is _SIGMA_P^2 e^{-4 g t} +
-    d1 (1 - e^{-4 g t}) / (2 g), or _SIGMA_P^2 + 2 d1 t at g = 0. A lobe's
+    allows. Without streaming (sc.mass None) p evolves on its own: the
+    momentum envelope stays a Gaussian centred at p = 0, with variance
+    _SIGMA_P^2 e^{-4 g t} + d1 (1 - e^{-4 g t}) / (2 g), or _SIGMA_P^2 +
+    2 d1 t at g = 0; both p edges lie at the half width from it. Its
     density at a distance peaks at a width equal to it, past which the
     periodic field only flattens, so the width is capped there. At a damping
     so strong that g t or the edge's distance over the width overflows, the
     exponentials take their limit 0, and a width that underflows to 0 is
     held at the least normal double."""
     t = numpy.asarray(times, dtype=float)
+    dist = grid.p_half_width
     with np.errstate(over="ignore"):
-        g, decay = sc.gamma, numpy.exp(-4.0 * sc.gamma * t)
+        g = sc.gamma
         gained = 2.0 * sc.d1 * t if g == 0 else -sc.d1 * numpy.expm1(-4.0 * g * t) / (2.0 * g)
-        var = _SIGMA_P**2 * decay + gained
-        lobe = ((0.5 * spec.separation if spec.orientation == "momentum" else 0.0)
-                * numpy.sqrt(decay))
-        dist = grid.p_half_width + numpy.array([-lobe, lobe])
+        var = _SIGMA_P**2 * numpy.exp(-4.0 * g * t) + gained
         capped = numpy.maximum(numpy.minimum(var, dist**2), sys.float_info.min)
-        edge = numpy.sum(numpy.exp(-dist**2 / (2.0 * capped))
-                         / numpy.sqrt(2 * math.pi * capped), 0)
+        edge = 2.0 * (numpy.exp(-dist**2 / (2.0 * capped))
+                      / numpy.sqrt(2 * math.pi * capped))
     worst = int(numpy.argmax(edge))
     if not edge[worst] * grid.dp <= _BOUNDARY_TOL:
         raise GridTooSmall(
@@ -643,33 +624,27 @@ def _in_domain(w, held: int | None, to: int | None, shape):
 
 
 def _stretch(w, c):
-    """w @ c for the real stretch operator c. A complex w, the field's rfft
-    along x, goes as one real matmul on its stacked real and imaginary
-    parts: numpy would run w @ c as a complex matmul of twice the work."""
-    if not numpy.iscomplexobj(w):
-        return w @ c
+    """w @ c for the real stretch operator c and w the field's rfft along x,
+    as one real matmul on its stacked real and imaginary parts: numpy would
+    run w @ c as a complex matmul of twice the work."""
     stacked = numpy.concatenate([w.real, w.imag]) @ c
     out = numpy.empty(w.shape, complex)
     out.real, out.imag = stacked[:len(w)], stacked[len(w):]
     return out
 
 
-def _node_sum(w, held: int | None) -> float:
-    """Sum of the field over all nodes; for an rfft along axis `held`, the
-    real part of its zero-frequency slice."""
-    if held is None:
-        return float(np.sum(w))
+def _node_sum(w, held: int) -> float:
+    """Sum of the field over all nodes, read from w, its rfft along axis
+    `held`: the real part of the zero-frequency slice."""
     return float(np.sum(np.take(w, 0, axis=held).real))
 
 
-def _ring_sum(w, held: int | None, shape, edges) -> float:
-    """Sum of |W| over the four edges of the box, corners counted twice. For
-    an rfft along axis `held`, the two edges across that axis are irffts of
-    its edge slices, and the two along it are `edges`, the rows of its
-    inverse transform from _edge_rows."""
-    if held is None:
-        sides = (w[0, :], w[-1, :], w[:, 0], w[:, -1])
-    elif held == 0:
+def _ring_sum(w, held: int, shape, edges) -> float:
+    """Sum of |W| over the four edges of the box, corners counted twice, read
+    from w, its rfft along axis `held`: the two edges across that axis are
+    irffts of its edge slices, and the two along it are `edges`, the rows of
+    its inverse transform from _edge_rows."""
+    if held == 0:
         sides = ((edges @ w).real, irfft(w[:, [0, -1]], n=shape[0], axis=0))
     else:
         sides = (irfft(w[[0, -1]], n=shape[1], axis=1), (w @ edges.T).real)
@@ -680,47 +655,48 @@ def step(grid: PhaseSpaceGrid, plan: StepPlan) -> PhaseSpaceGrid:
     """Advance one step by plan (from step_plan): the exact Ornstein-Uhlenbeck
     flow over plan.dt.
 
-    The grid may hold the real field or, as evolve_grid carries it, its rfft
-    along plan.carry, and comes back in the same domain: a real grid, which
-    only a direct caller passes, comes back real. A pass along the axis the
-    field is already held on takes no transform. A plan built for another
-    box raises DomainError.
+    The step runs on the field's rfft along plan.carry, as evolve_grid holds
+    it between steps; a real grid, which only a direct caller passes, is
+    transformed there on entry and back on exit. Each pass runs on the rfft
+    along its own axis, the stretch on the one along x. A plan with no
+    passes leaves the field untouched, and one built for another box raises
+    DomainError.
 
     Norm drift per step and mass on the boundary ring are monitored;
-    crossing either tolerance raises StabilityViolation. The ring monitor is
-    what keeps the periodic wrap of the FFT passes harmless.
+    crossing either tolerance, or a NaN reading, raises StabilityViolation.
+    The ring monitor is what keeps the periodic wrap of the FFT passes
+    harmless.
     """
     box = (grid.nx, grid.np, grid.x_half_width, grid.p_half_width)
     if box != plan.box:
         raise DomainError(f"step plan built for the box {plan.box}, not {box}")
+    if not plan.passes:
+        return replace(grid, time=grid.time + plan.dt)
     dx, dp = grid.dx, grid.dp
-    shape = (grid.nx, grid.np)
-    held = plan.carry if numpy.iscomplexobj(grid.values) else None
-    w, at = grid.values, held
+    shape, held = (grid.nx, grid.np), plan.carry
+    real = not numpy.iscomplexobj(grid.values)
+    w, at = _in_domain(grid.values, None if real else held, held, shape), held
     norm_before = _node_sum(w, held) * dx * dp
 
     for kind, op in plan.passes:
-        if kind == "stretch":   # along p: it acts on the x spectrum as on the field
-            if at == 1:
-                w, at = _in_domain(w, at, None, shape), None
-            w = _stretch(w, op)
-        else:
-            axis = 0 if kind == "x" else 1
-            w, at = _in_domain(w, at, axis, shape) * op, axis
+        axis = 1 if kind == "p" else 0   # the stretch is along p: it acts on the x spectrum
+        w, at = _in_domain(w, at, axis, shape), axis
+        w = _stretch(w, op) if kind == "stretch" else w * op
     w = _in_domain(w, at, held, shape)
 
     norm_after = _node_sum(w, held) * dx * dp
-    if abs(norm_after - norm_before) > _NORM_TOL:
+    if not abs(norm_after - norm_before) <= _NORM_TOL:
         raise StabilityViolation(
             f"norm drifted by {norm_after - norm_before:.3g} in one step "
             f"(tolerance {_NORM_TOL:g})")
     ring = _ring_sum(w, held, shape, plan.edges)
-    if ring * dx * dp > _BOUNDARY_TOL:
+    if not ring * dx * dp <= _BOUNDARY_TOL:
         raise StabilityViolation(
             f"boundary ring carries {ring * dx * dp:.3g} mass (tolerance {_BOUNDARY_TOL:g}); "
             "the state is leaving the box and would wrap in the periodic passes")
 
-    return replace(grid, values=w, time=grid.time + plan.dt)
+    return replace(grid, values=_in_domain(w, held, None, shape) if real else w,
+                   time=grid.time + plan.dt)
 
 
 def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
@@ -737,8 +713,9 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     monitor or step-size failure is re-raised with the step index and the
     time it happened at.
     """
-    if t_final < grid.time:
-        raise DomainError("t_final lies before the grid's current time")
+    if not grid.time <= t_final < math.inf:
+        raise DomainError(f"t_final = {t_final!r} must be finite and not before the "
+                          f"grid's current time {grid.time!r}")
     if not dt > 0:
         raise StepSizeError(f"dt = {dt!r} must be positive")
     span = t_final - grid.time
@@ -808,14 +785,10 @@ def _fringe_amplitude(grid: PhaseSpaceGrid) -> float:
     """|Fourier amplitude| of the midpoint slice at the fringe wavenumber."""
     if grid.fringe_wavenumber is None:
         raise DomainError("grid carries no fringe metadata; build it with init_cat")
-    k = grid.fringe_wavenumber
-    if grid.fringe_axis == "p":
-        w, axis_vals, d = grid.values, grid.p_axis, grid.dp
-    else:
-        w, axis_vals, d = grid.values.T, grid.x_axis, grid.dx
-    mid = len(w) // 2
-    sl = w[mid] if len(w) % 2 else 0.5 * (w[mid - 1] + w[mid])
-    return float(np.abs(np.sum(sl * np.exp(-1j * k * axis_vals))) * d)
+    w, mid = grid.values, grid.nx // 2
+    sl = w[mid] if grid.nx % 2 else 0.5 * (w[mid - 1] + w[mid])
+    return float(np.abs(np.sum(sl * np.exp(-1j * grid.fringe_wavenumber * grid.p_axis)))
+                 * grid.dp)
 
 
 def fringe_visibility(grid: PhaseSpaceGrid) -> float:

@@ -13,6 +13,8 @@ import pytest
 from casidec import cli, errors, scenarios
 from casidec.cli import main
 from casidec.errors import ConfigError, DomainError, UnknownScenario
+from casidec.gaussian_dynamics import squeezed_pure_state
+from casidec.params import MirrorParams
 from casidec.scenarios import (
     _COUNT_BOUNDS,
     _merge_config,
@@ -442,6 +444,23 @@ def test_cli_oracle_refuses_a_cross_diffusion(tmp_path, capsys, d2):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("orientation", ["momentum", "diagonal"])
+def test_cli_cat_refuses_an_orientation_other_than_position(tmp_path, capsys, monkeypatch,
+                                                            orientation):
+    # a momentum cat stepped to the end and exited 4 in the fit: momentum
+    # diffusion does not blur its fringes, which lie along x
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a refused cat reached the grid")
+
+    monkeypatch.setattr(scenarios, "evolve_grid", unreachable)
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "scenario": "wigner-cat-highT", "cat": {"orientation": orientation},
+        "coefficients": {"gamma": 0.5}})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "'cat.orientation'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_the_oracle_accepts_an_explicit_zero_cross_diffusion(tmp_path):
     overrides = {"coefficients": {"d2": 0.0}, "grid": {"nx": 64, "np": 64},
                  "time": {"t_end": 1.0, "n_samples": 2}}
@@ -553,6 +572,24 @@ def test_cli_sieve_runs_at_large_squeezing(tmp_path, capsys, overrides, r_star):
         (tmp_path / "out" / "sieve-pointer-states" / "summary.json").read_text())["derived"]
     assert derived["r_star"] == pytest.approx(r_star, abs=1e-3)
     assert derived["theta_star"] == pytest.approx(0.0, abs=1e-3)
+
+
+def test_the_sieve_series_follows_the_selected_state(tmp_path):
+    # the series was built from the ground state whatever state the sieve
+    # chose: at r* = 4 it read purity 1 and the ground-state cov_xx throughout
+    overrides = {"r_max": 4.0, "objective": "instantaneous"}
+    rep = run_scenario("sieve-pointer-states", overrides, out_base=str(tmp_path))
+    derived = rep.summary["derived"]
+    mirror = MirrorParams(**scenario_defaults("sieve-pointer-states")["mirror"])
+    state = squeezed_pure_state(derived["r_star"], derived["theta_star"], mirror,
+                                mirror.omega0)
+    mw = mirror.mass * mirror.omega0
+    rows = [line.split(",") for line in
+            (rep.out_dir / "series.csv").read_text().splitlines()[1:]]
+    # the period average of cov_xx, which the series starts from
+    assert float(rows[0][5]) == pytest.approx(
+        0.5 * (state.cov_xx + state.cov_pp / mw**2), rel=1e-12)
+    assert float(rows[-1][2]) < 0.05
 
 
 def test_cli_check_runs_the_identity_suite(tmp_path, capsys):
