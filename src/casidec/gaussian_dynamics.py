@@ -160,6 +160,8 @@ def evolve(state: GaussianState, params: MirrorParams, coeffs: CoefficientSet,
     elif dt > limit * (1.0 + 1e-12):
         raise StepSizeError(f"dt = {dt:g} exceeds the stability budget {limit:g}")
 
+    if not t / dt < math.inf:
+        raise StepSizeError(f"the span {t!r} over dt = {dt!r} overflows the step count")
     n = max(1, math.ceil(t / dt - 1e-12))
     h = t / n
     flow = expm(_state_generator(params, coeffs) * h)

@@ -32,8 +32,10 @@ closing irfft, and pure diffusion takes no transform at all. The stretch is
 a matmul along p, so it commutes with the rfft along x and acts on the x
 spectrum as one real matmul on its stacked real and imaginary parts: a
 damped step takes 4 transforms instead of 6, and a damping-only step none.
-The monitors read the spectrum directly; each observer sample and the
-returned grid are real.
+The monitors read the spectrum directly: the norm from its zero-frequency
+slice, the two ring edges across the held axis by small irffts, and the two
+along it by one real matmul on its float view, whose operator the plan
+holds. Each observer sample and the returned grid are real.
 
 The solver is dimensionless by convention: callers map SI inputs through
 nondimensionalize(), which rescales lengths to the ground-state width (or
@@ -317,8 +319,7 @@ def init_cat(spec: CatWignerSpec, nx: int = 256, n_p: int = 256,
     grid = PhaseSpaceGrid(nx=nx, np=n_p, x_half_width=xhw, p_half_width=phw,
                           values=numpy.zeros((nx, n_p)),
                           fringe_wavenumber=k if k > 0 else None)
-    xg, pg = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
-    _set_contained(grid, _cat_field(xg, pg, spec))
+    _set_contained(grid, _cat_field(grid.x_axis[:, None], grid.p_axis[None, :], spec))
     if grid.fringe_wavenumber is not None:
         grid.fringe_ref = _fringe_amplitude(grid)
     return grid
@@ -551,7 +552,9 @@ def _edge_rows(n: int):
 class StepPlan:
     """One step on one box, built by step_plan: the (kind, operator) passes,
     and the carried axis (1 when every pass is a p pass, else 0; None for a
-    plan with no passes) with its _edge_rows for the ring monitor."""
+    plan with no passes) with the ring monitor's real edge operator: the
+    carried axis's _edge_rows E as the stacked [E.real; E.imag], (4, m),
+    for x, and as the interleaved rows (E.real, -E.imag), (2m, 2), for p."""
 
     box: tuple          # (nx, np, x_half_width, p_half_width)
     dt: float
@@ -608,9 +611,13 @@ def step_plan(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> StepPl
         passes.append((axis, op))
     kinds = {kind for kind, _ in passes}
     carry = (1 if kinds == {"p"} else 0) if kinds else None
+    edges = None if carry is None else _edge_rows((nx, n_p)[carry])
+    if carry == 0:
+        edges = numpy.concatenate([edges.real, edges.imag])
+    elif carry == 1:
+        edges = numpy.stack([edges.real.T, -edges.imag.T], axis=1).reshape(-1, 2)
     return StepPlan(box=(nx, n_p, grid.x_half_width, grid.p_half_width), dt=dt,
-                    passes=tuple(passes), carry=carry,
-                    edges=None if carry is None else _edge_rows((nx, n_p)[carry]))
+                    passes=tuple(passes), carry=carry, edges=edges)
 
 
 def _in_domain(w, held: int | None, to: int | None, shape):
@@ -636,18 +643,22 @@ def _stretch(w, c):
 def _node_sum(w, held: int) -> float:
     """Sum of the field over all nodes, read from w, its rfft along axis
     `held`: the real part of the zero-frequency slice."""
-    return float(np.sum(np.take(w, 0, axis=held).real))
+    return float(np.sum((w[0] if held == 0 else w[:, 0]).real))
 
 
 def _ring_sum(w, held: int, shape, edges) -> float:
     """Sum of |W| over the four edges of the box, corners counted twice, read
     from w, its rfft along axis `held`: the two edges across that axis are
-    irffts of its edge slices, and the two along it are `edges`, the rows of
-    its inverse transform from _edge_rows."""
+    irffts of its edge slices, and the two along it one real matmul of
+    `edges` (StepPlan.edges) on w's float view, not numpy's complex matmul:
+    held x, E.real @ w.real sits in its rows 0-1 at even columns and
+    E.imag @ w.imag in rows 2-3 at odd ones."""
+    wf = numpy.ascontiguousarray(w).view(float)
     if held == 0:
-        sides = ((edges @ w).real, irfft(w[:, [0, -1]], n=shape[0], axis=0))
+        ab = edges @ wf
+        sides = (ab[:2, 0::2] - ab[2:, 1::2], irfft(w[:, [0, -1]], n=shape[0], axis=0))
     else:
-        sides = (irfft(w[[0, -1]], n=shape[1], axis=1), (w @ edges.T).real)
+        sides = (irfft(w[[0, -1]], n=shape[1], axis=1), wf @ edges)
     return sum(float(np.sum(np.abs(e))) for e in sides)
 
 
@@ -721,6 +732,8 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     span = t_final - grid.time
     if span == 0:
         return grid
+    if not span / dt < math.inf:
+        raise StepSizeError(f"the span {span!r} over dt = {dt!r} overflows the step count")
     n = max(1, math.ceil(span / dt * (1.0 - 1e-9)))
     h = span / n
 

@@ -190,6 +190,18 @@ def test_non_finite_inputs_are_refused_typed(build, error):
         build()
 
 
+# a positive dt so small that the span over it overflows to inf made both
+# step counts raise an untyped OverflowError from math.ceil
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: evolve_grid(_small_grid(), SolverCoefficients(**_ROTATION), 1.0, 1e-320),
+                 id="grid"),
+    pytest.param(lambda: evolve(GaussianState(**_STATE), *_OSC, 1.0, dt=1e-320), id="moments"),
+])
+def test_a_dt_too_small_to_count_its_steps_is_refused_typed(run):
+    with pytest.raises(StepSizeError, match=r"span 1\.0 .*dt = 1e-320"):
+        run()
+
+
 # ------------------------------------------------------- initial states
 
 
@@ -205,6 +217,18 @@ def test_cat_matches_density_matrix_oracle(spec):
 def test_cat_separation_and_fringe_wavenumber():
     assert CatWignerSpec(2.0).separation == pytest.approx(8.0)
     assert CatWignerSpec(2.0).fringe_wavenumber == pytest.approx(8.0)
+
+
+@pytest.mark.parametrize("nx, n_p", [(128, 128), (129, 127), (256, 512)])
+@pytest.mark.parametrize("alpha, phase", [(2.0, 0.0), (2.0, 0.7), (1.0, math.pi), (0.0, 0.0),
+                                          (0.0, 1.3)])
+def test_init_cat_samples_its_field_from_1d_factors_bit_for_bit(nx, n_p, alpha, phase):
+    # init_cat passes the x axis as a column and the p axis as a row; every
+    # node must come out as _cat_field evaluated on the full mesh
+    spec = CatWignerSpec(alpha_mag=alpha, phase=phase)
+    grid = init_cat(spec, nx=nx, n_p=n_p)
+    w = wigner_solver._cat_field(*np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij"), spec)
+    assert np.array_equal(grid.values, w / (float(np.sum(w)) * grid.dx * grid.dp))
 
 
 def test_cat_fringes_land_at_the_expected_wavenumber():
@@ -961,6 +985,17 @@ def test_a_damping_only_step_on_a_coarse_box_conserves_the_norm():
     assert abs(grid_norm(out) - grid_norm(grid)) <= 1e-8
 
 
+def _edge_operator(shape, held):
+    """StepPlan.edges of a plan that carries axis `held` on a box of this
+    shape: free streaming carries x, pure diffusion p."""
+    sc = (SolverCoefficients(mass=0.5, omega=0.0, gamma=0.0, d1=0.0) if held == 0
+          else SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=1.0))
+    box = wigner_solver.PhaseSpaceGrid(*shape, 8.0, 4.0, values=np.zeros(shape))
+    plan = step_plan(box, sc, 0.01)
+    assert plan.carry == held
+    return plan.edges
+
+
 @pytest.mark.parametrize("nx, n_p", [(32, 32), (33, 30), (30, 33)])
 def test_spectral_monitor_readings_equal_the_real_space_ones(nx, n_p):
     rng = np.random.default_rng(7)
@@ -980,9 +1015,47 @@ def test_spectral_monitor_readings_equal_the_real_space_ones(nx, n_p):
                        for e in (field[0, :], field[-1, :], field[:, 0], field[:, -1]))
             assert wigner_solver._node_sum(spectrum, held) == pytest.approx(
                 total, rel=1e-12, abs=1e-12 * np.sum(np.abs(field)))
-            edges = wigner_solver._edge_rows(shape[held])
+            edges = _edge_operator(shape, held)
             assert wigner_solver._ring_sum(spectrum, held, shape, edges) == pytest.approx(
                 ring, rel=1e-12)
+
+
+@pytest.mark.parametrize("nx, n_p", [(32, 32), (33, 30), (30, 33), (17, 17)])
+def test_spectral_monitor_readings_do_not_depend_on_memory_layout(nx, n_p):
+    # numpy 1.x returns rfft(..., axis=0) as an array that is not
+    # C-contiguous, and the ring reading takes a float view of the spectrum
+    rng = np.random.default_rng(11)
+    shape = (nx, n_p)
+    for held in (0, 1):
+        spectrum = np.fft.rfft(rng.standard_normal(shape), axis=held)
+        if held == 0:   # random imaginary parts on the zero and Nyquist bins
+            spectrum[[0, -1], :] += 1j * rng.standard_normal((2, n_p))
+        else:
+            spectrum[:, [0, -1]] += 1j * rng.standard_normal((nx, 2))
+        field = np.fft.irfft(spectrum, n=shape[held], axis=held)
+        ring = sum(np.sum(np.abs(e))
+                   for e in (field[0, :], field[-1, :], field[:, 0], field[:, -1]))
+        edges = _edge_operator(shape, held)
+        for layout in (np.asfortranarray(spectrum),
+                       np.ascontiguousarray(spectrum.T).swapaxes(0, 1)):
+            assert not layout.flags.c_contiguous and np.array_equal(layout, spectrum)
+            assert wigner_solver._node_sum(layout, held) == pytest.approx(
+                np.sum(field), rel=1e-12, abs=1e-12 * np.sum(np.abs(field)))
+            assert wigner_solver._ring_sum(layout, held, shape, edges) == pytest.approx(
+                ring, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 17, 256, 511])
+def test_the_plans_edge_operator_is_the_real_form_of_the_edge_rows(n):
+    # the edge rows of irfft (next test) as the real operators that the
+    # ring monitor applies to the held spectrum's float view: stacked real
+    # and imaginary parts along x, interleaved (real, -imaginary) along p
+    rows = wigner_solver._edge_rows(n)
+    assert np.array_equal(_edge_operator((n, 16), 0), np.concatenate([rows.real, rows.imag]))
+    along_p = _edge_operator((16, n), 1)
+    assert along_p.shape == (2 * (n // 2 + 1), 2)
+    assert np.array_equal(along_p[0::2], rows.real.T)
+    assert np.array_equal(along_p[1::2], -rows.imag.T)
 
 
 @pytest.mark.parametrize("n", [16, 17, 256, 511])

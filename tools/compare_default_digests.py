@@ -1,15 +1,16 @@
 """Compare every scenario's default summary.json and series.csv between a
-base commit and this checkout, both run on this machine.
+base commit and this checkout, both run on this machine, along with those of
+a few non-default grid configs.
 
     python tools/compare_default_digests.py BASE_REV
 
 BASE_REV is extracted with git archive into a temporary directory. Each
-tree's scenarios run at their defaults in a child process whose PYTHONPATH
-is that tree's src, and the child refuses to run unless casidec is imported
-from there. One line per artifact gives its SHA-256 in this checkout and
-whether it matches the base. The exit status is 1 when a digest differs
-while the schema version (each manifest's schema_version) is unchanged,
-else 0. With no base commit (BASE_REV empty, all zeros, or not in this
+tree's scenarios run at their defaults, and the configs of _EXTRA with their
+overrides, in a child process whose PYTHONPATH is that tree's src, and the
+child refuses to run unless casidec is imported from there. One line per
+artifact gives its SHA-256 in this checkout and whether it matches the
+base. The exit status is 1 when a digest differs while the schema version
+(each manifest's schema_version) is unchanged, else 0. With no base commit (BASE_REV empty, all zeros, or not in this
 clone) the script says so and exits 0.
 """
 
@@ -24,7 +25,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# runs in the child: argv is (src, out); prints {scenario: {schema, digests}}
+# grid paths that no scenario's defaults reach: the damped cat, the undamped
+# oracle and an odd grid, each keyed by its scenario and overrides
+_EXTRA = {
+    "wigner-cat-highT:gamma=0.05": ["wigner-cat-highT", {"coefficients": {"gamma": 0.05}}],
+    "wigner-gaussian-oracle:gamma=0": ["wigner-gaussian-oracle",
+                                       {"coefficients": {"gamma": 0.0}}],
+    "wigner-gaussian-oracle:grid=65x63": ["wigner-gaussian-oracle",
+                                          {"grid": {"nx": 65, "np": 63}}],
+}
+
+# runs in the child: argv is (src, out, extra as JSON); prints
+# {key: {schema, digests}}, keyed by scenario name for the defaults
 _CHILD = """
 import hashlib, json, sys
 from pathlib import Path
@@ -35,11 +47,13 @@ if Path(casidec.__file__).resolve().parents[1] != src:
     sys.exit(f"casidec was imported from {casidec.__file__}, not from {src}")
 from casidec.scenarios import list_scenarios, run_scenario
 
+runs = {name: [name, {}] for name, _ in list_scenarios()}
+runs.update(json.loads(sys.argv[3]))
 result = {}
-for name, _ in list_scenarios():
-    report = run_scenario(name, {}, out_base=str(out))
+for key, (name, overrides) in runs.items():
+    report = run_scenario(name, overrides, out_base=str(out / key))
     manifest = json.loads((report.out_dir / "manifest.json").read_text())
-    result[name] = {"schema": manifest["schema_version"], "digests": {
+    result[key] = {"schema": manifest["schema_version"], "digests": {
         artifact: hashlib.sha256((report.out_dir / artifact).read_bytes()).hexdigest()
         for artifact in ("summary.json", "series.csv")
         if (report.out_dir / artifact).exists()}}
@@ -47,9 +61,10 @@ print(json.dumps(result))
 """
 
 
-def _run_defaults(src: Path, out: Path) -> dict:
+def _run_configs(src: Path, out: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", _CHILD, str(src), str(out)], env=env,
+    done = subprocess.run([sys.executable, "-c", _CHILD, str(src), str(out),
+                           json.dumps(_EXTRA)], env=env,
                           cwd=out.parent, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
 
@@ -75,8 +90,8 @@ def main(argv: list[str]) -> int:
         subprocess.run(["tar", "-x", "-C", str(tree)], stdin=archive.stdout, check=True)
         if archive.wait() != 0:
             raise SystemExit(f"git archive {base} failed")
-        old = _run_defaults(tree / "src", Path(tmp) / "base-runs")
-        new = _run_defaults(ROOT / "src", Path(tmp) / "head-runs")
+        old = _run_configs(tree / "src", Path(tmp) / "base-runs")
+        new = _run_configs(ROOT / "src", Path(tmp) / "head-runs")
 
     failed = False
     for name in sorted(old.keys() | new.keys()):
