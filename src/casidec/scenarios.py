@@ -92,7 +92,7 @@ __all__ = [
     "scenario_defaults",
 ]
 
-_SCHEMA_VERSION = 9
+_SCHEMA_VERSION = 10
 _OUT_DIR_ENV = "CASIDEC_OUT_DIR"
 _CSV_COLUMNS = ("visibility", "purity", "mean_x", "mean_p",
                 "cov_xx", "cov_xp", "cov_pp")
@@ -230,13 +230,18 @@ def _sample_steps(t_end: float, n_samples: int, dt: float, keys: str) -> tuple[i
 
 
 def _cat_series(td: float, n: int, delta_x: float, width: float,
-                cov_pp: float) -> tuple[str, list[dict]]:
+                cov_pp: float, keys: str) -> tuple[str, list[dict]]:
     """Analytic fringe decay of a frozen two-packet state, as a series.
 
-    visibility exp(-t/td); purity of the balanced which-way reduction
-    (1 + v^2)/2; second moments held at their (overlap-free) cat values,
-    cov_xx being (delta_x / 2)^2 plus the packet width squared.
+    visibility exp(-t/td) over five lifetimes; purity of the balanced
+    which-way reduction (1 + v^2)/2; second moments held at their
+    (overlap-free) cat values, cov_xx being (delta_x / 2)^2 plus the packet
+    width squared. A lifetime of 0, or one whose five lifetimes leave the
+    double range, is refused by the keys that set it.
     """
+    if not 0.0 < td <= sys.float_info.max / 5.0:
+        raise ConfigError(f"{keys} give a fringe lifetime of {td!r} s; its series spans "
+                          "five lifetimes, which must lie inside the double range")
     cov_xx = delta_x**2 / 4.0 + width**2
     rows = []
     for t in np.linspace(0.0, 5.0 * td, n):
@@ -291,7 +296,8 @@ def _run_1d_mirror_vacuum(cfg: dict):
         },
     }
     return summary, _cat_series(td_amp, cfg["series_points"], dq.delta_x,
-                                dq.ground_width, (CODATA.hbar / (2.0 * dq.ground_width)) ** 2)
+                                dq.ground_width, (CODATA.hbar / (2.0 * dq.ground_width)) ** 2,
+                                "'mirror.mass', 'mirror.omega0' and 'cat.alpha_mag'")
 
 
 def _run_sphere_rayleigh_vacuum(cfg: dict):
@@ -329,7 +335,9 @@ def _run_sphere_rayleigh_vacuum(cfg: dict):
         "derived": derived,
     }
     return summary, _cat_series(td_amp, cfg["series_points"], dq.delta_x,
-                                dq.ground_width, (CODATA.hbar / (2.0 * dq.ground_width)) ** 2)
+                                dq.ground_width, (CODATA.hbar / (2.0 * dq.ground_width)) ** 2,
+                                "'mirror.mass', 'mirror.omega0', 'mirror.radius' and "
+                                "'cat.alpha_mag'")
 
 
 def _thermal_sphere_summary(name: str, cfg: dict):
@@ -360,7 +368,8 @@ def _thermal_sphere_summary(name: str, cfg: dict):
         },
     }
     return summary, _cat_series(td_all, cfg["series_points"], delta_x, lam,
-                                params.mass * CODATA.k_boltzmann * params.temperature)
+                                params.mass * CODATA.k_boltzmann * params.temperature,
+                                "'mirror.temperature', 'mirror.radius' and 'delta_x'")
 
 
 def _run_sieve_pointer_states(cfg: dict):
@@ -543,7 +552,10 @@ def _run_identity_suite(cfg: dict):
 
     dev = {"amplitude_vs_separation": 0.0, "amplitude_vs_relative_weight": 0.0,
            "sphere_vs_relative_weight": 0.0, "thermal_chain": 0.0}
-    with warnings.catch_warnings():
+    # the draws are numpy scalars, whose overflow or division by an underflowed
+    # zero would only warn: raise it, for run_scenario to refuse typed
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
+                                                invalid="raise"):
         warnings.simplefilter("ignore", RegimeWarning)
         for i in range(n):
             osc = MirrorParams(mass=mass[i], omega0=omega0[i])

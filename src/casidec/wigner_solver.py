@@ -35,7 +35,10 @@ damped step takes 4 transforms instead of 6, and a damping-only step none.
 The monitors read the spectrum directly: the norm from its zero-frequency
 slice, the two ring edges across the held axis by small irffts, and the two
 along it by one real matmul on its float view, whose operator the plan
-holds. Each observer sample and the returned grid are real.
+holds. An observer sample is the state as held (PhaseSpaceGrid.held), and
+the readers take it from the spectrum: marginals and moments by 1-D
+contractions and irffts, purity by Parseval, the fringe slice by a row
+irfft or a weighted sum over the bins. evolve_grid returns a real grid.
 
 The solver is dimensionless by convention: callers map SI inputs through
 nondimensionalize(), which rescales lengths to the ground-state width (or
@@ -209,10 +212,11 @@ class CatWignerSpec:
 class PhaseSpaceGrid:
     """Uniform phase-space grid, W indexed [ix, ip], node-centered axes.
 
-    Between the steps of evolve_grid, values may hold the field's rfft along
-    the step plan's carried axis (StepPlan.carry: a complex array, shorter
-    along that axis); every grid an observer sees or evolve_grid returns is
-    real.
+    held None: values is the real field. held 0 or 1: values is the field's
+    rfft along that axis (a complex array, shorter along it), the state that
+    evolve_grid steps and hands to its observer; grid_moments, grid_purity,
+    marginals, grid_norm and fringe_visibility read it from the spectrum,
+    and wmin_over_wmax refuses it.
     """
 
     nx: int
@@ -223,6 +227,7 @@ class PhaseSpaceGrid:
     time: float = 0.0
     fringe_wavenumber: float | None = None
     fringe_ref: float | None = None
+    held: int | None = None
 
     @property
     def x_axis(self) -> numpy.ndarray:
@@ -534,14 +539,21 @@ def _diffuse(k2, v: float):
     return numpy.exp(-0.5 * v * k2)
 
 
+def _bin_weights(n: int):
+    """Weight of each rfft bin of a length-n real signal in its inverse
+    transform: 2/n, and 1/n at zero and (even n) Nyquist."""
+    k = numpy.arange(n // 2 + 1)
+    return numpy.where((k == 0) | (2 * k == n), 1.0, 2.0) / n
+
+
 def _edge_rows(n: int):
     """Rows 0 and n - 1 of the inverse real transform as a complex matrix on
     the rfft bins: (E @ f).real equals irfft(f, n)[[0, -1]] for complex f.
-    Bin k weighs 2/n, and 1/n at zero and Nyquist, times exp(2 pi i j k / n)
-    for row j; those two columns are real, so E ignores the imaginary parts
-    of their bins exactly as irfft does."""
+    Bin k weighs _bin_weights(n) times exp(2 pi i j k / n) for row j; the
+    zero and Nyquist columns are real, so E ignores the imaginary parts of
+    their bins exactly as irfft does."""
     k = numpy.arange(n // 2 + 1)
-    weight = numpy.where((k == 0) | (2 * k == n), 1.0, 2.0) / n
+    weight = _bin_weights(n)
     last = numpy.exp(-2j * math.pi * k / n)
     if n % 2 == 0:
         last[-1] = -1.0
@@ -667,11 +679,11 @@ def step(grid: PhaseSpaceGrid, plan: StepPlan) -> PhaseSpaceGrid:
     flow over plan.dt.
 
     The step runs on the field's rfft along plan.carry, as evolve_grid holds
-    it between steps; a real grid, which only a direct caller passes, is
-    transformed there on entry and back on exit. Each pass runs on the rfft
-    along its own axis, the stretch on the one along x. A plan with no
-    passes leaves the field untouched, and one built for another box raises
-    DomainError.
+    it between steps; a grid in another domain (a real grid, as a direct
+    caller passes) is moved there on entry and back on exit. Each pass runs
+    on the rfft along its own axis, the stretch on the one along x. A plan
+    with no passes leaves the field untouched, and one built for another box
+    raises DomainError.
 
     Norm drift per step and mass on the boundary ring are monitored;
     crossing either tolerance, or a NaN reading, raises StabilityViolation.
@@ -685,8 +697,7 @@ def step(grid: PhaseSpaceGrid, plan: StepPlan) -> PhaseSpaceGrid:
         return replace(grid, time=grid.time + plan.dt)
     dx, dp = grid.dx, grid.dp
     shape, held = (grid.nx, grid.np), plan.carry
-    real = not numpy.iscomplexobj(grid.values)
-    w, at = _in_domain(grid.values, None if real else held, held, shape), held
+    w, at = _in_domain(grid.values, grid.held, held, shape), held
     norm_before = _node_sum(w, held) * dx * dp
 
     for kind, op in plan.passes:
@@ -706,7 +717,7 @@ def step(grid: PhaseSpaceGrid, plan: StepPlan) -> PhaseSpaceGrid:
             f"boundary ring carries {ring * dx * dp:.3g} mass (tolerance {_BOUNDARY_TOL:g}); "
             "the state is leaving the box and would wrap in the periodic passes")
 
-    return replace(grid, values=_in_domain(w, held, None, shape) if real else w,
+    return replace(grid, values=_in_domain(w, held, grid.held, shape),
                    time=grid.time + plan.dt)
 
 
@@ -719,8 +730,12 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     arithmetic does not gain a step from rounding). Builds one step plan
     (step_plan) for that step and hands it to every step. Where the plan
     carries an axis, the field is held as that axis's rfft from the first
-    step to the last; each observer gets a real copy and stepping goes on
-    from the spectral state, so sampling never changes the trajectory. A
+    step to the last. The observer gets the grid it was given, then at each
+    sample the state it holds, with no transform made for it: a grid whose
+    held field is plan.carry (PhaseSpaceGrid.held), which the observer reads
+    and does not write into. step makes a new grid and writes into no array
+    it was given, so a sample stays valid and sampling never changes the
+    trajectory. The returned grid is real. A
     monitor or step-size failure is re-raised with the step index and the
     time it happened at.
     """
@@ -747,59 +762,93 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
         plan = step_plan(grid, sc, h)
     except StepSizeError as exc:
         raise located(exc, 1, grid.time) from exc
-    shape = (grid.nx, grid.np)
-
-    def real(state):
-        return replace(state, values=_in_domain(state.values, plan.carry, None, shape))
-
-    state = replace(grid, values=_in_domain(grid.values, None, plan.carry, shape))
+    shape, held = (grid.nx, grid.np), plan.carry
+    state = replace(grid, values=_in_domain(grid.values, grid.held, held, shape), held=held)
     for i in range(1, n + 1):
         try:
             state = step(state, plan)
         except (StabilityViolation, StepSizeError) as exc:
             raise located(exc, i, state.time) from exc
         if sampling and i % sample_every == 0:
-            observer(real(state))
-    return real(state)
+            observer(state)
+    return replace(state, values=_in_domain(state.values, held, None, shape), held=None)
+
+
+def _profile(grid: PhaseSpaceGrid, axis: int, weights=None) -> numpy.ndarray:
+    """The field summed over `axis` against `weights`, as a real profile
+    along the other axis. weights None sums the nodes, an int j takes the
+    slice at node j, and a vector along `axis` weighs each node.
+
+    A held grid (PhaseSpaceGrid.held) is read from its spectrum, with no
+    full-field transform. Across the held axis, the spectrum is summed,
+    sliced or contracted in the same way, then takes one 1-D irfft. Along
+    it, the node sum is the real part of the zero-frequency slice, and any
+    other weights are one weighted sum over the bins: bin k weighs
+    _bin_weights(n)[k] times the conjugate of the weights' own rfft, and
+    only the real part is kept, as in irfft."""
+    w, held = grid.values, grid.held
+    if held == axis:
+        if weights is None:
+            return numpy.take(w, 0, axis=axis).real
+        n = (grid.nx, grid.np)[axis]
+        if isinstance(weights, int):
+            weights = numpy.arange(n) == weights
+        bins = _bin_weights(n) * numpy.conj(rfft(weights))
+        return (bins @ w if axis == 0 else w @ bins).real
+    if isinstance(weights, int):
+        out = numpy.take(w, weights, axis=axis)
+    else:
+        u = numpy.ones(w.shape[axis]) if weights is None else weights
+        out = u @ w if axis == 0 else w @ u
+    return out if held is None else irfft(out, n=(grid.nx, grid.np)[held])
 
 
 def grid_norm(grid: PhaseSpaceGrid) -> float:
-    return float(np.sum(grid.values)) * grid.dx * grid.dp
+    w = grid.values if grid.held is None else _profile(grid, grid.held)
+    return float(np.sum(w)) * grid.dx * grid.dp
 
 
 def grid_moments(grid: PhaseSpaceGrid) -> tuple[float, float, float, float, float]:
     """(mean_x, mean_p, cov_xx, cov_xp, cov_pp) by Riemann sums: the means
     and variances from the two marginals, cov_xp as one bilinear form."""
-    w = grid.values
     x, p = grid.x_axis, grid.p_axis
-    wx, wp = np.sum(w, axis=1), np.sum(w, axis=0)
+    wx, wp = _profile(grid, 1), _profile(grid, 0)
     n = float(np.sum(wx))
     mx = float(wx @ x) / n
     mp_ = float(wp @ p) / n
     xx = float(wx @ (x - mx) ** 2) / n
     pp = float(wp @ (p - mp_) ** 2) / n
-    xp = float((x - mx) @ w @ (p - mp_)) / n
+    xp = float((x - mx) @ _profile(grid, 1, p - mp_)) / n
     return mx, mp_, xx, xp, pp
 
 
 def grid_purity(grid: PhaseSpaceGrid) -> float:
-    """Tr rho^2 = 2 pi hbar Integral[W^2], hbar = 1."""
-    return 2.0 * math.pi * float(np.sum(grid.values**2)) * grid.dx * grid.dp
+    """Tr rho^2 = 2 pi hbar Integral[W^2], hbar = 1. A held grid sums its
+    bins' power by Parseval: twice every bin's over n, less once the zero
+    and (even n) Nyquist bins', whose imaginary parts irfft ignores."""
+    f, held = grid.values, grid.held
+    if held is None:
+        total = float(np.sum(f**2))
+    else:
+        n = (grid.nx, grid.np)[held]
+        ends = numpy.take(f, [0, -1] if n % 2 == 0 else [0], axis=held)
+        total = (2.0 * numpy.vdot(f, f).real - numpy.vdot(ends, ends).real
+                 - numpy.vdot(ends.imag, ends.imag)) / n
+    return 2.0 * math.pi * total * grid.dx * grid.dp
 
 
 def marginals(grid: PhaseSpaceGrid) -> tuple[numpy.ndarray, numpy.ndarray]:
     """Position and momentum marginal densities (P(x), P(p))."""
-    px = np.sum(grid.values, axis=1) * grid.dp
-    pp = np.sum(grid.values, axis=0) * grid.dx
-    return px, pp
+    return _profile(grid, 1) * grid.dp, _profile(grid, 0) * grid.dx
 
 
 def _fringe_amplitude(grid: PhaseSpaceGrid) -> float:
     """|Fourier amplitude| of the midpoint slice at the fringe wavenumber."""
     if grid.fringe_wavenumber is None:
         raise DomainError("grid carries no fringe metadata; build it with init_cat")
-    w, mid = grid.values, grid.nx // 2
-    sl = w[mid] if grid.nx % 2 else 0.5 * (w[mid - 1] + w[mid])
+    mid = grid.nx // 2
+    sl = (_profile(grid, 0, mid) if grid.nx % 2
+          else 0.5 * (_profile(grid, 0, mid - 1) + _profile(grid, 0, mid)))
     return float(np.abs(np.sum(sl * np.exp(-1j * grid.fringe_wavenumber * grid.p_axis)))
                  * grid.dp)
 
@@ -813,7 +862,11 @@ def fringe_visibility(grid: PhaseSpaceGrid) -> float:
 
 
 def wmin_over_wmax(grid: PhaseSpaceGrid) -> float:
-    """Most negative value over the peak; >= -1e-3 once fringes are gone."""
+    """Most negative value over the peak; >= -1e-3 once fringes are gone.
+    It needs every node, so a held grid raises DomainError."""
+    if grid.held is not None:
+        raise DomainError("wmin_over_wmax reads every node of the real field; "
+                          "a held grid carries its spectrum (read the grid evolve_grid returns)")
     w = grid.values
     return float(np.min(w)) / float(np.max(w))
 

@@ -1,14 +1,18 @@
-"""Property test of the grid scenarios: every draw of their numeric keys
-within the config schema either runs or raises a CasidecError, and an oracle
-draw with a cross diffusion d2 != 0 is refused by that key.
+"""Property tests of the scenarios: every draw of their numeric keys within
+the config schema either runs or raises a CasidecError, never an untyped
+error or a RuntimeWarning, and an oracle draw with a cross diffusion
+d2 != 0 is refused by that key.
 
 The grids are small (16 to 64 a side) and the step budget is cut to a few
 hundred steps, so a draw that asks for more is refused by the same
-ConfigError that guards the full cap.
+ConfigError that guards the full cap. The closed-form scenarios draw their
+float keys over the whole double range.
 """
 
 import math
+import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import pytest
@@ -16,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from casidec import scenarios
-from casidec.errors import CasidecError, ConfigError
+from casidec.errors import CasidecError, ConfigError, RegimeWarning
 
 _STEP_BUDGET = 300
 
@@ -101,8 +105,10 @@ def _oracle_overrides(draw):
 
 
 def _run(name, overrides):
-    with tempfile.TemporaryDirectory() as out, \
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), \
             mock.patch.object(scenarios, "_MAX_GRID_STEPS", _STEP_BUDGET):
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", RegimeWarning)
         scenarios.run_scenario(name, overrides, out_base=out)
 
 
@@ -138,3 +144,60 @@ def test_oracle_scenario_draws_run_or_fail_typed(overrides):
             _run("wigner-gaussian-oracle", overrides)
     else:
         _runs_or_fails_typed("wigner-gaussian-oracle", overrides)
+
+
+_CLOSED_FORM = ("1d-mirror-vacuum", "sphere-rayleigh-vacuum", "sphere-thermal-free",
+                "cosmic-background-sphere", "sieve-pointer-states", "identity-suite")
+
+
+def _any_double(draw):
+    """A finite double, log-uniform in magnitude over the whole range and
+    negative one time in ten, or one time in ten 0, the smallest subnormal
+    or the largest double."""
+    pick = draw(st.integers(0, 9))
+    if pick == 0:
+        return draw(st.sampled_from([0.0, 5e-324, sys.float_info.max]))
+    return (-1.0 if pick == 1 else 1.0) * 10.0 ** draw(st.floats(-323.0, 308.0))
+
+
+@st.composite
+def _closed_form_draw(draw):
+    """A closed-form scenario, and overrides that redraw each of its float
+    keys one time in two; counts stay small, so a draw runs in milliseconds."""
+    name = draw(st.sampled_from(_CLOSED_FORM))
+
+    def redraw(tree):
+        out = {}
+        for key, value in tree.items():
+            if isinstance(value, dict):
+                out[key] = redraw(value)
+            elif isinstance(value, list):
+                out[key] = [_any_double(draw) for _ in value]
+            elif isinstance(value, float) and draw(st.booleans()):
+                out[key] = _any_double(draw)
+        return out
+
+    overrides = redraw({key: value for key, value in scenarios.scenario_defaults(name).items()
+                        if key != "output"})
+    if name == "identity-suite":
+        overrides["draws"] = draw(st.integers(1, 20))
+    if name == "sieve-pointer-states":
+        overrides["objective"] = draw(st.sampled_from(["rotation_averaged", "instantaneous"]))
+    return name, overrides
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_closed_form_draw())
+# lifetimes of 0 and inf used to reach t / td in the series, untyped
+@example(("sphere-thermal-free", {"mirror": {"mass": 5.5e26, "radius": 1.1e154}}))
+@example(("sphere-rayleigh-vacuum", {"mirror": {"mass": 2.6e-9, "omega0": 1.7e-24}}))
+@example(("cosmic-background-sphere", {"mirror": {"mass": 3.1e-8, "temperature": 4.4e62},
+                                       "delta_x": 2.8e16}))
+@example(("1d-mirror-vacuum", {"mirror": {"omega0": 1e-141}}))
+# the identity suite's numpy draws used to overflow, or divide by an
+# alpha^2 that underflowed to 0, with a RuntimeWarning
+@example(("identity-suite", {"draws": 1, "ranges": {"alpha": [1e-251, 1e-251]}}))
+@example(("identity-suite", {"draws": 1, "ranges": {"mass_kg": [1e29, 1e29],
+                                                    "temperature_K": [1e70, 1e70]}}))
+def test_closed_form_scenario_draws_run_or_fail_typed(draw):
+    _runs_or_fails_typed(*draw)

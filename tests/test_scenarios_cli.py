@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import time
 
 import numpy as np
@@ -106,7 +107,7 @@ def test_manifest_is_the_only_place_with_timing(tmp_path):
     rep = run_scenario("cosmic-background-sphere", {"series_points": 5},
                        out_base=str(tmp_path))
     manifest = json.loads((rep.out_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == 9
+    assert manifest["schema_version"] == 10
     assert manifest["scenario"] == "cosmic-background-sphere"
     assert manifest["config"]["series_points"] == 5
     assert manifest["config"]["mirror"]["temperature"] == 2.7
@@ -522,6 +523,37 @@ def test_non_finite_summary_value_exits_2_and_writes_nothing(tmp_path, capsys, m
     cfg = _write_config(tmp_path / "cfg.json", {"scenario": name})
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_THERMAL_KEYS = "'mirror.temperature', 'mirror.radius' and 'delta_x'"
+
+
+# a lifetime of 0 also draws the thermal route's regime warning
+@pytest.mark.filterwarnings("ignore::casidec.errors.RegimeWarning")
+@pytest.mark.parametrize("payload, keys", [
+    # the lifetime underflows to 0
+    ({"scenario": "sphere-thermal-free", "mirror": {"mass": 5.5e26, "radius": 1.1e154}},
+     _THERMAL_KEYS),
+    ({"scenario": "cosmic-background-sphere",
+      "mirror": {"mass": 3.1e-8, "temperature": 4.4e62}, "delta_x": 2.8e16}, _THERMAL_KEYS),
+    # the friction rate is subnormal and the lifetime overflows to inf
+    ({"scenario": "sphere-rayleigh-vacuum", "mirror": {"mass": 2.6e-9, "omega0": 1.7e-24}},
+     "'mirror.mass', 'mirror.omega0', 'mirror.radius' and 'cat.alpha_mag'"),
+    ({"scenario": "1d-mirror-vacuum", "mirror": {"omega0": 1e-141}},
+     "'mirror.mass', 'mirror.omega0' and 'cat.alpha_mag'"),
+])
+def test_a_lifetime_outside_double_range_is_refused_by_its_keys(tmp_path, capsys, payload,
+                                                                keys):
+    # the series divided t / td at a td of 0 or inf: an untyped RuntimeWarning
+    # from run_scenario, and at the CLI a refusal at write time naming no key
+    overrides = {key: value for key, value in payload.items() if key != "scenario"}
+    with pytest.raises(ConfigError, match=re.escape(keys)):
+        run_scenario(payload["scenario"], overrides, out_base=str(tmp_path / "lib"))
+    assert not (tmp_path / "lib").exists()
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert keys in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -900,7 +900,7 @@ def test_a_nan_field_trips_the_step_monitors(kind):
 
 @pytest.mark.parametrize("kind", list(_PLAN_KINDS))
 def test_a_carried_run_matches_real_space_stepping(kind):
-    sc, _held = _PLAN_KINDS[kind]
+    sc, held = _PLAN_KINDS[kind]
     grid = init_gaussian(1.0, 0.25, 1.0, 0.05, 0.25, **_CARRY_BOX)
     ref = grid
     for _ in range(350):
@@ -909,13 +909,70 @@ def test_a_carried_run_matches_real_space_stepping(kind):
     for every in (0, 7):
         seen = []
         out = evolve_grid(grid, sc, 350 * _CARRY_DT, _CARRY_DT, sample_every=every,
-                          observer=lambda g: seen.append(g.values.dtype))
-        assert out.values.dtype == np.float64
-        assert seen == [np.float64] * (51 if every else 0)
+                          observer=lambda g: seen.append((g.held, g.values, g.values.copy())))
+        assert out.values.dtype == np.float64 and out.held is None
+        # the grid it was given, then the state as held
+        assert [h for h, _, _ in seen] == ([None] + [held] * 50 if every else [])
+        # no step writes into an array a sample holds
+        assert all(np.array_equal(kept, copy) for _, kept, copy in seen)
         finals.append(out.values)
     assert np.max(np.abs(finals[0] - ref.values)) <= 1e-13 * np.max(ref.values)
-    # sampling hands out real copies and never changes the trajectory
+    # sampling never changes the trajectory
     assert np.array_equal(finals[0], finals[1])
+
+
+def _held_samples(kind, nx, n_p):
+    """The held samples of a short run of this plan kind, from a cat (for its
+    fringes) and from an offset, tilted Gaussian (for means and cov_xp)."""
+    sc, held = _PLAN_KINDS[kind]
+    box = dict(nx=nx, n_p=n_p, x_half_width=12.0, p_half_width=6.0)
+    samples = []
+    for grid in (init_cat(CatWignerSpec(0.5, phase=0.7), **box),
+                 init_gaussian(1.0, 0.25, 1.0, 0.05, 0.25, **box)):
+        evolve_grid(grid, sc, 20 * _CARRY_DT, _CARRY_DT, sample_every=5,
+                    observer=samples.append)
+    held_samples = [g for g in samples if g.held is not None]
+    assert len(held_samples) == 8 and {g.held for g in held_samples} == {held}
+    return held_samples
+
+
+@pytest.mark.parametrize("nx, n_p", [(64, 64), (63, 57), (64, 57), (63, 64)])
+@pytest.mark.parametrize("kind", list(_PLAN_KINDS))
+def test_a_held_sample_reads_as_its_real_copy(kind, nx, n_p):
+    # odd sizes have no Nyquist bin, and an odd nx takes the one midpoint row
+    for g in _held_samples(kind, nx, n_p):
+        real = replace(g, values=np.fft.irfft(g.values, n=(nx, n_p)[g.held], axis=g.held),
+                       held=None)
+        assert grid_moments(g) == pytest.approx(grid_moments(real), rel=1e-12, abs=1e-13)
+        assert grid_purity(g) == pytest.approx(grid_purity(real), rel=1e-12)
+        assert grid_norm(g) == pytest.approx(grid_norm(real), rel=1e-12)
+        for got, want in zip(marginals(g), marginals(real)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        if g.fringe_ref is not None:
+            assert fringe_visibility(g) == pytest.approx(fringe_visibility(real), rel=1e-12)
+        with pytest.raises(DomainError, match="every node"):
+            wmin_over_wmax(g)
+
+
+def test_a_held_sample_reads_its_zero_and_nyquist_bins_as_irfft_does():
+    # irfft ignores the imaginary parts of the zero and (even n) Nyquist bins,
+    # and so must every reading of a held grid
+    rng = np.random.default_rng(3)
+    for nx, n_p in ((32, 32), (33, 31)):
+        for held in (0, 1):
+            n = (nx, n_p)[held]
+            spectrum = np.fft.rfft(1.0 + rng.random((nx, n_p)), axis=held)
+            ends = [0, -1] if n % 2 == 0 else [0]
+            if held == 0:
+                spectrum[ends] += 1j * rng.standard_normal((len(ends), n_p))
+            else:
+                spectrum[:, ends] += 1j * rng.standard_normal((nx, len(ends)))
+            g = wigner_solver.PhaseSpaceGrid(nx, n_p, 8.0, 4.0, values=spectrum, held=held,
+                                             fringe_wavenumber=2.0, fringe_ref=1.0)
+            real = replace(g, values=np.fft.irfft(spectrum, n=n, axis=held), held=None)
+            assert grid_moments(g) == pytest.approx(grid_moments(real), rel=1e-12, abs=1e-13)
+            assert grid_purity(g) == pytest.approx(grid_purity(real), rel=1e-12)
+            assert fringe_visibility(g) == pytest.approx(fringe_visibility(real), rel=1e-12)
 
 
 def _full_field_transforms(monkeypatch, kind, passes):
@@ -925,7 +982,7 @@ def _full_field_transforms(monkeypatch, kind, passes):
     grid = init_gaussian(1.0, 0.25, 1.0, 0.05, 0.25, **_CARRY_BOX)
     plan = step_plan(grid, sc, _CARRY_DT)
     assert [kind for kind, _ in plan.passes] == passes
-    state = replace(grid, values=np.fft.rfft(grid.values, axis=held))
+    state = replace(grid, values=np.fft.rfft(grid.values, axis=held), held=held)
     shapes = []
     for name in ("rfft", "irfft"):
         def counted(a, *args, _fn=getattr(wigner_solver, name), **kwargs):

@@ -25,10 +25,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# grid paths that no scenario's defaults reach: the damped cat, the undamped
-# oracle and an odd grid, each keyed by its scenario and overrides
+# grid paths that no scenario's defaults reach: the damped cat, the cat on an
+# odd grid (no Nyquist bin, an odd midpoint slice), the undamped oracle and
+# an odd oracle grid, each keyed by its scenario and overrides
 _EXTRA = {
     "wigner-cat-highT:gamma=0.05": ["wigner-cat-highT", {"coefficients": {"gamma": 0.05}}],
+    "wigner-cat-highT:grid=65x127": ["wigner-cat-highT", {"grid": {"nx": 65, "np": 127}}],
     "wigner-gaussian-oracle:gamma=0": ["wigner-gaussian-oracle",
                                        {"coefficients": {"gamma": 0.0}}],
     "wigner-gaussian-oracle:grid=65x63": ["wigner-gaussian-oracle",
