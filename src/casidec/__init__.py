@@ -14,7 +14,6 @@ from .errors import (
     GridTooSmall,
     IoError,
     NonPhysicalInput,
-    OptimizationFailure,
     QuadratureFailure,
     RegimeViolation,
     RegimeWarning,

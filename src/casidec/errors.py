@@ -35,11 +35,6 @@ class StepSizeError(CasidecError):
     exit_code = 4
 
 
-class OptimizationFailure(CasidecError):
-    """Minimizer failed to converge."""
-    exit_code = 4
-
-
 class StabilityViolation(CasidecError):
     """A solver stability or conservation monitor tripped."""
     exit_code = 4

@@ -21,11 +21,10 @@ Gaussian purity, and implements the predictability sieve: minimize
 early-time entropy production over the family of pure squeezed states.
 The instantaneous production rate at a pure state decreases under
 position squeezing (the transport equation is not completely positive at
-short times), so the sieve's default objective averages the rate over one
-free rotation, which is also what the evolved entropy at times long
-against the period measures. Under that averaging
-the coherent state (zero squeezing) is the strict minimum whenever the
-diffusion enters through the momentum.
+short times), so the sieve averages the rate over one free rotation,
+which is also what the evolved entropy at times long against the period
+measures. Under that averaging the coherent state (zero squeezing) is the
+strict minimum whenever the diffusion enters through the momentum.
 """
 
 from __future__ import annotations
@@ -36,12 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import (
-    DomainError,
-    NonPhysicalInput,
-    OptimizationFailure,
-    StepSizeError,
-)
+from .errors import DomainError, NonPhysicalInput, StepSizeError
 from .params import CODATA, MirrorParams, PhysicalConstants
 from .spectra_damping import CoefficientSet
 
@@ -280,14 +274,14 @@ def squeezed_pure_state(r: float, theta: float, params: MirrorParams, omega: flo
 class SieveResult:
     """Outcome of the pointer-state sieve.
 
-    landscape rows are (r, theta, objective rate, entropy at each
-    evaluation time); argmin_r_per_time records, for every evaluation
-    time, the r of the landscape row with the least entropy; stable is
+    landscape rows are (r, rotation-averaged rate, entropy at each
+    evaluation time), one per r of the grid; r_star and rate_at_optimum
+    are the row with the least rate; argmin_r_per_time records, for every
+    evaluation time, the r of the row with the least entropy; stable is
     True when every one of those sits at the bottom of the r grid.
     """
 
     r_star: float
-    theta_star: float
     rate_at_optimum: float
     eval_times: tuple[float, ...]
     landscape: tuple[tuple[float, ...], ...]
@@ -295,84 +289,33 @@ class SieveResult:
     stable: bool
 
 
-def _golden_minimize(f, lo: float, hi: float, tol: float, maxiter: int = 200):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    it = 0
-    while abs(b - a) > tol:
-        it += 1
-        if it > maxiter:
-            raise OptimizationFailure("golden-section search did not converge")
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-# the sieve's landscape grid, and the tolerance of its minimization in r
+# the sieve's landscape grid in squeezing magnitude r
 _R_GRID = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
-_THETA_GRID = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
-_SIEVE_TOL = 1e-6
 
 
 def sieve_search(params: MirrorParams, coeffs: CoefficientSet,
-                 constants: PhysicalConstants = CODATA, *,
-                 r_max: float = 2.0,
-                 objective: str = "rotation_averaged") -> SieveResult:
+                 constants: PhysicalConstants = CODATA) -> SieveResult:
     """Predictability sieve over the pure squeezed-state family.
 
-    Minimizes the entropy production rate over squeezing magnitude r (the
-    rotation-averaged objective is independent of the squeezing angle; the
-    instantaneous objective is minimized over the theta grid first). The
-    robustness check re-ranks every landscape state by its entropy at each
-    evaluation time, computed with secular_linear_entropy: the states
-    selected by the sieve must remain at the bottom of the entropy
-    landscape as the comparison time changes. Evaluation times are (0,
-    0.1/Gamma, 0.5/Gamma), or 0 alone; time 0 ranks by the analytic rate.
-    Following the exact flow to times of order 1/Gamma is unreachable when
-    omega/Gamma is large (it resolves every rotation), so the check uses
-    the closed secular form, which agrees with evolve() to O(Gamma/omega).
+    Ranks the squeezed states of the r grid by their rotation-averaged
+    entropy production rate. At a pure state that rate is
+    2 (-Gamma + D1 cosh 2r / (hbar M omega*)): free of the squeezing angle,
+    so every row sits at theta = 0, and strictly rising in r, so the least
+    rate is the coherent state r = 0, a point of the grid. The robustness
+    check re-ranks every landscape state by its entropy at each evaluation
+    time, computed with secular_linear_entropy: the selected state must
+    remain at the bottom of the entropy landscape as the comparison time
+    changes. Evaluation times are (0, 0.1/Gamma, 0.5/Gamma), or 0 alone;
+    time 0 ranks by the analytic rate. Following the exact flow to times of
+    order 1/Gamma is unreachable when omega/Gamma is large (it resolves
+    every rotation), so the check uses the closed secular form, which
+    agrees with evolve() to O(Gamma/omega).
     """
     if coeffs.d1 <= 0:
         raise DomainError("the sieve needs a positive diffusion coefficient")
-    if objective not in ("rotation_averaged", "instantaneous"):
-        raise DomainError(f"unknown sieve objective {objective!r}")
-    if objective == "rotation_averaged" and coeffs.omega_star <= 0:
-        raise DomainError("rotation-averaged sieve needs omega_star > 0")
-    omega_ref = coeffs.omega_star if coeffs.omega_star > 0 else params.omega0
-    if omega_ref <= 0:
-        raise DomainError("sieve needs a reference frequency for the squeezing family")
-
-    averaged = objective == "rotation_averaged"
-
-    def state(r, theta):
-        return squeezed_pure_state(r, theta, params, omega_ref, constants)
-
-    def rate(st):
-        return entropy_production_rate(st, params, coeffs, constants,
-                                       rotation_averaged=averaged)
-
-    if averaged:
-        r_star, best = _golden_minimize(lambda r: rate(state(r, 0.0)), 0.0, r_max, _SIEVE_TOL)
-        theta_star = 0.0
-    else:
-        best = math.inf
-        r_star = theta_star = 0.0
-        for theta in _THETA_GRID:
-            r_opt, val = _golden_minimize(lambda r: rate(state(r, theta)), 0.0, r_max, _SIEVE_TOL)
-            if val < best:
-                best, r_star, theta_star = val, r_opt, theta
-    if abs(r_star) < _SIEVE_TOL:
-        r_star = 0.0
+    if coeffs.omega_star <= 0:
+        raise DomainError("the rotation-averaged sieve needs omega_star > 0")
+    omega = coeffs.omega_star
 
     if coeffs.gamma > 0:
         eval_times = (0.0, 0.1 / coeffs.gamma, 0.5 / coeffs.gamma)
@@ -381,26 +324,23 @@ def sieve_search(params: MirrorParams, coeffs: CoefficientSet,
 
     rows = []
     for r in _R_GRID:
-        for theta in (_THETA_GRID if r > 0 else (0.0,)):
-            st = state(r, theta)
-            rate_st = rate(st)
-            rows.append((r, theta, rate_st, *(
-                rate_st if te == 0.0
-                else secular_linear_entropy(st, params, coeffs, te, omega_ref, constants)
-                for te in eval_times)))
+        st = squeezed_pure_state(r, 0.0, params, omega, constants)
+        rate = entropy_production_rate(st, params, coeffs, constants, rotation_averaged=True)
+        rows.append((r, rate, *(
+            rate if te == 0.0
+            else secular_linear_entropy(st, params, coeffs, te, omega, constants)
+            for te in eval_times)))
 
-    # the r of the least-entropy row at each evaluation time (columns 3 on)
+    r_star, rate_at_optimum = min(rows, key=lambda row: row[1])[:2]
+    # the r of the least-entropy row at each evaluation time (columns 2 on)
     argmin_r = [min(rows, key=lambda row: row[j])[0]
-                for j in range(3, 3 + len(eval_times))]
-    r_floor = min(_R_GRID)
-    stable = all(r == r_floor for r in argmin_r) if averaged else True
+                for j in range(2, 2 + len(eval_times))]
 
     return SieveResult(
         r_star=r_star,
-        theta_star=theta_star,
-        rate_at_optimum=best,
+        rate_at_optimum=rate_at_optimum,
         eval_times=eval_times,
         landscape=tuple(rows),
         argmin_r_per_time=tuple(argmin_r),
-        stable=stable,
+        stable=all(r == _R_GRID[0] for r in argmin_r),
     )

@@ -92,7 +92,7 @@ __all__ = [
     "scenario_defaults",
 ]
 
-_SCHEMA_VERSION = 10
+_SCHEMA_VERSION = 11
 _OUT_DIR_ENV = "CASIDEC_OUT_DIR"
 _CSV_COLUMNS = ("visibility", "purity", "mean_x", "mean_p",
                 "cov_xx", "cov_xp", "cov_pp")
@@ -376,22 +376,19 @@ def _run_sieve_pointer_states(cfg: dict):
     params = MirrorParams(**cfg["mirror"])
     coeffs = coefficient_set(params)
     gamma, d1 = coeffs.gamma, coeffs.d1
-    res = sieve_search(params, coeffs, r_max=cfg["r_max"],
-                       objective=cfg["objective"])
+    res = sieve_search(params, coeffs)
 
-    landscape = [{"r": row[0], "theta": row[1], "rate_per_s": row[2],
-                  "entropy_at_eval_times": list(row[3:])}
+    landscape = [{"r": row[0], "rate_per_s": row[1],
+                  "entropy_at_eval_times": list(row[2:])}
                  for row in res.landscape]
     summary = {
         "scenario": "sieve-pointer-states",
         "units": "SI",
-        "inputs": {"mass_kg": params.mass, "omega0_rad_per_s": params.omega0,
-                   "objective": cfg["objective"]},
+        "inputs": {"mass_kg": params.mass, "omega0_rad_per_s": params.omega0},
         "derived": {
             "gamma_per_s": gamma,
             "d1_kg2_m2_per_s3": d1,
             "r_star": res.r_star,
-            "theta_star": res.theta_star,
             "rate_at_optimum_per_s": res.rate_at_optimum,
             "eval_times_s": list(res.eval_times),
             "argmin_r_per_time": list(res.argmin_r_per_time),
@@ -403,7 +400,7 @@ def _run_sieve_pointer_states(cfg: dict):
     # time series: the selected pointer state, period-averaged closed form
     # (step-resolved integration to 0.5/gamma is unreachable at vacuum scale)
     n = cfg["series_points"]
-    state = squeezed_pure_state(res.r_star, res.theta_star, params, coeffs.omega_star)
+    state = squeezed_pure_state(res.r_star, 0.0, params, coeffs.omega_star)
     mw = params.mass * coeffs.omega_star
     occ0 = (mw * state.cov_xx + state.cov_pp / mw) / (2.0 * CODATA.hbar)
     occ_inf = coeffs.d1 / (2.0 * gamma * CODATA.hbar * mw)
@@ -716,18 +713,18 @@ _register(
     "sieve-pointer-states",
     "Predictability sieve over squeezed Gaussians: the coherent states "
     "win.",
-    "Minimizes the rotation-averaged entropy production rate over the\n"
-    "family of pure squeezed states of the oscillator, then re-ranks the\n"
-    "landscape at later times by actually evolving every candidate. The\n"
-    "optimum sits at zero squeezing: coherent states are the pointer\n"
-    "states of vacuum-friction decoherence. The CSV follows the selected\n"
+    "Ranks pure squeezed states of the oscillator by their rotation-\n"
+    "averaged entropy production rate, which does not depend on the\n"
+    "squeezing angle and rises with the squeezing, then re-ranks the\n"
+    "landscape at 0.1 / gamma and 0.5 / gamma by each state's entropy\n"
+    "under the period-averaged closed form. The optimum sits at zero\n"
+    "squeezing: coherent states are the pointer states of\n"
+    "vacuum-friction decoherence. The CSV follows the selected\n"
     "state to 0.5 / gamma under the period-averaged closed form: its\n"
     "purity and rotation-averaged covariances. Only the coherent state\n"
     "stays pure (it is a fixed point of the covariance flow).",
     {
         "mirror": {"mass": 1e-21, "omega0": 1e10},
-        "r_max": 2.0,
-        "objective": "rotation_averaged",
         "series_points": 21,
     },
     _run_sieve_pointer_states,

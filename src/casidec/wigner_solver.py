@@ -12,7 +12,7 @@ the moment generator of gaussian_dynamics. The drift's backtrace matrix is
 factored into three shears and a momentum stretch. Each shear is a per-row (or
 per-column) shift applied as an FFT phase ramp, exact for a band-limited
 field; the stretch, which carries the Jacobian exp(2 g dt) that restores
-the mass the contraction removes, is a 1-D cubic B-spline pass along p,
+the mass the contraction removes, is a 1-D quintic B-spline pass along p,
 zero outside the box. The blur splits into one non-negative variance per
 pass, along that pass's axis, multiplied into its factor; it adds a
 zero-shift p pass only where no pass can carry it (pure diffusion, free
@@ -55,6 +55,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy
 import numpy as np
@@ -208,6 +209,11 @@ class CatWignerSpec:
         return self.separation
 
 
+def _read_only(a: numpy.ndarray) -> numpy.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(eq=False)
 class PhaseSpaceGrid:
     """Uniform phase-space grid, W indexed [ix, ip], node-centered axes.
@@ -216,7 +222,8 @@ class PhaseSpaceGrid:
     rfft along that axis (a complex array, shorter along it), the state that
     evolve_grid steps and hands to its observer; grid_moments, grid_purity,
     marginals, grid_norm and fringe_visibility read it from the spectrum,
-    and wmin_over_wmax refuses it.
+    and wmin_over_wmax refuses it. x_axis and p_axis are built on first
+    read, once per grid, and are read-only.
     """
 
     nx: int
@@ -229,13 +236,13 @@ class PhaseSpaceGrid:
     fringe_ref: float | None = None
     held: int | None = None
 
-    @property
+    @cached_property
     def x_axis(self) -> numpy.ndarray:
-        return numpy.linspace(-self.x_half_width, self.x_half_width, self.nx)
+        return _read_only(numpy.linspace(-self.x_half_width, self.x_half_width, self.nx))
 
-    @property
+    @cached_property
     def p_axis(self) -> numpy.ndarray:
-        return numpy.linspace(-self.p_half_width, self.p_half_width, self.np)
+        return _read_only(numpy.linspace(-self.p_half_width, self.p_half_width, self.np))
 
     @property
     def dx(self) -> float:
@@ -581,7 +588,7 @@ def step_plan(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> StepPl
     ("x", f) or ("p", f): rfft along that axis, multiply by the factor f,
     irfft; f is the shear's phase ramp times the blur exp(-v k^2 / 2) of the
     pass's variance v, or the blur alone for a zero-shift p pass.
-    ("stretch", C): the damping stretch, a cubic B-spline operator along p,
+    ("stretch", C): the damping stretch, a quintic B-spline operator along p,
     zero outside the box and carrying the Jacobian exp(2 g dt), applied as
     w @ C, with its blur multiplied into C's columns. So pure diffusion is
     one exp(-d1 k_p^2 dt) pass. A plan of p passes alone carries p; every
@@ -611,12 +618,12 @@ def step_plan(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> StepPl
             if s != 0.0:
                 op = numpy.ascontiguousarray(_shift_ramp(n_p, s * x / dp).T) * op
         else:
-            # C[j, i] is the cubic-spline weight of input node j at the source
-            # point stretch * p_i; reading the identity at integer rows keeps
-            # the interpolation one-dimensional
+            # C[j, i] is the quintic-spline weight of input node j at the
+            # source point stretch * p_i; reading the identity at integer rows
+            # keeps the interpolation one-dimensional
             rows = numpy.arange(n_p, dtype=float)[:, None].repeat(n_p, axis=1)
             cols = numpy.broadcast_to((s * p + grid.p_half_width) / dp, (n_p, n_p))
-            op = map_coordinates(numpy.eye(n_p), [rows, cols], order=3,
+            op = map_coordinates(numpy.eye(n_p), [rows, cols], order=5,
                                  mode="constant", cval=0.0) * s
             if v > 0:
                 op = irfft(rfft(op, axis=1) * _diffuse(kp2, v), n=n_p, axis=1)

@@ -196,6 +196,11 @@ def test_squeezed_pure_state_family():
         for theta in (0.0, 1.0, math.pi):
             st = squeezed_pure_state(r, theta, OSC, 1.0, NAT)
             assert st.det_cov == pytest.approx(0.25, rel=1e-12)
+    # large squeezing along the axes, where cosh 2r - sinh 2r would cancel
+    for r in (4.0, 7.5):
+        for theta in (0.0, math.pi):
+            st = squeezed_pure_state(r, theta, OSC, 1.0, NAT)
+            assert st.det_cov == pytest.approx(0.25, rel=1e-12)
     assert squeezed_pure_state(0.0, 0.0, OSC, 1.0, NAT).cov_xx == pytest.approx(0.5)
 
 

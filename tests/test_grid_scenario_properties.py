@@ -181,8 +181,6 @@ def _closed_form_draw(draw):
                         if key != "output"})
     if name == "identity-suite":
         overrides["draws"] = draw(st.integers(1, 20))
-    if name == "sieve-pointer-states":
-        overrides["objective"] = draw(st.sampled_from(["rotation_averaged", "instantaneous"]))
     return name, overrides
 
 

@@ -14,8 +14,6 @@ import pytest
 from casidec import cli, errors, scenarios
 from casidec.cli import main
 from casidec.errors import ConfigError, DomainError, UnknownScenario
-from casidec.gaussian_dynamics import squeezed_pure_state
-from casidec.params import MirrorParams
 from casidec.scenarios import (
     _COUNT_BOUNDS,
     _merge_config,
@@ -107,7 +105,7 @@ def test_manifest_is_the_only_place_with_timing(tmp_path):
     rep = run_scenario("cosmic-background-sphere", {"series_points": 5},
                        out_base=str(tmp_path))
     manifest = json.loads((rep.out_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == 10
+    assert manifest["schema_version"] == 11
     assert manifest["scenario"] == "cosmic-background-sphere"
     assert manifest["config"]["series_points"] == 5
     assert manifest["config"]["mirror"]["temperature"] == 2.7
@@ -251,7 +249,7 @@ _EXIT_CODES = {
     errors.ConfigError: 2, errors.UnknownScenario: 2, errors.NonPhysicalInput: 2,
     errors.DomainError: 2,
     errors.RegimeViolation: 3,
-    errors.QuadratureFailure: 4, errors.StepSizeError: 4, errors.OptimizationFailure: 4,
+    errors.QuadratureFailure: 4, errors.StepSizeError: 4,
     errors.StabilityViolation: 4, errors.GridTooSmall: 4, errors.FitFailure: 4,
     errors.IoError: 1,
 }
@@ -589,39 +587,13 @@ def test_cli_light_mirror_is_refused_for_its_speed(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("overrides, r_star", [
-    ({"r_max": 7.5}, 0.0),
-    ({"r_max": 4.0, "objective": "instantaneous"}, 4.0),
-])
-def test_cli_sieve_runs_at_large_squeezing(tmp_path, capsys, overrides, r_star):
-    # cosh 2r - sinh 2r cos(theta) used to cancel at theta = 0, so the squeezed
-    # state failed the purity gate ("defined at a pure state", exit 2)
-    cfg = _write_config(tmp_path / "cfg.json",
-                        {"scenario": "sieve-pointer-states", **overrides})
-    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
-    capsys.readouterr()
-    derived = json.loads(
-        (tmp_path / "out" / "sieve-pointer-states" / "summary.json").read_text())["derived"]
-    assert derived["r_star"] == pytest.approx(r_star, abs=1e-3)
-    assert derived["theta_star"] == pytest.approx(0.0, abs=1e-3)
-
-
-def test_the_sieve_series_follows_the_selected_state(tmp_path):
-    # the series was built from the ground state whatever state the sieve
-    # chose: at r* = 4 it read purity 1 and the ground-state cov_xx throughout
-    overrides = {"r_max": 4.0, "objective": "instantaneous"}
-    rep = run_scenario("sieve-pointer-states", overrides, out_base=str(tmp_path))
-    derived = rep.summary["derived"]
-    mirror = MirrorParams(**scenario_defaults("sieve-pointer-states")["mirror"])
-    state = squeezed_pure_state(derived["r_star"], derived["theta_star"], mirror,
-                                mirror.omega0)
-    mw = mirror.mass * mirror.omega0
-    rows = [line.split(",") for line in
-            (rep.out_dir / "series.csv").read_text().splitlines()[1:]]
-    # the period average of cov_xx, which the series starts from
-    assert float(rows[0][5]) == pytest.approx(
-        0.5 * (state.cov_xx + state.cov_pp / mw**2), rel=1e-12)
-    assert float(rows[-1][2]) < 0.05
+@pytest.mark.parametrize("key, value", [("objective", "instantaneous"), ("r_max", 4.0)])
+def test_cli_sieve_refuses_its_removed_keys(tmp_path, capsys, key, value):
+    # the sieve has one objective and reads its optimum off a fixed r grid
+    cfg = _write_config(tmp_path / "cfg.json", {"scenario": "sieve-pointer-states", key: value})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_check_runs_the_identity_suite(tmp_path, capsys):

@@ -10,11 +10,13 @@ from casidec import (
     MirrorParams,
     SolverCoefficients,
     coefficient_set,
+    entropy_production_rate,
     evolve_grid,
     grid_purity,
     init_cat,
     init_gaussian,
     sieve_search,
+    squeezed_pure_state,
 )
 from casidec.errors import DomainError
 
@@ -34,25 +36,28 @@ def test_vacuum_pointer_states_are_coherent(vacuum_result):
 
 
 def test_landscape_rate_is_theta_free_and_monotone(vacuum_result):
-    by_r = {}
-    for row in vacuum_result.landscape:
-        r, theta, rate = row[0], row[1], row[2]
-        by_r.setdefault(r, []).append(rate)
-    for r, rates in by_r.items():
-        assert max(rates) - min(rates) <= 1e-12 * max(abs(max(rates)), 1e-300)
-    r_sorted = sorted(by_r)
-    means = [by_r[r][0] for r in r_sorted]
-    assert all(b > a for a, b in zip(means, means[1:]))
+    # the landscape sits at theta = 0; every other angle gives the same rate
+    coeffs = coefficient_set(MIRROR)
+    for r, rate, *_ in vacuum_result.landscape:
+        for theta in (0.5 * math.pi, math.pi, 1.5 * math.pi):
+            state = squeezed_pure_state(r, theta, MIRROR, coeffs.omega_star)
+            other = entropy_production_rate(state, MIRROR, coeffs, rotation_averaged=True)
+            assert abs(other - rate) <= 1e-12 * max(abs(rate), 1e-300)
+    rates = [row[1] for row in sorted(vacuum_result.landscape)]
+    assert all(b > a for a, b in zip(rates, rates[1:]))
+
+
+def test_rate_at_optimum_is_the_landscape_rate_at_r_star(vacuum_result):
+    # the reported rate is the selected state's, not that of a point near it
+    row = next(row for row in vacuum_result.landscape if row[0] == vacuum_result.r_star)
+    assert vacuum_result.rate_at_optimum == row[1]
+    assert vacuum_result.rate_at_optimum == min(row[1] for row in vacuum_result.landscape)
 
 
 def test_entropy_ordering_holds_at_every_evaluation_time(vacuum_result):
-    n_times = len(vacuum_result.eval_times)
-    for j in range(n_times):
-        col = {}
-        for row in vacuum_result.landscape:
-            col.setdefault(row[0], row[3 + j])
-        r_sorted = sorted(col)
-        vals = [col[r] for r in r_sorted]
+    rows = sorted(vacuum_result.landscape)
+    for j in range(len(vacuum_result.eval_times)):
+        vals = [row[2 + j] for row in rows]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -61,19 +66,11 @@ def test_eval_times_span_a_damping_time(vacuum_result):
     assert vacuum_result.eval_times == pytest.approx((0.0, 0.1 / gamma, 0.5 / gamma))
 
 
-def test_instantaneous_objective_runs_away():
-    # the raw short-time rate rewards position squeezing without bound;
-    # this is the transient that makes rotation averaging the default
-    res = sieve_search(MIRROR, coefficient_set(MIRROR),
-                       objective="instantaneous", r_max=2.0)
-    assert res.r_star == pytest.approx(2.0, abs=1e-3)
-
-
 def test_sieve_guards():
     with pytest.raises(DomainError):
         sieve_search(MIRROR, CoefficientSet(omega_star=1e10, gamma=1e-12, d1=0.0))
-    with pytest.raises(DomainError):
-        sieve_search(MIRROR, coefficient_set(MIRROR), objective="bogus")
+    with pytest.raises(DomainError, match="omega_star"):
+        sieve_search(MIRROR, CoefficientSet(omega_star=0.0, gamma=1e-12, d1=1e-40))
 
 
 def test_cat_state_is_not_competitive():

@@ -481,8 +481,9 @@ def _exact_cat(spec, xg, pg, sc, t):
 
 # max error over peak, measured: 6.2e-16 for the sampled field against
 # init_cat, 2.7e-14 undamped, where only rounding separates the FFT shears
-# from the exact flow, and 1.67e-4 damped, which the cubic momentum stretch
-# sets (ROADMAP item 1); each bound sits above its measurement
+# from the exact flow, and 1.6e-6 damped, which the quintic momentum stretch
+# sets; each bound sits above its measurement, the damped one at the 1.67e-4
+# the cubic stretch reached
 @pytest.mark.parametrize("gamma, t, tol", [
     (0.05, 0.0, 1e-14),
     (0.0, TWO_PI, 1e-12),
@@ -674,9 +675,10 @@ def _ou_flow(mass, omega, gamma, d1, dt):
     return flow[:2, :2], flow[2:5, 5]
 
 
-# tolerances sit above what each plan reached (7e-16, 5e-8, 1.2e-15, 4e-8
-# and 9e-16 of the peak; the cubic stretch sets the two damped ones); the
-# Strang split erred by up to 8.3e-6, and leaving out the blur by 8.6e-2
+# tolerances sit above what each plan reached (7e-16, 1.2e-10, 1.4e-15,
+# 1.1e-10 and 9e-16 of the peak; the quintic stretch sets the two damped
+# ones, whose bounds sit at the 4.7e-8 and 4.2e-8 the cubic one reached);
+# the Strang split erred by up to 8.3e-6, and leaving out the blur by 8.6e-2
 @pytest.mark.parametrize("mass, omega, gamma, kinds, tol", [
     (None, 0.0, 0.0, ["p"], 1e-13),                       # pure diffusion
     (None, 0.0, 0.05, ["stretch"], 1e-7),                 # damping only
@@ -769,10 +771,11 @@ def _exact_drift_step(mean, cov, sc, dt, **grid_kwargs):
 
 
 # tolerances sit below what the 2-D cubic backtrace reached on each case
-# (2.9e-6, 4.0e-4 and 3.9e-4 of the peak)
+# (2.9e-6, 4.0e-4 and 3.9e-4 of the peak) and above what each reaches now
+# (1.9e-10 and 1.6e-6 with the quintic stretch, 2.4e-8 with shears only)
 @pytest.mark.parametrize("nx, n_p, gamma, tol", [
     (256, 256, 0.05, 5e-7),
-    (65, 63, 0.05, 5e-5),     # odd sizes; the cubic stretch sets the error
+    (65, 63, 0.05, 5e-5),     # odd sizes; the quintic stretch sets the error
     (65, 63, 0.0, 1e-7),      # odd sizes, shears only
 ])
 def test_drift_step_matches_the_exact_map(nx, n_p, gamma, tol):
@@ -1029,12 +1032,9 @@ def test_the_stacked_stretch_is_the_matmul_on_the_x_spectrum(nx, n_p):
         assert np.max(np.abs(back - field)) <= 1e-13 * np.max(np.abs(field))
 
 
-@pytest.mark.xfail(strict=True, raises=StabilityViolation,
-                   reason="the cubic stretch loses mass when sigma_p spans few p nodes")
 def test_a_damping_only_step_on_a_coarse_box_conserves_the_norm():
-    # drift 5.03e-7 against the 1e-8 monitor, with sigma_p = 0.4 over 3.6
-    # p nodes; a fix to the stretch makes this pass, and strict xfail then
-    # fails it, so the marker comes off with the fix
+    # sigma_p = 0.4 spans 3.6 p nodes; the cubic stretch lost 5.03e-7 of
+    # the mass here, over the 1e-8 monitor, and the quintic one keeps it
     grid = init_gaussian(2.0, 0.25, 1.69, 0.05, 0.16, nx=128, n_p=128,
                          x_half_width=14.0, p_half_width=7.0)
     sc = SolverCoefficients(mass=None, omega=0.0, gamma=0.3, d1=0.0)

@@ -1,6 +1,6 @@
 """Compare every scenario's default summary.json and series.csv between a
 base commit and this checkout, both run on this machine, along with those of
-a few non-default grid configs.
+a few non-default configs.
 
     python tools/compare_default_digests.py BASE_REV
 
@@ -25,10 +25,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# grid paths that no scenario's defaults reach: the damped cat, the cat on an
-# odd grid (no Nyquist bin, an odd midpoint slice), the undamped oracle and
-# an odd oracle grid, each keyed by its scenario and overrides
+# paths that no scenario's defaults reach: the damped cat, the cat on an odd
+# grid (no Nyquist bin, an odd midpoint slice), the undamped oracle, an odd
+# oracle grid and the sieve at a kilogram mirror, each keyed by its scenario
+# and overrides
 _EXTRA = {
+    "sieve-pointer-states:mass=1": ["sieve-pointer-states", {"mirror": {"mass": 1.0}}],
     "wigner-cat-highT:gamma=0.05": ["wigner-cat-highT", {"coefficients": {"gamma": 0.05}}],
     "wigner-cat-highT:grid=65x127": ["wigner-cat-highT", {"grid": {"nx": 65, "np": 127}}],
     "wigner-gaussian-oracle:gamma=0": ["wigner-gaussian-oracle",
