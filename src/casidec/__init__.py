@@ -73,8 +73,6 @@ from .gaussian_dynamics import (
     SieveResult,
     entropy_production_rate,
     evolve,
-    linear_entropy,
-    moment_derivatives,
     purity,
     secular_linear_entropy,
     sieve_search,
@@ -87,6 +85,7 @@ from .wigner_solver import (
     ScaleSet,
     SolverCoefficients,
     StepPlan,
+    check_cat_contained,
     evolve_grid,
     fringe_visibility,
     grid_moments,

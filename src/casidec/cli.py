@@ -17,10 +17,6 @@ from .errors import CasidecError, ConfigError
 from .scenarios import describe, format_float, list_scenarios, run_scenario
 
 
-def _exit_code(exc: CasidecError) -> int:
-    return exc.exit_code
-
-
 def _print_derived(derived: dict):
     for key, val in derived.items():
         if isinstance(val, float):
@@ -99,8 +95,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario from a JSON config file")
     p_run.add_argument("config", help='JSON file with a "scenario" key plus overrides')
     p_run.add_argument("--out", default=None,
-                       help="output base directory (wins over CASIDEC_OUT_DIR "
-                            "and the config)")
+                       help="output base directory (wins over CASIDEC_OUT_DIR)")
     p_run.set_defaults(fn=_cmd_run)
 
     p_list = sub.add_parser("list", help="list registered scenarios")
@@ -122,7 +117,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CasidecError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

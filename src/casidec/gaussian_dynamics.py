@@ -41,10 +41,8 @@ from .spectra_damping import CoefficientSet
 
 __all__ = [
     "GaussianState",
-    "moment_derivatives",
     "evolve",
     "purity",
-    "linear_entropy",
     "entropy_production_rate",
     "secular_linear_entropy",
     "squeezed_pure_state",
@@ -76,19 +74,6 @@ class GaussianState:
     def det_cov(self) -> float:
         return self.cov_xx * self.cov_pp - self.cov_xp**2
 
-    @classmethod
-    def coherent(cls, params: MirrorParams, mean_x: float = 0.0, mean_p: float = 0.0,
-                 constants: PhysicalConstants = CODATA, omega: float | None = None
-                 ) -> "GaussianState":
-        """Minimum-uncertainty state with the trap's ground-state widths."""
-        w = params.omega0 if omega is None else omega
-        if w <= 0:
-            raise DomainError("coherent state needs a positive frequency")
-        return cls(mean_x=mean_x, mean_p=mean_p,
-                   cov_xx=constants.hbar / (2.0 * params.mass * w),
-                   cov_xp=0.0,
-                   cov_pp=constants.hbar * params.mass * w / 2.0)
-
 
 def _generator(inv_mass: float, spring: float, gamma: float, d1: float,
                d2: float) -> np.ndarray:
@@ -112,13 +97,6 @@ def _generator(inv_mass: float, spring: float, gamma: float, d1: float,
 def _state_generator(params: MirrorParams, coeffs: CoefficientSet) -> np.ndarray:
     return _generator(1.0 / params.mass, params.mass * coeffs.omega_star**2,
                       coeffs.gamma, coeffs.d1, coeffs.d2)
-
-
-def moment_derivatives(state: GaussianState, params: MirrorParams,
-                       coeffs: CoefficientSet) -> np.ndarray:
-    """Time derivatives of (mean_x, mean_p, cov_xx, cov_xp, cov_pp)."""
-    y = [state.mean_x, state.mean_p, state.cov_xx, state.cov_xp, state.cov_pp, 1.0]
-    return (_state_generator(params, coeffs) @ y)[:5]
 
 
 def _default_dt(coeffs: CoefficientSet) -> float:
@@ -177,45 +155,37 @@ def purity(state: GaussianState, constants: PhysicalConstants = CODATA) -> float
     return constants.hbar / (2.0 * math.sqrt(state.det_cov))
 
 
-def linear_entropy(state: GaussianState, constants: PhysicalConstants = CODATA) -> float:
-    """Linear entropy 1 - purity."""
-    return 1.0 - purity(state, constants)
-
-
 def entropy_production_rate(state: GaussianState, params: MirrorParams,
                             coeffs: CoefficientSet,
-                            constants: PhysicalConstants = CODATA, *,
-                            rotation_averaged: bool = False) -> float:
-    """Initial linear-entropy production rate dS/dt of the state.
+                            constants: PhysicalConstants = CODATA) -> float:
+    """Initial linear-entropy production rate dS/dt, averaged over one free rotation.
 
-    Analytically, d(det cov)/dt = -4 Gamma det cov + 2 D1 cov_xx
-    + 2 D2 cov_xp, and dS/dt = (hbar/4) (det cov)^(-3/2) d(det cov)/dt. With
-    rotation_averaged=True the covariances entering the diffusion terms
-    are replaced by their averages over one free rotation at omega_star,
-    which removes the unphysical transient reward for position squeezing
-    and is the quantity the sieve ranks states by.
+    Analytically, d(det cov)/dt = -4 Gamma det cov + 2 D1 cov_xx + 2 D2 cov_xp,
+    and dS/dt = (hbar/4) (det cov)^(-3/2) d(det cov)/dt. The covariances
+    entering the diffusion terms are replaced by their averages over one
+    free rotation at omega_star (cov_xp averages to zero), which removes
+    the unphysical transient reward for position squeezing; this is the
+    quantity the sieve ranks states by.
     """
     if abs(4.0 * state.det_cov / constants.hbar**2 - 1.0) > 1e-9:
         raise DomainError("entropy production rate is defined at a pure state "
                           "(det cov = hbar^2/4 to 1e-9)")
-    xx, xp, pp = state.cov_xx, state.cov_xp, state.cov_pp
-    if rotation_averaged:
-        if coeffs.omega_star <= 0:
-            raise DomainError("rotation averaging needs omega_star > 0")
-        mw = params.mass * coeffs.omega_star
-        xx, xp, pp = (0.5 * (xx + pp / mw**2), 0.0, 0.5 * (pp + mw**2 * state.cov_xx))
+    if coeffs.omega_star <= 0:
+        raise DomainError("rotation averaging needs omega_star > 0")
+    mw = params.mass * coeffs.omega_star
+    xx = 0.5 * (state.cov_xx + state.cov_pp / mw**2)
     det = state.det_cov
-    ddet = -4.0 * coeffs.gamma * det + 2.0 * coeffs.d1 * xx + 2.0 * coeffs.d2 * xp
+    ddet = -4.0 * coeffs.gamma * det + 2.0 * coeffs.d1 * xx
     return 0.25 * constants.hbar * det ** (-1.5) * ddet
 
 
 def secular_linear_entropy(state: GaussianState, params: MirrorParams,
-                           coeffs: CoefficientSet, t: float, omega: float,
+                           coeffs: CoefficientSet, t: float,
                            constants: PhysicalConstants = CODATA) -> float:
     """Linear entropy at time t from the period-averaged moment system.
 
     Exact closed form of the rotation-averaged (secular) covariance
-    dynamics at reference frequency omega: the occupation-like invariant
+    dynamics at the frequency omega_star: the occupation-like invariant
     relaxes as e^(-2 gamma t) toward its diffusive steady state and the
     squeezing-correlation magnitude decays as e^(-2 gamma t); the phase of
     the squeezing ellipse is dropped. Accurate to O(gamma/omega) and
@@ -223,12 +193,12 @@ def secular_linear_entropy(state: GaussianState, params: MirrorParams,
     which is what makes evaluation times of order 1/gamma reachable when
     omega/gamma is astronomically large.
     """
-    if omega <= 0:
-        raise DomainError("secular evaluation needs a positive reference frequency")
+    if coeffs.omega_star <= 0:
+        raise DomainError("secular evaluation needs omega_star > 0")
     if t < 0:
         raise DomainError("evolution time must be >= 0")
     hbar = constants.hbar
-    mw = params.mass * omega
+    mw = params.mass * coeffs.omega_star
     occ = (mw * state.cov_xx + state.cov_pp / mw) / (2.0 * hbar)
     sq = math.hypot((mw * state.cov_xx - state.cov_pp / mw) / (2.0 * hbar),
                     state.cov_xp / hbar)
@@ -315,7 +285,6 @@ def sieve_search(params: MirrorParams, coeffs: CoefficientSet,
         raise DomainError("the sieve needs a positive diffusion coefficient")
     if coeffs.omega_star <= 0:
         raise DomainError("the rotation-averaged sieve needs omega_star > 0")
-    omega = coeffs.omega_star
 
     if coeffs.gamma > 0:
         eval_times = (0.0, 0.1 / coeffs.gamma, 0.5 / coeffs.gamma)
@@ -324,11 +293,11 @@ def sieve_search(params: MirrorParams, coeffs: CoefficientSet,
 
     rows = []
     for r in _R_GRID:
-        st = squeezed_pure_state(r, 0.0, params, omega, constants)
-        rate = entropy_production_rate(st, params, coeffs, constants, rotation_averaged=True)
+        st = squeezed_pure_state(r, 0.0, params, coeffs.omega_star, constants)
+        rate = entropy_production_rate(st, params, coeffs, constants)
         rows.append((r, rate, *(
             rate if te == 0.0
-            else secular_linear_entropy(st, params, coeffs, te, omega, constants)
+            else secular_linear_entropy(st, params, coeffs, te, constants)
             for te in eval_times)))
 
     r_star, rate_at_optimum = min(rows, key=lambda row: row[1])[:2]

@@ -74,10 +74,6 @@ class MirrorParams:
             if v < 0 or math.isnan(v) or math.isinf(v):
                 raise NonPhysicalInput(f"{name} must be finite and >= 0, got {v}")
 
-    @property
-    def free_particle(self) -> bool:
-        return self.omega0 == 0.0
-
 
 @dataclass(frozen=True)
 class CatSpec:
@@ -162,20 +158,17 @@ class DerivedQuantities:
     packet_velocity: float       # m/s
     delta_x: float               # m
     alpha_mag: float
-    thermal_length: float | None  # m; None when T = 0
 
 
 def derived_quantities(params: MirrorParams, cat: CatSpec,
                        constants: PhysicalConstants = CODATA) -> DerivedQuantities:
     """Compute the standard derived scales; raises DomainError when omega0 = 0."""
     cat = resolve_cat(cat, params, constants)
-    lam = thermal_de_broglie(params, constants) if params.temperature > 0 else None
     return DerivedQuantities(
         ground_width=ground_state_width(params, constants),
         packet_velocity=packet_velocity(params, cat.alpha_mag, constants),
         delta_x=cat.delta_x,
         alpha_mag=cat.alpha_mag,
-        thermal_length=lam,
     )
 
 

@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
-from .errors import (ConfigError, DomainError, GridTooSmall, IoError, RegimeViolation,
-                     RegimeWarning, UnknownScenario)
+from .errors import (ConfigError, DomainError, GridTooSmall, IoError, RegimeWarning,
+                     UnknownScenario)
 from .params import (
     CODATA,
     CatSpec,
@@ -406,8 +406,7 @@ def _run_sieve_pointer_states(cfg: dict):
     occ_inf = coeffs.d1 / (2.0 * gamma * CODATA.hbar * mw)
     rows = []
     for t in np.linspace(0.0, 0.5 / gamma, n):
-        ent = secular_linear_entropy(state, params, coeffs, float(t),
-                                     coeffs.omega_star)
+        ent = secular_linear_entropy(state, params, coeffs, float(t))
         occ = occ_inf + (occ0 - occ_inf) * math.exp(-2.0 * gamma * float(t))
         rows.append({"time": float(t), "visibility": None,
                      "purity": 1.0 - ent,
@@ -624,14 +623,10 @@ class _Scenario:
     runner: object
 
 
-_COMMON_OUTPUT = {"directory": "runs"}
-
 _REGISTRY: dict[str, _Scenario] = {}
 
 
 def _register(name, summary, detail, defaults, runner):
-    defaults = dict(defaults)
-    defaults["output"] = dict(_COMMON_OUTPUT)
     _REGISTRY[name] = _Scenario(name, summary, detail, defaults, runner)
 
 
@@ -834,8 +829,12 @@ def run_scenario(name: str, overrides: dict | None = None,
     """Run a registered scenario and persist summary, series, manifest."""
     if name not in _REGISTRY:
         raise UnknownScenario(f"no scenario named {name!r}")
+    if overrides is None:
+        overrides = {}
+    elif not isinstance(overrides, dict):
+        raise ConfigError(f"overrides must be a mapping, got {type(overrides).__name__}")
     sc = _REGISTRY[name]
-    cfg = _merge_config(sc.defaults, overrides or {})
+    cfg = _merge_config(sc.defaults, overrides)
 
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
@@ -850,7 +849,7 @@ def run_scenario(name: str, overrides: dict | None = None,
     if series is not None:
         texts["series.csv"] = _render_csv(*series)
 
-    base = out_base or os.environ.get(_OUT_DIR_ENV) or cfg["output"]["directory"]
+    base = out_base or os.environ.get(_OUT_DIR_ENV) or "runs"
     out_dir = Path(base) / name
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -142,7 +142,6 @@ class CharacteristicRoots:
 
     oscillatory: tuple[complex, complex]
     runaway: float
-    gamma_predicted: float
     re_deviation_rel: float       # |Re(s_osc) + Gamma| / Gamma
     im_deviation_rel: float       # ||Im(s_osc)| - omega0| / omega0
     runaway_deviation_rel: float  # |s_run - 1/eps| * eps
@@ -167,11 +166,10 @@ def characteristic_roots(params: MirrorParams,
     hbar, c = constants.hbar, constants.c
     eps = hbar / (6.0 * math.pi * params.mass * c**2)
     w0 = params.omega0
-    gamma = gamma_vacuum_1d(params, constants)
 
     if w0 == 0.0:
         return CharacteristicRoots(
-            oscillatory=(0j, 0j), runaway=1.0 / eps, gamma_predicted=0.0,
+            oscillatory=(0j, 0j), runaway=1.0 / eps,
             re_deviation_rel=0.0, im_deviation_rel=0.0, runaway_deviation_rel=0.0,
             residual_rel_max=0.0)
 
@@ -206,7 +204,6 @@ def characteristic_roots(params: MirrorParams,
     return CharacteristicRoots(
         oscillatory=(osc, osc.conjugate()),
         runaway=float(runaway_hp),
-        gamma_predicted=gamma,
         re_deviation_rel=re_dev,
         im_deviation_rel=im_dev,
         runaway_deviation_rel=run_dev,

@@ -127,9 +127,7 @@ class ScaleSet:
     """Conversion factors between SI and solver units."""
 
     x_scale: float   # m per solver length unit
-    p_scale: float   # kg m/s per solver momentum unit
     t_scale: float   # s per solver time unit
-    kind: str        # "oscillator" or "free"
 
 
 def nondimensionalize(params: MirrorParams, coeffs: CoefficientSet,
@@ -151,7 +149,6 @@ def nondimensionalize(params: MirrorParams, coeffs: CoefficientSet,
     if coeffs.omega_star > 0:
         x_scale = math.sqrt(hbar / (2.0 * params.mass * coeffs.omega_star))
         t_scale = 1.0 / coeffs.omega_star
-        kind = "oscillator"
     else:
         if params.temperature <= 0 or coeffs.gamma <= 0:
             raise DomainError(
@@ -159,14 +156,13 @@ def nondimensionalize(params: MirrorParams, coeffs: CoefficientSet,
         x_scale = hbar / math.sqrt(
             2.0 * params.mass * constants.k_boltzmann * params.temperature)
         t_scale = 1.0 / coeffs.gamma
-        kind = "free"
     sc = SolverCoefficients(
         mass=params.mass * x_scale**2 / (hbar * t_scale),
         omega=coeffs.omega_star * t_scale,
         gamma=coeffs.gamma * t_scale,
         d1=coeffs.d1 * x_scale**2 * t_scale / hbar**2,
     )
-    return sc, ScaleSet(x_scale=x_scale, p_scale=hbar / x_scale, t_scale=t_scale, kind=kind)
+    return sc, ScaleSet(x_scale=x_scale, t_scale=t_scale)
 
 
 @dataclass(frozen=True)
@@ -609,8 +605,12 @@ def step_plan(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> StepPl
     x, p, dx, dp = grid.x_axis, grid.p_axis, grid.dx, grid.dp
     kx2 = (2.0 * math.pi * numpy.fft.rfftfreq(nx, dx)) ** 2
     kp2 = (2.0 * math.pi * numpy.fft.rfftfreq(n_p, dp)) ** 2
+    # a drift or blur beyond double range raises FloatingPointError, which
+    # run_scenario reports as a DomainError
+    with numpy.errstate(over="raise", invalid="raise"):
+        exact = _exact_passes(sc.mass, sc.omega, sc.gamma, sc.d1, dt)
     passes = []
-    for axis, s, v in _exact_passes(sc.mass, sc.omega, sc.gamma, sc.d1, dt):
+    for axis, s, v in exact:
         if axis == "x":     # w(x + s p, p): column j moves by s p_j / dx nodes
             op = _shift_ramp(nx, s * p / dx) * _diffuse(kx2, v)[:, None]
         elif axis == "p":   # w(x, p + s x): row i moves by s x_i / dp nodes

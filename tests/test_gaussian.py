@@ -11,18 +11,17 @@ from casidec import (
     PhysicalConstants,
     entropy_production_rate,
     evolve,
-    linear_entropy,
-    moment_derivatives,
     purity,
     secular_linear_entropy,
     squeezed_pure_state,
 )
-from casidec import wigner_solver
+from casidec import gaussian_dynamics, wigner_solver
 from casidec.errors import DomainError, NonPhysicalInput, StepSizeError
 from casidec.scenarios import scenario_defaults
 
 NAT = PhysicalConstants.natural()
 OSC = MirrorParams(mass=1.0, omega0=1.0)
+COHERENT = squeezed_pure_state(0.0, 0.0, OSC, 1.0, NAT)
 
 
 def _coeffs(gamma=0.0, d1=0.0, d2=0.0, omega=1.0):
@@ -42,16 +41,18 @@ def test_state_validation():
 
 
 def test_coherent_state_widths():
-    st = GaussianState.coherent(OSC, constants=NAT)
+    st = COHERENT
     assert st.cov_xx == pytest.approx(0.5)
     assert st.cov_pp == pytest.approx(0.5)
     assert st.det_cov == pytest.approx(0.25)
 
 
 def test_moment_derivatives_formula():
-    st = GaussianState(1.0, -2.0, cov_xx=2.0, cov_xp=0.3, cov_pp=1.0)
+    # the generator evolve exponentiates, applied to (moments, 1)
+    y = [1.0, -2.0, 2.0, 0.3, 1.0, 1.0]  # mean_x, mean_p, cov_xx, cov_xp, cov_pp
     c = _coeffs(gamma=0.1, d1=0.7, d2=0.05, omega=2.0)
-    d = moment_derivatives(st, OSC, c)
+    d = gaussian_dynamics._state_generator(OSC, c) @ y
+    assert d[5] == 0.0
     assert d[0] == pytest.approx(-2.0)
     assert d[1] == pytest.approx(-4.0 * 1.0 - 0.2 * (-2.0))
     assert d[2] == pytest.approx(2 * 0.3)
@@ -89,7 +90,7 @@ def test_equipartition_steady_state():
 def test_coherent_state_is_exact_fixed_point():
     gamma = 0.02
     c = _coeffs(gamma=gamma, d1=vacuum_d1(gamma))
-    st = GaussianState.coherent(OSC, constants=NAT)
+    st = COHERENT
     out = evolve(st, OSC, c, 25.0)
     assert purity(out, NAT) == pytest.approx(1.0, abs=1e-9)
     assert out.cov_xx == pytest.approx(0.5, rel=1e-9)
@@ -99,15 +100,13 @@ def test_coherent_state_is_exact_fixed_point():
 def test_purity_values():
     st = GaussianState(0.0, 0.0, cov_xx=2.0, cov_xp=0.0, cov_pp=0.5)  # det = hbar^2
     assert purity(st, NAT) == pytest.approx(0.5, rel=1e-15)
-    assert linear_entropy(st, NAT) == pytest.approx(0.5, rel=1e-15)
-    pure = GaussianState.coherent(OSC, constants=NAT)
-    assert purity(pure, NAT) == pytest.approx(1.0, rel=1e-15)
+    assert purity(COHERENT, NAT) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_purity_decreases_under_excess_diffusion():
     gamma = 0.02
     c = _coeffs(gamma=gamma, d1=3.0 * vacuum_d1(gamma))
-    st = GaussianState.coherent(OSC, constants=NAT)
+    st = COHERENT
     p_mid = purity(evolve(st, OSC, c, 1.0), NAT)
     p_late = purity(evolve(st, OSC, c, 5.0), NAT)
     assert p_mid < 1.0
@@ -117,7 +116,7 @@ def test_purity_decreases_under_excess_diffusion():
 def test_heisenberg_bound_at_the_fixed_point_and_steady_state():
     gamma = 0.05
     c = _coeffs(gamma=gamma, d1=vacuum_d1(gamma))
-    coh = GaussianState.coherent(OSC, constants=NAT)
+    coh = COHERENT
     for t in (0.5, 2.0, 10.0, 40.0):
         assert evolve(coh, OSC, c, t).det_cov >= 0.25 * (1.0 - 1e-9)
 
@@ -144,7 +143,7 @@ def test_coherent_purity_floor_at_weak_damping():
     # purity of the coherent state never drops below 1 - 5 Gamma t early on
     gamma = 0.01
     c = _coeffs(gamma=gamma, d1=vacuum_d1(gamma))
-    st = GaussianState.coherent(OSC, constants=NAT)
+    st = COHERENT
     for t in (1.0, 5.0, 10.0):  # Gamma t up to 0.1
         assert purity(evolve(st, OSC, c, t), NAT) >= 1.0 - 5.0 * gamma * t
 
@@ -154,8 +153,8 @@ def test_coherent_purity_floor_at_weak_damping():
 def test_entropy_rate_zero_at_coherent_fixed_point():
     gamma = 0.02
     c = _coeffs(gamma=gamma, d1=vacuum_d1(gamma))
-    st = GaussianState.coherent(OSC, constants=NAT)
-    rate = entropy_production_rate(st, OSC, c, NAT, rotation_averaged=True)
+    st = COHERENT
+    rate = entropy_production_rate(st, OSC, c, NAT)
     assert rate == pytest.approx(0.0, abs=1e-15)
 
 
@@ -163,14 +162,14 @@ def test_entropy_rate_monotone_in_squeezing():
     gamma = 0.02
     c = _coeffs(gamma=gamma, d1=vacuum_d1(gamma))
     rates = [entropy_production_rate(squeezed_pure_state(r, 0.0, OSC, 1.0, NAT),
-                                     OSC, c, NAT, rotation_averaged=True)
+                                     OSC, c, NAT)
              for r in (0.0, 0.2, 0.5, 1.0, 2.0)]
     assert all(b > a for a, b in zip(rates, rates[1:]))
     assert rates[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_entropy_rate_zero_without_environment():
-    st = GaussianState.coherent(OSC, constants=NAT)
+    st = COHERENT
     with pytest.raises(DomainError):
         # no diffusion at all is rejected upstream by the sieve, but the
         # bare rate is still well-defined; only impure states are rejected
@@ -180,15 +179,13 @@ def test_entropy_rate_zero_without_environment():
 
 
 def test_instantaneous_rate_rewards_position_squeezing():
-    # the non-averaged rate drops under position squeezing: the transient
-    # the rotation-averaged objective exists to remove
-    gamma = 0.02
+    # over a short time the exact flow makes a position-squeezed state less
+    # mixed than the coherent one: the transient that entropy_production_rate
+    # averages away over a rotation
+    gamma, t = 0.02, 0.01
     c = _coeffs(gamma=gamma, d1=vacuum_d1(gamma))
-    r0 = entropy_production_rate(GaussianState.coherent(OSC, constants=NAT),
-                                 OSC, c, NAT)
-    r_sq = entropy_production_rate(squeezed_pure_state(0.3, 0.0, OSC, 1.0, NAT),
-                                   OSC, c, NAT)
-    assert r_sq < r0
+    squeezed = squeezed_pure_state(0.3, 0.0, OSC, 1.0, NAT)
+    assert purity(evolve(squeezed, OSC, c, t), NAT) > purity(evolve(COHERENT, OSC, c, t), NAT)
 
 
 def test_squeezed_pure_state_family():
@@ -208,7 +205,7 @@ def test_squeezed_pure_state_family():
 
 def test_evolve_step_guards():
     c = _coeffs(gamma=0.05, d1=0.05)
-    st = GaussianState.coherent(OSC, constants=NAT)
+    st = COHERENT
     with pytest.raises(StepSizeError):
         evolve(st, OSC, c, 1.0, dt=1.0)  # above 1% of the period
     with pytest.raises(StepSizeError):
@@ -222,7 +219,7 @@ def test_evolve_names_the_time_and_determinant_when_the_cone_is_left():
     # a cross diffusion with no momentum diffusion pulls det cov below zero
     # within a tenth of a period; the flow is exact, so no dt avoids it
     c = _coeffs(d2=5.0)
-    st = GaussianState.coherent(OSC, constants=NAT)
+    st = COHERENT
     with pytest.raises(StepSizeError, match=r"at t = .*det cov = -"):
         evolve(st, OSC, c, 1.0, dt=0.001)
 
@@ -293,9 +290,9 @@ def test_grid_drift_is_the_mean_flow():
 def test_secular_entropy_coherent_is_conserved():
     gamma = 1e-3
     c = _coeffs(gamma=gamma, d1=vacuum_d1(gamma))
-    st = GaussianState.coherent(OSC, constants=NAT)
+    st = COHERENT
     for t in (0.0, 1e3, 1e12):
-        assert secular_linear_entropy(st, OSC, c, t, 1.0, NAT) == pytest.approx(0.0, abs=1e-12)
+        assert secular_linear_entropy(st, OSC, c, t, NAT) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_secular_entropy_matches_stepped_moments():
@@ -305,19 +302,19 @@ def test_secular_entropy_matches_stepped_moments():
     c = _coeffs(gamma=gamma, d1=vacuum_d1(gamma))
     st = squeezed_pure_state(0.5, 0.7, OSC, 1.0, NAT)
     for t in (10.0, 100.0):
-        stepped = linear_entropy(evolve(st, OSC, c, t), NAT)
-        secular = secular_linear_entropy(st, OSC, c, t, 1.0, NAT)
+        stepped = 1.0 - purity(evolve(st, OSC, c, t), NAT)
+        secular = secular_linear_entropy(st, OSC, c, t, NAT)
         assert abs(secular - stepped) < 3e-3
         assert secular > 0
 
 
 def test_secular_entropy_gamma_zero_branch():
     c = _coeffs(gamma=0.0, d1=0.05)
-    st = GaussianState.coherent(OSC, constants=NAT)
+    st = COHERENT
     t = 2.0
-    stepped = linear_entropy(evolve(st, OSC, c, t, dt=0.005), NAT)
-    secular = secular_linear_entropy(st, OSC, c, t, 1.0, NAT)
+    stepped = 1.0 - purity(evolve(st, OSC, c, t, dt=0.005), NAT)
+    secular = secular_linear_entropy(st, OSC, c, t, NAT)
     # without damping the dropped correlation ripple is O(d1/omega)
     assert secular == pytest.approx(stepped, abs=0.1 * c.d1)
     with pytest.raises(DomainError):
-        secular_linear_entropy(st, OSC, c, 1.0, 0.0, NAT)
+        secular_linear_entropy(st, OSC, _coeffs(d1=0.05, omega=0.0), 1.0, NAT)

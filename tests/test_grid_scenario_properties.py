@@ -136,8 +136,21 @@ def test_cat_scenario_draws_run_or_fail_typed(overrides):
     _runs_or_fails_typed("wigner-cat-highT", overrides)
 
 
+def _heavy_oracle(mass, omega, d1, t_end):
+    return {"coefficients": {"mass": mass, "omega": omega, "gamma": 0.0, "d1": d1,
+                             "d2": 0.0},
+            "initial": {"mean_x": 0.0, "mean_p": 0.0, "cov_xx": 1.0, "cov_xp": 0.0,
+                        "cov_pp": 0.25},
+            "grid": {"nx": 16, "np": 18, "x_half_width": 7.0, "p_half_width": 4.0},
+            "time": {"dt_periods": 1.0, "t_end": t_end, "n_samples": 1}}
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_oracle_overrides())
+# masses this heavy used to overflow in the step plan's drift and blur, untyped
+@example(_heavy_oracle(8.98846567431158e+307, 1.0, 0.0, 0.03125))
+@example(_heavy_oracle(8.58239388096626e+155, 0.5, 1.0, 0.0625))
+@example(_heavy_oracle(2.6815615859885194e+154, 0.5, 1.0, 0.0625))
 def test_oracle_scenario_draws_run_or_fail_typed(overrides):
     if overrides["coefficients"]["d2"] != 0:
         with pytest.raises(ConfigError, match="'coefficients.d2'"):

@@ -44,11 +44,6 @@ def test_negative_secondary_fields_rejected(field):
         MirrorParams(mass=1e-21, **{field: -1.0})
 
 
-def test_free_particle_flag():
-    assert MirrorParams(mass=1.0).free_particle
-    assert not MIRROR.free_particle
-
-
 def test_cat_spec_validation_and_resolution():
     with pytest.raises(NonPhysicalInput):
         CatSpec()
@@ -119,9 +114,6 @@ def test_derived_quantities_bundle():
     d = derived_quantities(MIRROR, CatSpec(alpha_mag=10.0))
     assert d.alpha_mag == 10.0
     assert d.delta_x == pytest.approx(separation_from_alpha(10.0, MIRROR), rel=1e-15)
-    assert d.thermal_length is None
-    warm = MirrorParams(mass=1e-21, omega0=1e10, temperature=4.0)
-    assert derived_quantities(warm, CatSpec(alpha_mag=10.0)).thermal_length > 0
 
 
 def test_validate_nonrelativistic_gate():

@@ -4,7 +4,6 @@ exit codes."""
 import dataclasses
 import json
 import math
-import os
 import re
 import time
 
@@ -118,10 +117,10 @@ def test_manifest_is_the_only_place_with_timing(tmp_path):
 
 def test_manifest_stays_valid_json_with_a_tab_in_the_output_directory(tmp_path):
     out = str(tmp_path / "with\ttab")
-    rep = run_scenario("cosmic-background-sphere",
-                       {"series_points": 5, "output": {"directory": out}})
+    rep = run_scenario("cosmic-background-sphere", {"series_points": 5}, out_base=out)
+    assert rep.out_dir.parent == tmp_path / "with\ttab"
     manifest = json.loads((rep.out_dir / "manifest.json").read_text())
-    assert manifest["config"]["output"]["directory"] == out
+    assert manifest["config"]["series_points"] == 5
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -154,6 +153,21 @@ def test_sieve_series_leaves_visibility_blank(tmp_path):
 def test_unknown_scenario_raises():
     with pytest.raises(UnknownScenario):
         run_scenario("warp-drive", {})
+
+
+@pytest.mark.parametrize("overrides", [["series_points", 5], "series_points", 5])
+def test_overrides_that_are_not_a_mapping_are_refused_typed(tmp_path, overrides):
+    with pytest.raises(ConfigError, match="overrides must be a mapping") as info:
+        run_scenario("cosmic-background-sphere", overrides, out_base=str(tmp_path))
+    assert info.value.exit_code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_output_directory_is_not_a_config_key(tmp_path):
+    # the base directory comes from out_base, CASIDEC_OUT_DIR or runs/ only
+    with pytest.raises(ConfigError, match="unknown config key 'output'"):
+        run_scenario("cosmic-background-sphere", {"output": {"directory": str(tmp_path)}})
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------------ CLI
@@ -261,7 +275,7 @@ def test_every_error_class_maps_to_its_documented_exit_code():
                and cls is not errors.CasidecError}
     assert defined == set(_EXIT_CODES)
     for cls, code in _EXIT_CODES.items():
-        assert cli._exit_code(cls("x")) == code, cls.__name__
+        assert cls("x").exit_code == code, cls.__name__
 
 
 def test_cli_io_failure_exits_1(tmp_path, capsys):

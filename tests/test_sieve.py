@@ -41,7 +41,7 @@ def test_landscape_rate_is_theta_free_and_monotone(vacuum_result):
     for r, rate, *_ in vacuum_result.landscape:
         for theta in (0.5 * math.pi, math.pi, 1.5 * math.pi):
             state = squeezed_pure_state(r, theta, MIRROR, coeffs.omega_star)
-            other = entropy_production_rate(state, MIRROR, coeffs, rotation_averaged=True)
+            other = entropy_production_rate(state, MIRROR, coeffs)
             assert abs(other - rate) <= 1e-12 * max(abs(rate), 1e-300)
     rates = [row[1] for row in sorted(vacuum_result.landscape)]
     assert all(b > a for a, b in zip(rates, rates[1:]))

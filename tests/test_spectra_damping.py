@@ -135,7 +135,7 @@ def test_roots_oscillatory_pair_matches_damping_rate():
     assert roots.re_deviation_rel <= 10.0 * small**2
     assert roots.im_deviation_rel <= 10.0 * small**2
     # measured against the trap frequency the agreement is absurdly tight
-    assert roots.re_deviation_rel * roots.gamma_predicted / MIRROR.omega0 < 1e-15
+    assert roots.re_deviation_rel * gamma_vacuum_1d(MIRROR) / MIRROR.omega0 < 1e-15
     assert roots.residual_rel_max < 1e-14
 
 
