@@ -130,7 +130,8 @@ def evolve(state: GaussianState, params: MirrorParams, coeffs: CoefficientSet,
     elif not dt > 0:
         raise StepSizeError("dt must be positive")
     elif dt > limit * (1.0 + 1e-12):
-        raise StepSizeError(f"dt = {dt:g} exceeds the stability budget {limit:g}")
+        raise StepSizeError(f"dt = {dt:g} exceeds {limit:g}, the longest interval between "
+                            "positivity checks (the flow itself is exact at any step)")
 
     if not t / dt < math.inf:
         raise StepSizeError(f"the span {t!r} over dt = {dt!r} overflows the step count")

@@ -254,6 +254,41 @@ def _cat_series(td: float, n: int, delta_x: float, width: float,
 
 
 # ---------------------------------------------------------------------------
+# lifetime routes: the td_routes_s of the SI scenarios, each checked by the identity suite
+
+def _plane_routes(params: MirrorParams, alpha: float, gamma: float,
+                  v_over_c: float) -> dict:
+    """A plane mirror's cat lifetime by amplitude, separation and emitted weight."""
+    return {
+        "amplitude": td_cat_vacuum(alpha, gamma),
+        "separation": td_from_separation(separation_from_alpha(alpha, params),
+                                         ground_state_width(params), gamma),
+        "relative_weight": td_relative_1d(v_over_c, params.omega0),
+    }
+
+
+def _sphere_routes(params: MirrorParams, alpha: float, gamma: float,
+                   v_over_c: float) -> dict:
+    """A small sphere's cat lifetime by amplitude, and by emitted weight where
+    td_relative_sphere holds: size parameter below v/c."""
+    routes = {"amplitude": td_cat_vacuum(alpha, gamma)}
+    if params.omega0 * params.radius / CODATA.c < v_over_c:
+        routes["relative_weight"] = td_relative_sphere(v_over_c, params.omega0, params.radius)
+    return routes
+
+
+def _thermal_routes(params: MirrorParams, delta_x: float, gamma: float) -> dict:
+    """A free sphere's coherence lifetime in thermal radiation by thermal
+    length, the combined closed form and momentum diffusion."""
+    return {
+        "thermal_length": td_high_T(thermal_de_broglie(params), delta_x, gamma),
+        "combined": td_thermal_sphere_free(params, delta_x),
+        "diffusion": td_from_diffusion(diffusion_asymptotic(params, gamma), delta_x,
+                                       oscillatory=False),
+    }
+
+
+# ---------------------------------------------------------------------------
 # scenario runners
 
 def _run_1d_mirror_vacuum(cfg: dict):
@@ -263,10 +298,7 @@ def _run_1d_mirror_vacuum(cfg: dict):
     gamma = damping_rate(params)
     roots = characteristic_roots(params)
     v_over_c = dq.packet_velocity / CODATA.c
-
-    td_amp = td_cat_vacuum(dq.alpha_mag, gamma)
-    td_sep = td_from_separation(dq.delta_x, dq.ground_width, gamma)
-    td_rel = td_relative_1d(v_over_c, params.omega0)
+    routes = _plane_routes(params, dq.alpha_mag, gamma, v_over_c)
     osc = roots.oscillatory[0]
 
     summary = {
@@ -282,11 +314,7 @@ def _run_1d_mirror_vacuum(cfg: dict):
             "v_over_c": v_over_c,
             "hbar_omega0_over_Mc2": CODATA.hbar * params.omega0 / (
                 params.mass * CODATA.c**2),
-            "td_routes_s": {
-                "amplitude": td_amp,
-                "separation": td_sep,
-                "relative_weight": td_rel,
-            },
+            "td_routes_s": routes,
             "characteristic_roots": {
                 "oscillatory_re_per_s": osc.real,
                 "oscillatory_im_per_s": osc.imag,
@@ -295,7 +323,7 @@ def _run_1d_mirror_vacuum(cfg: dict):
             },
         },
     }
-    return summary, _cat_series(td_amp, cfg["series_points"], dq.delta_x,
+    return summary, _cat_series(routes["amplitude"], cfg["series_points"], dq.delta_x,
                                 dq.ground_width, (CODATA.hbar / (2.0 * dq.ground_width)) ** 2,
                                 "'mirror.mass', 'mirror.omega0' and 'cat.alpha_mag'")
 
@@ -308,7 +336,7 @@ def _run_sphere_rayleigh_vacuum(cfg: dict):
     gamma_flat = gamma_vacuum_1d(params)
     size = params.omega0 * params.radius / CODATA.c
     v_over_c = dq.packet_velocity / CODATA.c
-    td_amp = td_cat_vacuum(dq.alpha_mag, gamma_sph)
+    routes = _sphere_routes(params, dq.alpha_mag, gamma_sph, v_over_c)
 
     derived = {
         "gamma_sphere_per_s": gamma_sph,
@@ -316,13 +344,9 @@ def _run_sphere_rayleigh_vacuum(cfg: dict):
         "rayleigh_suppression": gamma_sph / gamma_flat,
         "size_parameter": size,
         "v_over_c": v_over_c,
-        "td_routes_s": {"amplitude": td_amp},
+        "td_routes_s": routes,
     }
-    # the closed-form route holds only deep inside size < 324^(1/6) v/c
-    if size < 324.0 ** (1.0 / 6.0) * v_over_c:
-        derived["td_routes_s"]["relative_weight"] = td_relative_sphere(
-            v_over_c, params.omega0, params.radius)
-    else:
+    if "relative_weight" not in routes:
         derived["relative_weight_note"] = (
             "skipped: size parameter exceeds the validity window of the "
             "closed-form relative-weight route")
@@ -334,7 +358,7 @@ def _run_sphere_rayleigh_vacuum(cfg: dict):
                    "radius_m": params.radius, "alpha_mag": dq.alpha_mag},
         "derived": derived,
     }
-    return summary, _cat_series(td_amp, cfg["series_points"], dq.delta_x,
+    return summary, _cat_series(routes["amplitude"], cfg["series_points"], dq.delta_x,
                                 dq.ground_width, (CODATA.hbar / (2.0 * dq.ground_width)) ** 2,
                                 "'mirror.mass', 'mirror.omega0', 'mirror.radius' and "
                                 "'cat.alpha_mag'")
@@ -346,9 +370,7 @@ def _thermal_sphere_summary(name: str, cfg: dict):
     gamma = damping_rate(params)
     lam = thermal_de_broglie(params)
     d1 = diffusion_asymptotic(params, gamma)
-    td_lam = td_high_T(lam, delta_x, gamma)
-    td_all = td_thermal_sphere_free(params, delta_x)
-    td_diff = td_from_diffusion(d1, delta_x, oscillatory=False)
+    routes = _thermal_routes(params, delta_x, gamma)
 
     summary = {
         "scenario": name,
@@ -359,15 +381,11 @@ def _thermal_sphere_summary(name: str, cfg: dict):
             "gamma_per_s": gamma,
             "thermal_length_m": lam,
             "d1_kg2_m2_per_s3": d1,
-            "td_routes_s": {
-                "thermal_length": td_lam,
-                "combined": td_all,
-                "diffusion": td_diff,
-            },
-            "td_times_dx2_s_m2": td_all * delta_x**2,
+            "td_routes_s": routes,
+            "td_times_dx2_s_m2": routes["combined"] * delta_x**2,
         },
     }
-    return summary, _cat_series(td_all, cfg["series_points"], delta_x, lam,
+    return summary, _cat_series(routes["combined"], cfg["series_points"], delta_x, lam,
                                 params.mass * CODATA.k_boltzmann * params.temperature,
                                 "'mirror.temperature', 'mirror.radius' and 'delta_x'")
 
@@ -425,8 +443,9 @@ def _run_wigner_cat_hight(cfg: dict):
     spec = CatWignerSpec(**cat)
     sc = SolverCoefficients(mass=None, omega=0.0, **cfg["coefficients"])
     k = spec.fringe_wavenumber
-    td_plain = 1.0 / (sc.d1 * k**2)
-    td_avg = 2.0 / (sc.d1 * k**2)
+    natural = PhysicalConstants.natural()
+    td_plain = td_from_diffusion(sc.d1, spec.separation, oscillatory=False, constants=natural)
+    td_avg = td_from_diffusion(sc.d1, spec.separation, oscillatory=True, constants=natural)
     t_end = cfg["t_end_over_td"] * td_avg
 
     n_samples = cfg["time"]["n_samples"]
@@ -546,8 +565,12 @@ def _run_identity_suite(cfg: dict):
     delta_x = loguniform(*r["delta_x_m"], n)
     size_frac = loguniform(1e-3, 1.0, n)
 
-    dev = {"amplitude_vs_separation": 0.0, "amplitude_vs_relative_weight": 0.0,
-           "sphere_vs_relative_weight": 0.0, "thermal_chain": 0.0}
+    # each chain: a route table, its reference route and the routes checked against it
+    chains = {"amplitude_vs_separation": ("plane", "amplitude", "separation"),
+              "amplitude_vs_relative_weight": ("plane", "amplitude", "relative_weight"),
+              "sphere_vs_relative_weight": ("sphere", "amplitude", "relative_weight"),
+              "thermal_chain": ("thermal", "thermal_length", "combined", "diffusion")}
+    dev = dict.fromkeys(chains, 0.0)
     # the draws are numpy scalars, whose overflow or division by an underflowed
     # zero would only warn: raise it, for run_scenario to refuse typed
     with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
@@ -555,34 +578,20 @@ def _run_identity_suite(cfg: dict):
         warnings.simplefilter("ignore", RegimeWarning)
         for i in range(n):
             osc = MirrorParams(mass=mass[i], omega0=omega0[i])
-            gamma = gamma_vacuum_1d(osc)
-            width = ground_state_width(osc)
-            sep = separation_from_alpha(alpha[i], osc)
             v_over_c = packet_velocity(osc, alpha[i]) / CODATA.c
-
-            a = td_cat_vacuum(alpha[i], gamma)
-            b = td_from_separation(sep, width, gamma)
-            dev["amplitude_vs_separation"] = max(
-                dev["amplitude_vs_separation"], abs(a / b - 1.0))
-
-            c = td_relative_1d(v_over_c, omega0[i])
-            dev["amplitude_vs_relative_weight"] = max(
-                dev["amplitude_vs_relative_weight"], abs(a / c - 1.0))
-
             r_sph = size_frac[i] * v_over_c * CODATA.c / omega0[i]
             sphere = MirrorParams(mass=mass[i], omega0=omega0[i], radius=r_sph)
-            g_sph = gamma_vacuum_sphere(sphere)
-            d = td_cat_vacuum(alpha[i], g_sph)
-            e = td_relative_sphere(v_over_c, omega0[i], r_sph)
-            dev["sphere_vs_relative_weight"] = max(
-                dev["sphere_vs_relative_weight"], abs(d / e - 1.0))
-
             free = MirrorParams(mass=mass[i], temperature=temp[i], radius=radius[i])
-            g_th = gamma_thermal_sphere(free)
-            lam = thermal_de_broglie(free)
-            f = td_high_T(lam, delta_x[i], g_th)
-            g = td_thermal_sphere_free(free, delta_x[i])
-            dev["thermal_chain"] = max(dev["thermal_chain"], abs(f / g - 1.0))
+            tables = {
+                "plane": _plane_routes(osc, alpha[i], gamma_vacuum_1d(osc), v_over_c),
+                "sphere": _sphere_routes(sphere, alpha[i], gamma_vacuum_sphere(sphere),
+                                         v_over_c),
+                "thermal": _thermal_routes(free, delta_x[i], gamma_thermal_sphere(free)),
+            }
+            for chain, (table, ref, *others) in chains.items():
+                routes = tables[table]
+                dev[chain] = max([dev[chain]] + [abs(routes[ref] / routes[other] - 1.0)
+                                                 for other in others if other in routes])
 
     tol = cfg["tolerance"]
     summary = {
@@ -658,7 +667,7 @@ _register(
     "value suppressed by (omega0 R / c)^6 / 108. Superpositions become\n"
     "practically indestructible by this channel. The closed-form\n"
     "relative-weight lifetime route is reported only inside its validity\n"
-    "window (size parameter below ~2.6 v/c).",
+    "window (size parameter below v/c).",
     {
         "mirror": {"mass": 1e-21, "omega0": 1e10, "radius": 1e-5},
         "cat": {"alpha_mag": 10.0, "phase": 0.0},
@@ -776,8 +785,9 @@ _register(
     "Draws random valid parameters (seeded, reproducible) and checks that\n"
     "the independent lifetime routes agree to the stated tolerance:\n"
     "amplitude vs separation, amplitude vs relative emitted weight, the\n"
-    "sphere chain, and the thermal chain. Exit code is nonzero when any\n"
-    "deviation exceeds the tolerance.",
+    "sphere chain, and the thermal chain (thermal length, combined closed\n"
+    "form and diffusion). Exit code is nonzero when any deviation exceeds\n"
+    "the tolerance.",
     {
         "draws": 1000,
         "seed": 20260819,

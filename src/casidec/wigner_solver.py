@@ -71,7 +71,7 @@ from .errors import (
     StepSizeError,
 )
 from .gaussian_dynamics import _generator
-from .params import CODATA, CatSpec, MirrorParams, PhysicalConstants, resolve_cat
+from .params import CODATA, CatSpec, MirrorParams, PhysicalConstants, resolve_cat, thermal_de_broglie
 from .spectra_damping import CoefficientSet
 
 __all__ = [
@@ -153,8 +153,7 @@ def nondimensionalize(params: MirrorParams, coeffs: CoefficientSet,
         if params.temperature <= 0 or coeffs.gamma <= 0:
             raise DomainError(
                 "free-particle scaling needs temperature > 0 and gamma > 0")
-        x_scale = hbar / math.sqrt(
-            2.0 * params.mass * constants.k_boltzmann * params.temperature)
+        x_scale = thermal_de_broglie(params, constants)
         t_scale = 1.0 / coeffs.gamma
     sc = SolverCoefficients(
         mass=params.mass * x_scale**2 / (hbar * t_scale),

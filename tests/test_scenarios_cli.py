@@ -258,6 +258,34 @@ def test_cli_failed_consistency_exits_4(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+def test_sphere_reports_the_relative_weight_route_exactly_where_it_holds(tmp_path, capsys):
+    # size parameter 2.67e-9 against v/c 1.53e-9: outside td_relative_sphere's
+    # window, which the scenario used to widen to 2.6 v/c and then exit 3 on
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "scenario": "sphere-rayleigh-vacuum", "mirror": {"radius": 8e-11}})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    derived = json.loads(
+        (tmp_path / "out" / "sphere-rayleigh-vacuum" / "summary.json").read_text())["derived"]
+    assert derived["size_parameter"] > derived["v_over_c"]
+    assert list(derived["td_routes_s"]) == ["amplitude"]
+    assert "relative_weight_note" in derived
+    # size parameter 1.0e-9: inside the window, where the two routes agree
+    routes = run_scenario("sphere-rayleigh-vacuum", {"mirror": {"radius": 3e-11}},
+                          out_base=str(tmp_path / "lib")).summary["derived"]["td_routes_s"]
+    assert routes["relative_weight"] == pytest.approx(routes["amplitude"], rel=1e-12)
+
+
+def test_identity_suite_checks_every_route_a_scenario_reports(tmp_path, monkeypatch):
+    # the thermal scenarios report the diffusion route, so the suite checks it too
+    td_from_diffusion = scenarios.td_from_diffusion
+    monkeypatch.setattr(scenarios, "td_from_diffusion",
+                        lambda *args, **kwargs: 2.0 * td_from_diffusion(*args, **kwargs))
+    summary = run_scenario("identity-suite", {"draws": 5}, out_base=str(tmp_path)).summary
+    assert summary["pass"] is False
+    assert summary["derived"]["max_relative_deviation"]["thermal_chain"] > 0.1
+
+
 # the documented exit code of every package error
 _EXIT_CODES = {
     errors.ConfigError: 2, errors.UnknownScenario: 2, errors.NonPhysicalInput: 2,
