@@ -21,10 +21,10 @@ Gaussian purity, and implements the predictability sieve: minimize
 early-time entropy production over the family of pure squeezed states.
 The instantaneous production rate at a pure state decreases under
 position squeezing (the transport equation is not completely positive at
-short times), so the sieve averages the rate over one free rotation,
-which is also what the evolved entropy at times long against the period
-measures. Under that averaging the coherent state (zero squeezing) is the
-strict minimum whenever the diffusion enters through the momentum.
+short times), so the sieve takes the rate averaged over one free rotation,
+in closed form, which is what the evolved entropy at times long against the
+period measures. Under that averaging the coherent state (zero squeezing) is
+the strict minimum whenever the diffusion enters through the momentum.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "GaussianState",
     "evolve",
     "purity",
-    "entropy_production_rate",
     "secular_linear_entropy",
     "squeezed_pure_state",
     "SieveResult",
@@ -156,30 +155,6 @@ def purity(state: GaussianState, constants: PhysicalConstants = CODATA) -> float
     return constants.hbar / (2.0 * math.sqrt(state.det_cov))
 
 
-def entropy_production_rate(state: GaussianState, params: MirrorParams,
-                            coeffs: CoefficientSet,
-                            constants: PhysicalConstants = CODATA) -> float:
-    """Initial linear-entropy production rate dS/dt, averaged over one free rotation.
-
-    Analytically, d(det cov)/dt = -4 Gamma det cov + 2 D1 cov_xx + 2 D2 cov_xp,
-    and dS/dt = (hbar/4) (det cov)^(-3/2) d(det cov)/dt. The covariances
-    entering the diffusion terms are replaced by their averages over one
-    free rotation at omega_star (cov_xp averages to zero), which removes
-    the unphysical transient reward for position squeezing; this is the
-    quantity the sieve ranks states by.
-    """
-    if abs(4.0 * state.det_cov / constants.hbar**2 - 1.0) > 1e-9:
-        raise DomainError("entropy production rate is defined at a pure state "
-                          "(det cov = hbar^2/4 to 1e-9)")
-    if coeffs.omega_star <= 0:
-        raise DomainError("rotation averaging needs omega_star > 0")
-    mw = params.mass * coeffs.omega_star
-    xx = 0.5 * (state.cov_xx + state.cov_pp / mw**2)
-    det = state.det_cov
-    ddet = -4.0 * coeffs.gamma * det + 2.0 * coeffs.d1 * xx
-    return 0.25 * constants.hbar * det ** (-1.5) * ddet
-
-
 def secular_linear_entropy(state: GaussianState, params: MirrorParams,
                            coeffs: CoefficientSet, t: float,
                            constants: PhysicalConstants = CODATA) -> float:
@@ -269,7 +244,9 @@ def sieve_search(params: MirrorParams, coeffs: CoefficientSet,
     """Predictability sieve over the pure squeezed-state family.
 
     Ranks the squeezed states of the r grid by their rotation-averaged
-    entropy production rate. At a pure state that rate is
+    entropy production rate, taken in closed form: at a pure state,
+    dS/dt = (hbar/4) (det cov)^(-3/2) (-4 Gamma det cov + 2 D1 cov_xx), with
+    cov_xx averaged over a rotation to hbar cosh 2r / (2 M omega*), is
     2 (-Gamma + D1 cosh 2r / (hbar M omega*)): free of the squeezing angle,
     so every row sits at theta = 0, and strictly rising in r, so the least
     rate is the coherent state r = 0, a point of the grid. The robustness
@@ -292,10 +269,11 @@ def sieve_search(params: MirrorParams, coeffs: CoefficientSet,
     else:
         eval_times = (0.0,)
 
+    hbar_mw = constants.hbar * params.mass * coeffs.omega_star
     rows = []
     for r in _R_GRID:
         st = squeezed_pure_state(r, 0.0, params, coeffs.omega_star, constants)
-        rate = entropy_production_rate(st, params, coeffs, constants)
+        rate = 2.0 * (coeffs.d1 * math.cosh(2.0 * r) / hbar_mw - coeffs.gamma)
         rows.append((r, rate, *(
             rate if te == 0.0
             else secular_linear_entropy(st, params, coeffs, te, constants)

@@ -75,27 +75,25 @@ def which_way_overlap(t: float, alpha_mag: float, gamma: float, *,
     return max(1.0 - rate * t, -1.0)
 
 
-def reduced_offdiagonal_weight(t: float, alpha_mag: float, gamma: float, *,
-                               exponentiated: bool = True) -> float:
+def reduced_offdiagonal_weight(t: float, alpha_mag: float, gamma: float) -> float:
     """Off-diagonal coefficient of the mirror's reduced density matrix.
 
     Tracing the field out of the dressed superposition leaves the
-    coherence suppressed by half the branch overlap.
+    coherence suppressed by half the (exponentiated) branch overlap.
     """
-    return 0.5 * which_way_overlap(t, alpha_mag, gamma, exponentiated=exponentiated)
+    return 0.5 * which_way_overlap(t, alpha_mag, gamma)
 
 
-def emission_state(t: float, alpha_mag: float, gamma: float, *,
-                   exponentiated: bool = False) -> PairEmissionState:
-    """Assemble the full emission snapshot at time t.
+def emission_state(t: float, alpha_mag: float, gamma: float) -> PairEmissionState:
+    """Assemble the full emission snapshot at time t, in the linear branch.
 
-    In the linear branch vacuum_weight + pair_weight = 1 holds exactly
-    while the expansion is valid; vacuum_weight is clamped at 0 beyond it
-    and the perturbative flag records the breach.
+    vacuum_weight + pair_weight = 1 holds exactly while the expansion is
+    valid; vacuum_weight is clamped at 0 beyond it and the perturbative
+    flag records the breach.
     """
     weight = pair_probability(t, alpha_mag, gamma)
     perturbative = 2.0 * weight <= 1.0
-    overlap = which_way_overlap(t, alpha_mag, gamma, exponentiated=exponentiated) \
+    overlap = which_way_overlap(t, alpha_mag, gamma, exponentiated=False) \
         if alpha_mag > 0 and gamma > 0 else 1.0
     return PairEmissionState(
         time=t,

@@ -340,7 +340,9 @@ def check_cat_contained(grid: PhaseSpaceGrid, sc: SolverCoefficients, times) -> 
     _SIGMA_P^2 e^{-4 g t} + d1 (1 - e^{-4 g t}) / (2 g), or _SIGMA_P^2 +
     2 d1 t at g = 0; both p edges lie at the half width from it. Its
     density at a distance peaks at a width equal to it, past which the
-    periodic field only flattens, so the width is capped there. At a damping
+    periodic field only flattens, so the width is capped there. The variance
+    moves monotonically toward d1 / (2 g) and the edge density rises with it
+    to that cap, so a run's first and last steps settle the verdict. At a damping
     so strong that g t or the edge's distance over the width overflows, the
     exponentials take their limit 0, and a width that underflows to 0 is
     held at the least normal double."""

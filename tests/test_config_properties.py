@@ -82,3 +82,14 @@ def test_a_wrong_typed_leaf_raises_config_error(case):
     defaults, overrides = case
     with pytest.raises(ConfigError):
         _merge_config(defaults, overrides)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_default_leaf_has_a_type_the_merge_handles(name):
+    # the merge checks mappings, counts, floats, strings and lists of floats
+    # only; a default of any other type would fall through to the list check
+    for path, value in _leaves(scenario_defaults(name)):
+        ok = (isinstance(value, (dict, float, str))
+              or (isinstance(value, int) and not isinstance(value, bool))
+              or (isinstance(value, list) and all(type(v) is float for v in value)))
+        assert ok, f"{name}: {'.'.join(path)} = {value!r}"

@@ -9,10 +9,10 @@ from casidec import (
     GaussianState,
     MirrorParams,
     PhysicalConstants,
-    entropy_production_rate,
     evolve,
     purity,
     secular_linear_entropy,
+    sieve_search,
     squeezed_pure_state,
 )
 from casidec import gaussian_dynamics, wigner_solver
@@ -150,37 +150,25 @@ def test_coherent_purity_floor_at_weak_damping():
 
 # ------------------------------------------------------- entropy production
 
-def test_entropy_rate_zero_at_coherent_fixed_point():
-    gamma = 0.02
+def _sieve_rates(gamma):
+    # the sieve landscape's rotation-averaged rates, in rising r
     c = _coeffs(gamma=gamma, d1=vacuum_d1(gamma))
-    st = COHERENT
-    rate = entropy_production_rate(st, OSC, c, NAT)
-    assert rate == pytest.approx(0.0, abs=1e-15)
+    return [row[1] for row in sieve_search(OSC, c, NAT).landscape]
+
+
+def test_entropy_rate_zero_at_coherent_fixed_point():
+    assert _sieve_rates(0.02)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_entropy_rate_monotone_in_squeezing():
-    gamma = 0.02
-    c = _coeffs(gamma=gamma, d1=vacuum_d1(gamma))
-    rates = [entropy_production_rate(squeezed_pure_state(r, 0.0, OSC, 1.0, NAT),
-                                     OSC, c, NAT)
-             for r in (0.0, 0.2, 0.5, 1.0, 2.0)]
+    rates = _sieve_rates(0.02)
     assert all(b > a for a, b in zip(rates, rates[1:]))
     assert rates[0] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_entropy_rate_zero_without_environment():
-    st = COHERENT
-    with pytest.raises(DomainError):
-        # no diffusion at all is rejected upstream by the sieve, but the
-        # bare rate is still well-defined; only impure states are rejected
-        entropy_production_rate(GaussianState(0, 0, 1.0, 0.0, 1.0), OSC,
-                                _coeffs(), NAT)
-    assert entropy_production_rate(st, OSC, _coeffs(), NAT) == 0.0
-
-
 def test_instantaneous_rate_rewards_position_squeezing():
     # over a short time the exact flow makes a position-squeezed state less
-    # mixed than the coherent one: the transient that entropy_production_rate
+    # mixed than the coherent one: the transient that the sieve's rate
     # averages away over a rotation
     gamma, t = 0.02, 0.01
     c = _coeffs(gamma=gamma, d1=vacuum_d1(gamma))

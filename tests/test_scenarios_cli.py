@@ -104,8 +104,9 @@ def test_manifest_is_the_only_place_with_timing(tmp_path):
     rep = run_scenario("cosmic-background-sphere", {"series_points": 5},
                        out_base=str(tmp_path))
     manifest = json.loads((rep.out_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == 11
+    assert manifest["schema_version"] == 12
     assert manifest["scenario"] == "cosmic-background-sphere"
+    assert rep.summary["scenario"] == "cosmic-background-sphere"
     assert manifest["config"]["series_points"] == 5
     assert manifest["config"]["mirror"]["temperature"] == 2.7
     assert manifest["artifacts"] == ["summary.json", "series.csv"]
@@ -340,12 +341,39 @@ def test_cli_oracle_with_zero_means_reports_finite_errors(tmp_path, capsys):
     {"scenario": "sphere-thermal-free", "delta_x": 1e-200},
     # overflow and underflow elsewhere in the closed forms
     {"scenario": "1d-mirror-vacuum", "mirror": {"omega0": 1e300}},
-    {"scenario": "sieve-pointer-states", "mirror": {"mass": 1e-200}},
+    {"scenario": "sieve-pointer-states", "mirror": {"omega0": 1e300}},
 ])
 def test_cli_out_of_range_inputs_exit_2_and_write_nothing(tmp_path, capsys, payload):
     cfg = _write_config(tmp_path / "cfg.json", payload)
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sieve_runs_for_a_featherweight_mirror(tmp_path, capsys):
+    # M omega* = 1e-190 squared to 0 in the general rotation-averaged rate,
+    # which then exited 2 on a ZeroDivisionError; the closed form never squares it
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "scenario": "sieve-pointer-states", "mirror": {"mass": 1e-200}})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out" / "sieve-pointer-states"
+    derived = json.loads((out / "summary.json").read_text())["derived"]
+    assert derived["r_star"] == 0.0 and derived["stable"] is True
+    cells = [c for line in (out / "series.csv").read_text().splitlines()[1:]
+             for c in line.split(",") if c]
+    assert all(math.isfinite(float(c)) for c in cells)
+
+
+def test_cli_sphere_lifetime_past_the_double_range_exits_2_by_key(tmp_path, capsys):
+    # the lifetime overflows to inf; it used to exit 3, blamed on the
+    # (c/v)^8 period floor that the validity window already implies
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "scenario": "sphere-rayleigh-vacuum",
+        "mirror": {"mass": 1e-3, "omega0": 1e-25, "radius": 1e-3}})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert ("'mirror.mass', 'mirror.omega0', 'mirror.radius' and 'cat.alpha_mag'"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

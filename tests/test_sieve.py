@@ -5,12 +5,12 @@ import math
 import pytest
 
 from casidec import (
+    CODATA,
     CatWignerSpec,
     CoefficientSet,
     MirrorParams,
     SolverCoefficients,
     coefficient_set,
-    entropy_production_rate,
     evolve_grid,
     grid_purity,
     init_cat,
@@ -36,15 +36,28 @@ def test_vacuum_pointer_states_are_coherent(vacuum_result):
 
 
 def test_landscape_rate_is_theta_free_and_monotone(vacuum_result):
-    # the landscape sits at theta = 0; every other angle gives the same rate
+    # the landscape sits at theta = 0; at every other angle the rotation-averaged
+    # rate (hbar/4) det^(-3/2) (-4 Gamma det + 2 D1 <cov_xx>) is the same
     coeffs = coefficient_set(MIRROR)
+    mw = MIRROR.mass * coeffs.omega_star
     for r, rate, *_ in vacuum_result.landscape:
         for theta in (0.5 * math.pi, math.pi, 1.5 * math.pi):
             state = squeezed_pure_state(r, theta, MIRROR, coeffs.omega_star)
-            other = entropy_production_rate(state, MIRROR, coeffs)
+            xx, det = 0.5 * (state.cov_xx + state.cov_pp / mw**2), state.det_cov
+            other = 0.25 * CODATA.hbar * det**-1.5 * (-4.0 * coeffs.gamma * det
+                                                      + 2.0 * coeffs.d1 * xx)
             assert abs(other - rate) <= 1e-12 * max(abs(rate), 1e-300)
     rates = [row[1] for row in sorted(vacuum_result.landscape)]
     assert all(b > a for a, b in zip(rates, rates[1:]))
+
+
+@pytest.mark.parametrize("mass", [1e-21, 1.0])
+def test_the_coherent_rate_is_exactly_zero(mass):
+    # the vacuum d1 is hbar M omega* Gamma, so the r = 0 rate cancels exactly;
+    # through the general rotation-averaged rate the 1 kg mirror read -1.14e-48
+    mirror = MirrorParams(mass=mass, omega0=1e10)
+    r, rate, *_ = sieve_search(mirror, coefficient_set(mirror)).landscape[0]
+    assert r == 0.0 and rate == 0.0
 
 
 def test_rate_at_optimum_is_the_landscape_rate_at_r_star(vacuum_result):

@@ -368,6 +368,32 @@ def test_the_cat_containment_check_follows_the_damped_envelope(gamma, refused):
         wigner_solver.check_cat_contained(init_cat(spec), sc, times)
 
 
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.one_of(st.just(0.0), st.floats(0.0, 5.0)), d1=st.floats(1e-3, 10.0),
+       alpha=st.floats(0.05, 3.0), t_over_td=st.floats(0.1, 10.0),
+       p_half_width=st.floats(1.0, 12.0), n_p=st.integers(16, 2048),
+       n_samples=st.integers(1, 50), per=st.integers(1, 200))
+def test_the_cat_containment_verdict_is_settled_by_the_first_and_last_step(
+        gamma, d1, alpha, t_over_td, p_half_width, n_p, n_samples, per):
+    # the envelope's variance moves monotonically and the edge density rises
+    # with it up to its cap, so the two end times decide as every step does
+    spec = CatWignerSpec(alpha_mag=alpha)
+    sc = SolverCoefficients(mass=None, omega=0.0, gamma=gamma, d1=d1)
+    td = 2.0 / (d1 * spec.separation**2)    # the scenario's period-averaged formula
+    h = t_over_td * td / (n_samples * per)
+    grid = wigner_solver.PhaseSpaceGrid(16, n_p, 8.0, p_half_width, values=np.zeros((16, n_p)))
+
+    def refused(times):
+        try:
+            wigner_solver.check_cat_contained(grid, sc, times)
+        except GridTooSmall:
+            return True
+        return False
+
+    steps = per * n_samples
+    assert refused((h, h * steps)) == refused(h * np.arange(1, steps + 1))
+
+
 # ------------------------------------------------------------- stepping
 
 
