@@ -28,16 +28,20 @@ refuses it; the exact moment flow of gaussian_dynamics keeps it.
 Every plan with passes carries an axis: p when every pass is a p pass (pure
 diffusion), x otherwise. step runs on that axis's rfft, and evolve_grid
 holds the field there between steps, so a step skips its opening rfft and
-closing irfft, and pure diffusion takes no transform at all. The stretch is
-a matmul along p, so it commutes with the rfft along x and acts on the x
-spectrum as one real matmul on its stacked real and imaginary parts: a
-damped step takes 4 transforms instead of 6, and a damping-only step none.
-The monitors read the spectrum directly: the norm from its zero-frequency
-slice, the two ring edges across the held axis by small irffts, and the two
-along it by one real matmul on its float view, whose operator the plan
-holds. An observer sample is the state as held (PhaseSpaceGrid.held), and
-the readers take it from the spectrum: marginals and moments by 1-D
-contractions and irffts, purity by Parseval, the fringe slice by a row
+closing irfft. A plan that carries p is one factor along the p bins, and
+evolve_grid holds a pure-diffusion run as its start spectrum times the
+factor's running product (PhaseSpaceGrid.factor, bins below the least
+normal double set to 0): a step updates that product and reads the
+monitors through it, one read of the field. The stretch is a matmul along
+p, so it commutes with the rfft along x and acts on the x spectrum as one
+real matmul on its stacked real and imaginary parts: a damped step takes 4
+transforms instead of 6, and a damping-only step none. The monitors read
+the spectrum directly: the norm from its zero-frequency slice, the two ring
+edges across the held axis by small irffts, and the two along it by one
+real matmul on its float view, whose operator the plan holds. An observer
+sample is the state as held (PhaseSpaceGrid.held), its factor multiplied
+out, and the readers take it from the spectrum: marginals and moments by
+1-D contractions and irffts, purity by Parseval, the fringe slice by a row
 irfft or a weighted sum over the bins. evolve_grid returns a real grid.
 
 The solver is dimensionless by convention: callers map SI inputs through
@@ -217,8 +221,10 @@ class PhaseSpaceGrid:
     rfft along that axis (a complex array, shorter along it), the state that
     evolve_grid steps and hands to its observer; grid_moments, grid_purity,
     marginals, grid_norm and fringe_visibility read it from the spectrum,
-    and wmin_over_wmax refuses it. x_axis and p_axis are built on first
-    read, once per grid, and are read-only.
+    and wmin_over_wmax refuses it. factor, set only inside evolve_grid: a
+    pure-diffusion state is values, its start spectrum, times this factor
+    along the p bins; no reader gets a grid that carries one. x_axis and
+    p_axis are built on first read, once per grid, and are read-only.
     """
 
     nx: int
@@ -230,6 +236,7 @@ class PhaseSpaceGrid:
     fringe_wavenumber: float | None = None
     fringe_ref: float | None = None
     held: int | None = None
+    factor: numpy.ndarray | None = None
 
     @cached_property
     def x_axis(self) -> numpy.ndarray:
@@ -660,25 +667,30 @@ def _stretch(w, c):
     return out
 
 
-def _node_sum(w, held: int) -> float:
+def _node_sum(w, held: int, factor=None) -> float:
     """Sum of the field over all nodes, read from w, its rfft along axis
-    `held`: the real part of the zero-frequency slice."""
-    return float(np.sum((w[0] if held == 0 else w[:, 0]).real))
+    `held`, times `factor` along the p bins (held 1) if given: the real part
+    of the zero-frequency slice."""
+    total = float(np.sum((w[0] if held == 0 else w[:, 0]).real))
+    return total if factor is None else total * float(factor[0])
 
 
-def _ring_sum(w, held: int, shape, edges) -> float:
+def _ring_sum(w, held: int, shape, edges, factor=None) -> float:
     """Sum of |W| over the four edges of the box, corners counted twice, read
     from w, its rfft along axis `held`: the two edges across that axis are
     irffts of its edge slices, and the two along it one real matmul of
     `edges` (StepPlan.edges) on w's float view, not numpy's complex matmul:
     held x, E.real @ w.real sits in its rows 0-1 at even columns and
-    E.imag @ w.imag in rows 2-3 at odd ones."""
+    E.imag @ w.imag in rows 2-3 at odd ones. Held p, the field is w times
+    `factor` along the p bins, which scales the edge slices and the
+    operator's rows, never w."""
     wf = numpy.ascontiguousarray(w).view(float)
     if held == 0:
         ab = edges @ wf
         sides = (ab[:2, 0::2] - ab[2:, 1::2], irfft(w[:, [0, -1]], n=shape[0], axis=0))
     else:
-        sides = (irfft(w[[0, -1]], n=shape[1], axis=1), wf @ edges)
+        sides = (irfft(w[[0, -1]] * factor, n=shape[1], axis=1),
+                 wf @ (edges * numpy.repeat(factor, 2)[:, None]))
     return sum(float(np.sum(np.abs(e))) for e in sides)
 
 
@@ -690,8 +702,11 @@ def step(grid: PhaseSpaceGrid, plan: StepPlan) -> PhaseSpaceGrid:
     it between steps; a grid in another domain (a real grid, as a direct
     caller passes) is moved there on entry and back on exit. Each pass runs
     on the rfft along its own axis, the stretch on the one along x. A plan
-    with no passes leaves the field untouched, and one built for another box
-    raises DomainError.
+    that carries p is one factor f along the p bins: a grid with a pending
+    factor F (PhaseSpaceGrid.factor) keeps its field and gets F f, bins below
+    the least normal double set to 0; any other grid gets its field times f.
+    A plan with no passes leaves the field untouched, and one built for
+    another box raises DomainError.
 
     Norm drift per step and mass on the boundary ring are monitored;
     crossing either tolerance, or a NaN reading, raises StabilityViolation.
@@ -706,27 +721,41 @@ def step(grid: PhaseSpaceGrid, plan: StepPlan) -> PhaseSpaceGrid:
     dx, dp = grid.dx, grid.dp
     shape, held = (grid.nx, grid.np), plan.carry
     w, at = _in_domain(grid.values, grid.held, held, shape), held
-    norm_before = _node_sum(w, held) * dx * dp
+    norm_before = _node_sum(w, held, grid.factor) * dx * dp
 
-    for kind, op in plan.passes:
-        axis = 1 if kind == "p" else 0   # the stretch is along p: it acts on the x spectrum
-        w, at = _in_domain(w, at, axis, shape), axis
-        w = _stretch(w, op) if kind == "stretch" else w * op
-    w = _in_domain(w, at, held, shape)
+    if held == 1:
+        (_, f), = plan.passes
+        factor = f if grid.factor is None else grid.factor * f
+        factor = numpy.where(factor < sys.float_info.min, 0.0, factor)
+    else:
+        factor = None
+        for kind, op in plan.passes:
+            axis = 1 if kind == "p" else 0   # the stretch is along p: it acts on the x spectrum
+            w, at = _in_domain(w, at, axis, shape), axis
+            w = _stretch(w, op) if kind == "stretch" else w * op
+        w = _in_domain(w, at, held, shape)
 
-    norm_after = _node_sum(w, held) * dx * dp
+    norm_after = _node_sum(w, held, factor) * dx * dp
     if not abs(norm_after - norm_before) <= _NORM_TOL:
         raise StabilityViolation(
             f"norm drifted by {norm_after - norm_before:.3g} in one step "
             f"(tolerance {_NORM_TOL:g})")
-    ring = _ring_sum(w, held, shape, plan.edges)
+    ring = _ring_sum(w, held, shape, plan.edges, factor)
     if not ring * dx * dp <= _BOUNDARY_TOL:
         raise StabilityViolation(
             f"boundary ring carries {ring * dx * dp:.3g} mass (tolerance {_BOUNDARY_TOL:g}); "
             "the state is leaving the box and would wrap in the periodic passes")
 
-    return replace(grid, values=_in_domain(w, held, grid.held, shape),
+    if grid.factor is None and factor is not None:
+        w, factor = w * factor, None
+    return replace(grid, values=_in_domain(w, held, grid.held, shape), factor=factor,
                    time=grid.time + plan.dt)
+
+
+def _settled(grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
+    """grid with its pending factor (PhaseSpaceGrid.factor) multiplied out."""
+    return grid if grid.factor is None else replace(grid, values=grid.values * grid.factor,
+                                                    factor=None)
 
 
 def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
@@ -738,12 +767,14 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     arithmetic does not gain a step from rounding). Builds one step plan
     (step_plan) for that step and hands it to every step. Where the plan
     carries an axis, the field is held as that axis's rfft from the first
-    step to the last. The observer gets the grid it was given, then at each
-    sample the state it holds, with no transform made for it: a grid whose
-    held field is plan.carry (PhaseSpaceGrid.held), which the observer reads
-    and does not write into. step makes a new grid and writes into no array
-    it was given, so a sample stays valid and sampling never changes the
-    trajectory. The returned grid is real. A
+    step to the last, a pure-diffusion run as its start spectrum and a
+    pending factor (step). The observer gets the grid it was given, then at
+    each sample the state it holds, its factor multiplied out and no
+    transform made for it: a grid whose held field is plan.carry
+    (PhaseSpaceGrid.held), which the observer reads and does not write into.
+    step makes a new grid and writes into no array it was given, and the
+    factor depends only on the step count, so a sample stays valid and
+    sampling never changes the trajectory. The returned grid is real. A
     monitor or step-size failure is re-raised with the step index and the
     time it happened at.
     """
@@ -771,15 +802,17 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     except StepSizeError as exc:
         raise located(exc, 1, grid.time) from exc
     shape, held = (grid.nx, grid.np), plan.carry
-    state = replace(grid, values=_in_domain(grid.values, grid.held, held, shape), held=held)
+    state = replace(grid, values=_in_domain(grid.values, grid.held, held, shape), held=held,
+                    factor=numpy.ones(grid.np // 2 + 1) if held == 1 else None)
     for i in range(1, n + 1):
         try:
             state = step(state, plan)
         except (StabilityViolation, StepSizeError) as exc:
             raise located(exc, i, state.time) from exc
         if sampling and i % sample_every == 0:
-            observer(state)
-    return replace(state, values=_in_domain(state.values, held, None, shape), held=None)
+            observer(_settled(state))
+    return replace(state, values=_in_domain(_settled(state).values, held, None, shape),
+                   held=None, factor=None)
 
 
 def _profile(grid: PhaseSpaceGrid, axis: int, weights=None) -> numpy.ndarray:

@@ -2,6 +2,7 @@
 moment identities, rotation-period returns, and the failure guards."""
 
 import math
+import sys
 from dataclasses import replace
 
 import mpmath
@@ -906,6 +907,7 @@ def test_step_on_a_real_grid_matches_the_round_trip_step(kind):
     assert plan.carry == held
     out = step(grid, plan)
     assert out.values.dtype == np.float64 and out.values.shape == grid.values.shape
+    assert out.factor is None
     ref = _real_space_step(grid, sc, _CARRY_DT)
     assert np.max(np.abs(out.values - ref)) <= 1e-13 * np.max(ref)
 
@@ -934,16 +936,65 @@ def test_a_carried_run_matches_real_space_stepping(kind):
     for every in (0, 7):
         seen = []
         out = evolve_grid(grid, sc, 350 * _CARRY_DT, _CARRY_DT, sample_every=every,
-                          observer=lambda g: seen.append((g.held, g.values, g.values.copy())))
-        assert out.values.dtype == np.float64 and out.held is None
-        # the grid it was given, then the state as held
-        assert [h for h, _, _ in seen] == ([None] + [held] * 50 if every else [])
+                          observer=lambda g: seen.append((g.held, g.factor, g.values,
+                                                          g.values.copy())))
+        assert out.values.dtype == np.float64 and out.held is None and out.factor is None
+        # the grid it was given, then the state as held, its factor multiplied out
+        assert [h for h, _, _, _ in seen] == ([None] + [held] * 50 if every else [])
+        assert all(factor is None for _, factor, _, _ in seen)
         # no step writes into an array a sample holds
-        assert all(np.array_equal(kept, copy) for _, kept, copy in seen)
+        assert all(np.array_equal(kept, copy) for _, _, kept, copy in seen)
         finals.append(out.values)
     assert np.max(np.abs(finals[0] - ref.values)) <= 1e-13 * np.max(ref.values)
     # sampling never changes the trajectory
     assert np.array_equal(finals[0], finals[1])
+
+
+@pytest.mark.parametrize("kind", list(_PLAN_KINDS))
+def test_a_step_on_a_held_sample_hands_back_a_settled_grid(kind):
+    sc, held = _PLAN_KINDS[kind]
+    grid = init_gaussian(1.0, 0.25, 1.0, 0.05, 0.25, **_CARRY_BOX)
+    samples = []
+    evolve_grid(grid, sc, 20 * _CARRY_DT, _CARRY_DT, sample_every=5, observer=samples.append)
+    plan = step_plan(grid, sc, _CARRY_DT)
+    n = (grid.nx, grid.np)[held]
+    for g in samples[1:]:
+        out = step(g, plan)
+        assert (out.held, out.factor) == (held, None)
+        got = np.fft.irfft(out.values, n=n, axis=held)
+        want = _real_space_step(
+            replace(g, values=np.fft.irfft(g.values, n=n, axis=held), held=None), sc, _CARRY_DT)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+
+def test_a_pure_diffusion_run_sets_its_factor_to_zero_below_the_normal_range(monkeypatch):
+    # the Nyquist bin decays as exp(-d1 k^2 t) with d1 k^2 t = 1006 here, past
+    # the double range: the bins on their way through the subnormal range,
+    # where every multiply is slow, are set to exactly 0, and the field is
+    # still the exact one
+    spec = CatWignerSpec(alpha_mag=2.0)
+    sc = SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=1.0)
+    grid = init_cat(spec, nx=128, n_p=512, p_half_width=8.0)
+    factors = []
+
+    def recorded(g, plan, _step=wigner_solver.step):
+        out = _step(g, plan)
+        factors.append(out.factor)
+        return out
+
+    monkeypatch.setattr(wigner_solver, "step", recorded)
+    t = 0.1
+    out = evolve_grid(grid, sc, t, 5e-4)
+    assert len(factors) == 200
+    tiny = sys.float_info.min
+    kp2 = (2.0 * np.pi * np.fft.rfftfreq(grid.np, grid.dp)) ** 2
+    exact_factor = np.exp(-sc.d1 * kp2 * t)
+    assert np.any((exact_factor > 0.0) & (exact_factor < tiny))
+    assert np.any(factors[-1] == 0.0)
+    assert not any(np.any((f > 0.0) & (f < tiny)) for f in factors)
+    xg, pg = np.meshgrid(out.x_axis, out.p_axis, indexing="ij")
+    exact = _diffused_cat(spec, xg, pg, sc.d1, t)
+    assert np.max(np.abs(out.values - exact)) <= 1e-12 * np.max(exact)
 
 
 def _held_samples(kind, nx, n_p):
@@ -1075,6 +1126,13 @@ def _edge_operator(shape, held):
     return plan.edges
 
 
+def _pending_factors(rng, held, n_p):
+    """The factors a field held along p is read through: 1, and one that is
+    not 1, not even on the zero bin. A field held along x has none."""
+    m = n_p // 2 + 1
+    return (None,) if held == 0 else (np.ones(m), rng.uniform(0.5, 2.0, m))
+
+
 @pytest.mark.parametrize("nx, n_p", [(32, 32), (33, 30), (30, 33)])
 def test_spectral_monitor_readings_equal_the_real_space_ones(nx, n_p):
     rng = np.random.default_rng(7)
@@ -1088,15 +1146,17 @@ def test_spectral_monitor_readings_equal_the_real_space_ones(nx, n_p):
                 spectrum[[0, -1], :] += 1j * rng.standard_normal((2, n_p))
             else:
                 spectrum[:, [0, -1]] += 1j * rng.standard_normal((nx, 2))
-            field = np.fft.irfft(spectrum, n=shape[held], axis=held)
-            total = np.sum(field)
-            ring = sum(np.sum(np.abs(e))
-                       for e in (field[0, :], field[-1, :], field[:, 0], field[:, -1]))
-            assert wigner_solver._node_sum(spectrum, held) == pytest.approx(
-                total, rel=1e-12, abs=1e-12 * np.sum(np.abs(field)))
             edges = _edge_operator(shape, held)
-            assert wigner_solver._ring_sum(spectrum, held, shape, edges) == pytest.approx(
-                ring, rel=1e-12)
+            for factor in _pending_factors(rng, held, n_p):
+                settled = spectrum if factor is None else spectrum * factor
+                field = np.fft.irfft(settled, n=shape[held], axis=held)
+                total = np.sum(field)
+                ring = sum(np.sum(np.abs(e))
+                           for e in (field[0, :], field[-1, :], field[:, 0], field[:, -1]))
+                assert wigner_solver._node_sum(spectrum, held, factor) == pytest.approx(
+                    total, rel=1e-12, abs=1e-12 * np.sum(np.abs(field)))
+                assert wigner_solver._ring_sum(
+                    spectrum, held, shape, edges, factor) == pytest.approx(ring, rel=1e-12)
 
 
 @pytest.mark.parametrize("nx, n_p", [(32, 32), (33, 30), (30, 33), (17, 17)])
@@ -1111,17 +1171,19 @@ def test_spectral_monitor_readings_do_not_depend_on_memory_layout(nx, n_p):
             spectrum[[0, -1], :] += 1j * rng.standard_normal((2, n_p))
         else:
             spectrum[:, [0, -1]] += 1j * rng.standard_normal((nx, 2))
-        field = np.fft.irfft(spectrum, n=shape[held], axis=held)
-        ring = sum(np.sum(np.abs(e))
-                   for e in (field[0, :], field[-1, :], field[:, 0], field[:, -1]))
         edges = _edge_operator(shape, held)
-        for layout in (np.asfortranarray(spectrum),
-                       np.ascontiguousarray(spectrum.T).swapaxes(0, 1)):
-            assert not layout.flags.c_contiguous and np.array_equal(layout, spectrum)
-            assert wigner_solver._node_sum(layout, held) == pytest.approx(
-                np.sum(field), rel=1e-12, abs=1e-12 * np.sum(np.abs(field)))
-            assert wigner_solver._ring_sum(layout, held, shape, edges) == pytest.approx(
-                ring, rel=1e-12)
+        for factor in _pending_factors(rng, held, n_p):
+            settled = spectrum if factor is None else spectrum * factor
+            field = np.fft.irfft(settled, n=shape[held], axis=held)
+            ring = sum(np.sum(np.abs(e))
+                       for e in (field[0, :], field[-1, :], field[:, 0], field[:, -1]))
+            for layout in (np.asfortranarray(spectrum),
+                           np.ascontiguousarray(spectrum.T).swapaxes(0, 1)):
+                assert not layout.flags.c_contiguous and np.array_equal(layout, spectrum)
+                assert wigner_solver._node_sum(layout, held, factor) == pytest.approx(
+                    np.sum(field), rel=1e-12, abs=1e-12 * np.sum(np.abs(field)))
+                assert wigner_solver._ring_sum(
+                    layout, held, shape, edges, factor) == pytest.approx(ring, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [16, 17, 256, 511])
