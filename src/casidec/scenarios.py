@@ -544,7 +544,9 @@ def _run_identity_suite(cfg: dict):
             raise ConfigError(f"'ranges.{key}' must be [lo, hi] with 0 < lo <= hi")
 
     def loguniform(lo, hi, size):
-        return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size)
+        # 10 ** log10(hi) rounds past the double range when hi is near its top
+        with np.errstate(over="ignore"):
+            return np.clip(10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size), lo, hi)
 
     mass = loguniform(*r["mass_kg"], n)
     omega0 = loguniform(*r["omega0_rad_per_s"], n)

@@ -31,18 +31,21 @@ holds the field there between steps, so a step skips its opening rfft and
 closing irfft. A plan that carries p is one factor along the p bins, and
 evolve_grid holds a pure-diffusion run as its start spectrum times the
 factor's running product (PhaseSpaceGrid.factor, bins below the least
-normal double set to 0): a step updates that product and reads the
-monitors through it, one read of the field. The stretch is a matmul along
-p, so it commutes with the rfft along x and acts on the x spectrum as one
-real matmul on its stacked real and imaginary parts: a damped step takes 4
-transforms instead of 6, and a damping-only step none. The monitors read
-the spectrum directly: the norm from its zero-frequency slice, the two ring
-edges across the held axis by small irffts, and the two along it by one
-real matmul on its float view, whose operator the plan holds. An observer
-sample is the state as held (PhaseSpaceGrid.held), its factor multiplied
-out, and the readers take it from the spectrum: marginals and moments by
-1-D contractions and irffts, purity by Parseval, the fringe slice by a row
-irfft or a weighted sum over the bins. evolve_grid returns a real grid.
+normal double set to 0). evolve_grid calls step once for the steps up to
+each sample (step(grid, plan, n)), and a pure-diffusion call takes that
+product for up to _BLOCK steps at once and reads all their monitors
+through it: one irfft and one matmul on the field. The stretch is a
+matmul along p, so it commutes with the rfft along x and acts on the x
+spectrum as one real matmul on its stacked real and imaginary parts: a
+damped step takes 4 transforms instead of 6, and a damping-only step none.
+The monitors read the spectrum directly: the norm from its zero-frequency
+slice, the two ring edges across the held axis by small irffts, and the
+two along it by one real matmul on its float view, whose operator the plan
+holds. An observer sample is the state as held (PhaseSpaceGrid.held), its
+factor multiplied out, and the readers take it from the spectrum:
+marginals and moments by 1-D contractions and irffts, purity by Parseval,
+the fringe slice by a row irfft or a weighted sum over the bins.
+evolve_grid returns a real grid.
 
 The solver is dimensionless by convention: callers map SI inputs through
 nondimensionalize(), which rescales lengths to the ground-state width (or
@@ -223,7 +226,8 @@ class PhaseSpaceGrid:
     marginals, grid_norm and fringe_visibility read it from the spectrum,
     and wmin_over_wmax refuses it. factor, set only inside evolve_grid: a
     pure-diffusion state is values, its start spectrum, times this factor
-    along the p bins; no reader gets a grid that carries one. x_axis and
+    along the p bins, which each step call advances by all its steps at
+    once; no reader gets a grid that carries one. x_axis and
     p_axis are built on first read, once per grid, and are read-only.
     """
 
@@ -667,15 +671,15 @@ def _stretch(w, c):
     return out
 
 
-def _node_sum(w, held: int, factor=None) -> float:
+def _node_sum(w, held: int, factor=None):
     """Sum of the field over all nodes, read from w, its rfft along axis
     `held`, times `factor` along the p bins (held 1) if given: the real part
-    of the zero-frequency slice."""
+    of the zero-frequency slice. A stack of factors, (k, m), gives k sums."""
     total = float(np.sum((w[0] if held == 0 else w[:, 0]).real))
-    return total if factor is None else total * float(factor[0])
+    return total if factor is None else total * factor[..., 0]
 
 
-def _ring_sum(w, held: int, shape, edges, factor=None) -> float:
+def _ring_sum(w, held: int, shape, edges, factor=None):
     """Sum of |W| over the four edges of the box, corners counted twice, read
     from w, its rfft along axis `held`: the two edges across that axis are
     irffts of its edge slices, and the two along it one real matmul of
@@ -683,73 +687,120 @@ def _ring_sum(w, held: int, shape, edges, factor=None) -> float:
     held x, E.real @ w.real sits in its rows 0-1 at even columns and
     E.imag @ w.imag in rows 2-3 at odd ones. Held p, the field is w times
     `factor` along the p bins, which scales the edge slices and the
-    operator's rows, never w."""
+    operator's rows, never w; a stack of factors, (k, m), gives the k sums
+    from one irfft of the scaled slices and one matmul of the (2k, 2m)
+    scaled operator, the small operand on the left, on w's float view."""
     wf = numpy.ascontiguousarray(w).view(float)
     if held == 0:
         ab = edges @ wf
         sides = (ab[:2, 0::2] - ab[2:, 1::2], irfft(w[:, [0, -1]], n=shape[0], axis=0))
-    else:
-        sides = (irfft(w[[0, -1]] * factor, n=shape[1], axis=1),
-                 wf @ (edges * numpy.repeat(factor, 2)[:, None]))
-    return sum(float(np.sum(np.abs(e))) for e in sides)
+        return sum(float(np.sum(np.abs(e))) for e in sides)
+    stack = factor.shape[:-1]
+    across = irfft(w[[0, -1]] * factor[..., None, :], n=shape[1], axis=-1)
+    rows = edges.T * numpy.repeat(factor, 2, axis=-1)[..., None, :]
+    along = rows.reshape(-1, edges.shape[0]) @ wf.T
+    return sum(numpy.abs(e).reshape(*stack, -1).sum(axis=-1) for e in (across, along))
 
 
-def step(grid: PhaseSpaceGrid, plan: StepPlan) -> PhaseSpaceGrid:
-    """Advance one step by plan (from step_plan): the exact Ornstein-Uhlenbeck
-    flow over plan.dt.
+def _monitor(norms, rings, done: int, times):
+    """Check consecutive steps of one step call: norms holds the opening norm
+    then each step's closing one, rings each step's ring mass (its ring sum
+    times dx dp), times each step's start time, and `done` counts the call's
+    steps before them. At the first step whose norm drift or ring mass
+    crosses its tolerance, or reads NaN, raise StabilityViolation; it
+    carries that step's index in the call (from 1) as `step` and its start
+    time as `time`."""
+    norms = numpy.asarray(norms)
+    drift, mass = norms[1:] - norms[:-1], numpy.asarray(rings)
+    failed = ~((abs(drift) <= _NORM_TOL) & (mass <= _BOUNDARY_TOL))
+    if failed.any():
+        j = int(failed.argmax())
+        exc = StabilityViolation(
+            f"norm drifted by {drift[j]:.3g} in one step (tolerance {_NORM_TOL:g})"
+            if not abs(drift[j]) <= _NORM_TOL else
+            f"boundary ring carries {mass[j]:.3g} mass (tolerance {_BOUNDARY_TOL:g}); "
+            "the state is leaving the box and would wrap in the periodic passes")
+        exc.step, exc.time = done + j + 1, times[j]
+        raise exc
 
-    The step runs on the field's rfft along plan.carry, as evolve_grid holds
+
+# the most steps of a pure-diffusion step call whose monitors are read as
+# one stack: its stacked arrays hold 2 _BLOCK rows as long as a box side
+_BLOCK = 64
+
+
+def step(grid: PhaseSpaceGrid, plan: StepPlan, n: int = 1) -> PhaseSpaceGrid:
+    """Advance n steps by plan (from step_plan), n >= 1: the exact
+    Ornstein-Uhlenbeck flow over plan.dt, n times, the time summed one
+    plan.dt at a time.
+
+    The steps run on the field's rfft along plan.carry, as evolve_grid holds
     it between steps; a grid in another domain (a real grid, as a direct
-    caller passes) is moved there on entry and back on exit. Each pass runs
-    on the rfft along its own axis, the stretch on the one along x. A plan
-    that carries p is one factor f along the p bins: a grid with a pending
-    factor F (PhaseSpaceGrid.factor) keeps its field and gets F f, bins below
-    the least normal double set to 0; any other grid gets its field times f.
-    A plan with no passes leaves the field untouched, and one built for
-    another box raises DomainError.
+    caller passes) is moved there on entry and back on exit, once per call.
+    Each pass runs on the rfft along its own axis, the stretch on the one
+    along x. A plan that carries p is one factor f along the p bins: a grid
+    with a pending factor F (PhaseSpaceGrid.factor) keeps its field and gets
+    F f^n, bins below the least normal double set to 0; any other grid gets
+    its field times that product once. Every bin of f is at most 1, so a
+    bin below the normal range stays there, and the product taken over up
+    to _BLOCK steps (numpy.cumprod) and then set to 0 there equals the one
+    set at every step. On a grid as evolve_grid holds it, n steps are n
+    calls of one step, bit for bit, in values, factor and time. A plan with
+    no passes leaves the field untouched, and one built for another box
+    raises DomainError.
 
-    Norm drift per step and mass on the boundary ring are monitored;
-    crossing either tolerance, or a NaN reading, raises StabilityViolation.
+    Norm drift per step and mass on the boundary ring are monitored at every
+    step, each step's closing norm its successor's opening one; crossing
+    either tolerance, or a NaN reading, raises StabilityViolation at the
+    first step that does, with its index in the call (from 1) as the
+    exception's `step` and its start time as `time`. A plan that carries p
+    reads the norms and ring sums of up to _BLOCK steps at once (_ring_sum).
     The ring monitor is what keeps the periodic wrap of the FFT passes
     harmless.
     """
     box = (grid.nx, grid.np, grid.x_half_width, grid.p_half_width)
     if box != plan.box:
         raise DomainError(f"step plan built for the box {plan.box}, not {box}")
+    if not n >= 1:
+        raise DomainError(f"step count n = {n!r} must be at least 1")
+    t = grid.time
     if not plan.passes:
-        return replace(grid, time=grid.time + plan.dt)
+        for _ in range(n):
+            t += plan.dt
+        return replace(grid, time=t)
     dx, dp = grid.dx, grid.dp
     shape, held = (grid.nx, grid.np), plan.carry
-    w, at = _in_domain(grid.values, grid.held, held, shape), held
-    norm_before = _node_sum(w, held, grid.factor) * dx * dp
+    w = _in_domain(grid.values, grid.held, held, shape)
 
     if held == 1:
         (_, f), = plan.passes
-        factor = f if grid.factor is None else grid.factor * f
-        factor = numpy.where(factor < sys.float_info.min, 0.0, factor)
+        factor = numpy.ones_like(f) if grid.factor is None else grid.factor
+        for done in range(0, n, _BLOCK):
+            k = min(_BLOCK, n - done)
+            factors = numpy.cumprod([factor, *itertools.repeat(f, k)], axis=0)
+            factors[factors < sys.float_info.min] = 0.0
+            times = list(itertools.accumulate(itertools.repeat(plan.dt, k), initial=t))
+            _monitor(_node_sum(w, held, factors) * dx * dp,
+                     _ring_sum(w, held, shape, plan.edges, factors[1:]) * dx * dp, done, times)
+            factor, t = factors[-1], times[-1]
+        if grid.factor is None:
+            w, factor = w * factor, None
     else:
         factor = None
-        for kind, op in plan.passes:
-            axis = 1 if kind == "p" else 0   # the stretch is along p: it acts on the x spectrum
-            w, at = _in_domain(w, at, axis, shape), axis
-            w = _stretch(w, op) if kind == "stretch" else w * op
-        w = _in_domain(w, at, held, shape)
+        norm = _node_sum(w, held) * dx * dp
+        for done in range(n):
+            at = held
+            for kind, op in plan.passes:
+                axis = 1 if kind == "p" else 0   # the stretch is along p: it acts on the x spectrum
+                w, at = _in_domain(w, at, axis, shape), axis
+                w = _stretch(w, op) if kind == "stretch" else w * op
+            w = _in_domain(w, at, held, shape)
+            after = _node_sum(w, held) * dx * dp
+            ring = _ring_sum(w, held, shape, plan.edges) * dx * dp
+            _monitor([norm, after], [ring], done, [t])
+            norm, t = after, t + plan.dt
 
-    norm_after = _node_sum(w, held, factor) * dx * dp
-    if not abs(norm_after - norm_before) <= _NORM_TOL:
-        raise StabilityViolation(
-            f"norm drifted by {norm_after - norm_before:.3g} in one step "
-            f"(tolerance {_NORM_TOL:g})")
-    ring = _ring_sum(w, held, shape, plan.edges, factor)
-    if not ring * dx * dp <= _BOUNDARY_TOL:
-        raise StabilityViolation(
-            f"boundary ring carries {ring * dx * dp:.3g} mass (tolerance {_BOUNDARY_TOL:g}); "
-            "the state is leaving the box and would wrap in the periodic passes")
-
-    if grid.factor is None and factor is not None:
-        w, factor = w * factor, None
-    return replace(grid, values=_in_domain(w, held, grid.held, shape), factor=factor,
-                   time=grid.time + plan.dt)
+    return replace(grid, values=_in_domain(w, held, grid.held, shape), factor=factor, time=t)
 
 
 def _settled(grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
@@ -765,18 +816,19 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     Takes the fewest equal steps that tile t_final and are no longer than
     dt (to a relative 1e-9, so a span that is a whole number of dt in exact
     arithmetic does not gain a step from rounding). Builds one step plan
-    (step_plan) for that step and hands it to every step. Where the plan
-    carries an axis, the field is held as that axis's rfft from the first
-    step to the last, a pure-diffusion run as its start spectrum and a
-    pending factor (step). The observer gets the grid it was given, then at
-    each sample the state it holds, its factor multiplied out and no
-    transform made for it: a grid whose held field is plan.carry
+    (step_plan) for that step and calls step once for the steps up to each
+    sample, step(state, plan, k), or once for the run with no observer.
+    Where the plan carries an axis, the field is held as that axis's rfft
+    from the first step to the last, a pure-diffusion run as its start
+    spectrum and a pending factor (step). The observer gets the grid it was
+    given, then at each sample the state it holds, its factor multiplied
+    out and no transform made for it: a grid whose held field is plan.carry
     (PhaseSpaceGrid.held), which the observer reads and does not write into.
-    step makes a new grid and writes into no array it was given, and the
-    factor depends only on the step count, so a sample stays valid and
-    sampling never changes the trajectory. The returned grid is real. A
-    monitor or step-size failure is re-raised with the step index and the
-    time it happened at.
+    step makes a new grid and writes into no array it was given, and k
+    steps in one call are k calls of one step bit for bit, so a sample
+    stays valid and sampling never changes the trajectory. The returned
+    grid is real. A monitor or step-size failure is re-raised with the step
+    index and the time it happened at.
     """
     if not grid.time <= t_final < math.inf:
         raise DomainError(f"t_final = {t_final!r} must be finite and not before the "
@@ -804,12 +856,13 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     shape, held = (grid.nx, grid.np), plan.carry
     state = replace(grid, values=_in_domain(grid.values, grid.held, held, shape), held=held,
                     factor=numpy.ones(grid.np // 2 + 1) if held == 1 else None)
-    for i in range(1, n + 1):
+    every = sample_every if sampling else n
+    for done in range(0, n, every):
         try:
-            state = step(state, plan)
-        except (StabilityViolation, StepSizeError) as exc:
-            raise located(exc, i, state.time) from exc
-        if sampling and i % sample_every == 0:
+            state = step(state, plan, min(every, n - done))
+        except StabilityViolation as exc:
+            raise located(exc, done + exc.step, exc.time) from exc
+        if sampling and done + every <= n:
             observer(_settled(state))
     return replace(state, values=_in_domain(_settled(state).values, held, None, shape),
                    held=None, factor=None)

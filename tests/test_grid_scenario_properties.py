@@ -210,5 +210,8 @@ def _closed_form_draw(draw):
 @example(("identity-suite", {"draws": 1, "ranges": {"alpha": [1e-251, 1e-251]}}))
 @example(("identity-suite", {"draws": 1, "ranges": {"mass_kg": [1e29, 1e29],
                                                     "temperature_K": [1e70, 1e70]}}))
+# a draw at the top of the double range overflowed 10 ** log10(hi)
+@example(("identity-suite", {"draws": 1, "ranges": {"mass_kg": [1.7976931348623157e308,
+                                                                1.7976931348623157e308]}}))
 def test_closed_form_scenario_draws_run_or_fail_typed(draw):
     _runs_or_fails_typed(*draw)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -967,31 +967,32 @@ def test_a_step_on_a_held_sample_hands_back_a_settled_grid(kind):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
 
-def test_a_pure_diffusion_run_sets_its_factor_to_zero_below_the_normal_range(monkeypatch):
+def test_a_pure_diffusion_run_sets_its_factor_to_zero_below_the_normal_range():
     # the Nyquist bin decays as exp(-d1 k^2 t) with d1 k^2 t = 1006 here, past
     # the double range: the bins on their way through the subnormal range,
-    # where every multiply is slow, are set to exactly 0, and the field is
+    # where every multiply is slow, are set to exactly 0 at every step, the
+    # run's block steps end where its single steps do, and the field is
     # still the exact one
     spec = CatWignerSpec(alpha_mag=2.0)
     sc = SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=1.0)
     grid = init_cat(spec, nx=128, n_p=512, p_half_width=8.0)
+    t, dt = 0.1, 5e-4
+    plan = step_plan(grid, sc, dt)
+    state = replace(grid, values=np.fft.rfft(grid.values, axis=1), held=1,
+                    factor=np.ones(grid.np // 2 + 1))
     factors = []
-
-    def recorded(g, plan, _step=wigner_solver.step):
-        out = _step(g, plan)
-        factors.append(out.factor)
-        return out
-
-    monkeypatch.setattr(wigner_solver, "step", recorded)
-    t = 0.1
-    out = evolve_grid(grid, sc, t, 5e-4)
-    assert len(factors) == 200
+    for _ in range(200):
+        state = step(state, plan)
+        factors.append(state.factor)
     tiny = sys.float_info.min
     kp2 = (2.0 * np.pi * np.fft.rfftfreq(grid.np, grid.dp)) ** 2
     exact_factor = np.exp(-sc.d1 * kp2 * t)
     assert np.any((exact_factor > 0.0) & (exact_factor < tiny))
     assert np.any(factors[-1] == 0.0)
     assert not any(np.any((f > 0.0) & (f < tiny)) for f in factors)
+    out = evolve_grid(grid, sc, t, dt)
+    assert np.array_equal(out.values, np.fft.irfft(state.values * state.factor, n=grid.np,
+                                                   axis=1))
     xg, pg = np.meshgrid(out.x_axis, out.p_axis, indexing="ij")
     exact = _diffused_cat(spec, xg, pg, sc.d1, t)
     assert np.max(np.abs(out.values - exact)) <= 1e-12 * np.max(exact)
@@ -1219,6 +1220,9 @@ def test_edge_rows_are_the_edge_rows_of_irfft(n):
      (0.0, 0.0)),
     ("damped rotation", SolverCoefficients(mass=2.0, omega=1.0, gamma=0.05, d1=0.0),
      (5.0, 0.0)),
+    # leaves the box at step 83, inside the run's second stack of _BLOCK steps
+    ("pure diffusion past a block", SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=0.5),
+     (0.0, 0.0)),
 ])
 def test_a_run_leaving_the_box_fails_alike_in_both_domains(kind, sc, start):
     grid = init_gaussian(*start, 1.0, 0.0, 0.25, nx=64, n_p=64,
@@ -1236,6 +1240,58 @@ def test_a_run_leaving_the_box_fails_alike_in_both_domains(kind, sc, start):
     with pytest.raises(StabilityViolation) as info:
         evolve_grid(grid, sc, t_final, dt)
     assert str(info.value) == expected
+
+
+# ------------------------------------------------------ steps in one call
+
+_CALL_KINDS = {   # a held-p plan, a carried damped rotation, and a plan with no passes
+    "pure diffusion": SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=1.0),
+    "damped rotation": SolverCoefficients(mass=0.5, omega=1.0, gamma=0.05, d1=0.02),
+    "no passes": SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=0.0),
+}
+
+
+def _one_by_one(state, plan, k):
+    """k calls of one step: the last state, or the first failure as (its
+    index, its start time, its message)."""
+    for i in range(1, k + 1):
+        try:
+            state = step(state, plan)
+        except StabilityViolation as exc:
+            return i, state.time, str(exc)
+    return state
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(list(_CALL_KINDS)), n_p=st.sampled_from([255, 256]),
+       mean_p=st.sampled_from([0.0, 3.5]), before=st.integers(0, 60), k=st.integers(1, 100))
+# the Nyquist factor bin passes through the subnormal range at steps 57-60,
+# inside a call of fewer steps than _BLOCK and of more
+@example(kind="pure diffusion", n_p=256, mean_p=0.0, before=50, k=20)
+@example(kind="pure diffusion", n_p=255, mean_p=0.0, before=0, k=100)
+# the state leaves the box mid-call
+@example(kind="pure diffusion", n_p=256, mean_p=3.5, before=0, k=100)
+@example(kind="damped rotation", n_p=255, mean_p=3.5, before=0, k=100)
+def test_n_steps_in_one_call_are_n_calls_of_one_step_bit_for_bit(kind, n_p, mean_p, before, k):
+    grid = init_gaussian(0.0, mean_p, 1.0, 0.0, 0.25, nx=48, n_p=n_p,
+                         x_half_width=8.0, p_half_width=8.0)
+    plan = step_plan(grid, _CALL_KINDS[kind], 5e-3)
+    held = plan.carry
+    if held is not None:   # the state as evolve_grid holds it
+        grid = replace(grid, values=np.fft.rfft(grid.values, axis=held), held=held,
+                       factor=np.ones(n_p // 2 + 1) if held == 1 else None)
+    start = _one_by_one(grid, plan, before)
+    assume(not isinstance(start, tuple))
+    want = _one_by_one(start, plan, k)
+    if isinstance(want, tuple):
+        with pytest.raises(StabilityViolation) as info:
+            step(start, plan, k)
+        assert (info.value.step, info.value.time, str(info.value)) == want
+        return
+    got = step(start, plan, k)
+    assert np.array_equal(got.values, want.values) and got.time == want.time
+    assert (got.factor is None and want.factor is None) or np.array_equal(got.factor,
+                                                                          want.factor)
 
 
 # -------------------------------------------------------------- fitting
