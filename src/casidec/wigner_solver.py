@@ -31,9 +31,9 @@ holds the field there between steps, so a step skips its opening rfft and
 closing irfft. A plan that carries p is one factor along the p bins, and
 evolve_grid holds a pure-diffusion run as its start spectrum times the
 factor's running product (PhaseSpaceGrid.factor, bins below the least
-normal double set to 0). evolve_grid calls step once for the steps up to
-each sample (step(grid, plan, n)), and a pure-diffusion call takes that
-product for up to _BLOCK steps at once and reads all their monitors
+normal double set to 0). evolve_grid steps such a run in calls of up to
+_BLOCK steps (step(grid, plan, n)) across its samples, and a call takes
+that product for all its steps at once and reads all their monitors
 through it: one irfft and one matmul on the field. The stretch is a
 matmul along p, so it commutes with the rfft along x and acts on the x
 spectrum as one real matmul on its stacked real and imaginary parts: a
@@ -41,11 +41,12 @@ damped step takes 4 transforms instead of 6, and a damping-only step none.
 The monitors read the spectrum directly: the norm from its zero-frequency
 slice, the two ring edges across the held axis by small irffts, and the
 two along it by one real matmul on its float view, whose operator the plan
-holds. An observer sample is the state as held (PhaseSpaceGrid.held), its
-factor multiplied out, and the readers take it from the spectrum:
-marginals and moments by 1-D contractions and irffts, purity by Parseval,
-the fringe slice by a row irfft or a weighted sum over the bins.
-evolve_grid returns a real grid.
+holds. An observer sample is the state as held (PhaseSpaceGrid.held), a
+pure-diffusion one with its pending factor, and the readers take it from
+the spectrum, the factor scaling only their 1-D results: marginals and
+moments by 1-D contractions and irffts, purity by Parseval, the fringe
+slice by a row irfft or a weighted sum over the bins. evolve_grid returns
+a real grid.
 
 The solver is dimensionless by convention: callers map SI inputs through
 nondimensionalize(), which rescales lengths to the ground-state width (or
@@ -58,11 +59,11 @@ wavenumber, normalized to its initial value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy
 import numpy as np
@@ -216,6 +217,13 @@ def _read_only(a: numpy.ndarray) -> numpy.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=16)
+def _axis(n: int, half_width: float) -> numpy.ndarray:
+    """The n node-centred points of [-half_width, half_width], read-only and
+    shared by every grid of the box."""
+    return _read_only(numpy.linspace(-half_width, half_width, n))
+
+
 @dataclass(eq=False)
 class PhaseSpaceGrid:
     """Uniform phase-space grid, W indexed [ix, ip], node-centered axes.
@@ -224,11 +232,13 @@ class PhaseSpaceGrid:
     rfft along that axis (a complex array, shorter along it), the state that
     evolve_grid steps and hands to its observer; grid_moments, grid_purity,
     marginals, grid_norm and fringe_visibility read it from the spectrum,
-    and wmin_over_wmax refuses it. factor, set only inside evolve_grid: a
-    pure-diffusion state is values, its start spectrum, times this factor
-    along the p bins, which each step call advances by all its steps at
-    once; no reader gets a grid that carries one. x_axis and
-    p_axis are built on first read, once per grid, and are read-only.
+    and wmin_over_wmax refuses it. factor, with held 1 only: the state is
+    values, a pure-diffusion run's start spectrum, times this factor along
+    the p bins (a pending factor), which each step call advances by all its
+    steps at once; evolve_grid holds its run and hands its samples this
+    way, and the readers take the factor into their 1-D contractions.
+    x_axis and p_axis come from one read-only cache keyed by the box side,
+    so a grid made by dataclasses.replace builds neither.
     """
 
     nx: int
@@ -242,13 +252,13 @@ class PhaseSpaceGrid:
     held: int | None = None
     factor: numpy.ndarray | None = None
 
-    @cached_property
+    @property
     def x_axis(self) -> numpy.ndarray:
-        return _read_only(numpy.linspace(-self.x_half_width, self.x_half_width, self.nx))
+        return _axis(self.nx, self.x_half_width)
 
-    @cached_property
+    @property
     def p_axis(self) -> numpy.ndarray:
-        return _read_only(numpy.linspace(-self.p_half_width, self.p_half_width, self.np))
+        return _axis(self.np, self.p_half_width)
 
     @property
     def dx(self) -> float:
@@ -729,6 +739,21 @@ def _monitor(norms, rings, done: int, times):
 _BLOCK = 64
 
 
+def _running(plan: StepPlan, factor, t: float, k: int):
+    """The pending factors F f^j and start times t + j plan.dt, j = 0..k, of k
+    steps of the held-p plan's factor f from the factor F at time t: one
+    numpy.cumprod with bins below the least normal double then set to 0, and
+    the times summed one plan.dt at a time. Every bin of f is at most 1, so
+    a bin below the normal range stays there, and the product set to 0 there
+    once equals the one set at every step."""
+    (_, f), = plan.passes
+    factors = numpy.empty((k + 1, f.size))
+    factors[0], factors[1:] = factor, f
+    numpy.cumprod(factors, axis=0, out=factors)
+    factors[factors < sys.float_info.min] = 0.0
+    return factors, list(itertools.accumulate(itertools.repeat(plan.dt, k), initial=t))
+
+
 def step(grid: PhaseSpaceGrid, plan: StepPlan, n: int = 1) -> PhaseSpaceGrid:
     """Advance n steps by plan (from step_plan), n >= 1: the exact
     Ornstein-Uhlenbeck flow over plan.dt, n times, the time summed one
@@ -741,10 +766,9 @@ def step(grid: PhaseSpaceGrid, plan: StepPlan, n: int = 1) -> PhaseSpaceGrid:
     along x. A plan that carries p is one factor f along the p bins: a grid
     with a pending factor F (PhaseSpaceGrid.factor) keeps its field and gets
     F f^n, bins below the least normal double set to 0; any other grid gets
-    its field times that product once. Every bin of f is at most 1, so a
-    bin below the normal range stays there, and the product taken over up
-    to _BLOCK steps (numpy.cumprod) and then set to 0 there equals the one
-    set at every step. On a grid as evolve_grid holds it, n steps are n
+    its field times that product once. The product is taken over up to
+    _BLOCK steps at a time by _running, which evolve_grid shares to rebuild
+    its samples. On a grid as evolve_grid holds it, n steps are n
     calls of one step, bit for bit, in values, factor and time. A plan with
     no passes leaves the field untouched, and one built for another box
     raises DomainError.
@@ -773,13 +797,9 @@ def step(grid: PhaseSpaceGrid, plan: StepPlan, n: int = 1) -> PhaseSpaceGrid:
     w = _in_domain(grid.values, grid.held, held, shape)
 
     if held == 1:
-        (_, f), = plan.passes
-        factor = numpy.ones_like(f) if grid.factor is None else grid.factor
+        factor = 1.0 if grid.factor is None else grid.factor
         for done in range(0, n, _BLOCK):
-            k = min(_BLOCK, n - done)
-            factors = numpy.cumprod([factor, *itertools.repeat(f, k)], axis=0)
-            factors[factors < sys.float_info.min] = 0.0
-            times = list(itertools.accumulate(itertools.repeat(plan.dt, k), initial=t))
+            factors, times = _running(plan, factor, t, min(_BLOCK, n - done))
             _monitor(_node_sum(w, held, factors) * dx * dp,
                      _ring_sum(w, held, shape, plan.edges, factors[1:]) * dx * dp, done, times)
             factor, t = factors[-1], times[-1]
@@ -803,10 +823,10 @@ def step(grid: PhaseSpaceGrid, plan: StepPlan, n: int = 1) -> PhaseSpaceGrid:
     return replace(grid, values=_in_domain(w, held, grid.held, shape), factor=factor, time=t)
 
 
-def _settled(grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
-    """grid with its pending factor (PhaseSpaceGrid.factor) multiplied out."""
-    return grid if grid.factor is None else replace(grid, values=grid.values * grid.factor,
-                                                    factor=None)
+def _settled(grid: PhaseSpaceGrid) -> numpy.ndarray:
+    """grid's values with its pending factor (PhaseSpaceGrid.factor)
+    multiplied out."""
+    return grid.values if grid.factor is None else grid.values * grid.factor
 
 
 def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
@@ -816,19 +836,28 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     Takes the fewest equal steps that tile t_final and are no longer than
     dt (to a relative 1e-9, so a span that is a whole number of dt in exact
     arithmetic does not gain a step from rounding). Builds one step plan
-    (step_plan) for that step and calls step once for the steps up to each
-    sample, step(state, plan, k), or once for the run with no observer.
-    Where the plan carries an axis, the field is held as that axis's rfft
-    from the first step to the last, a pure-diffusion run as its start
-    spectrum and a pending factor (step). The observer gets the grid it was
-    given, then at each sample the state it holds, its factor multiplied
-    out and no transform made for it: a grid whose held field is plan.carry
-    (PhaseSpaceGrid.held), which the observer reads and does not write into.
-    step makes a new grid and writes into no array it was given, and k
-    steps in one call are k calls of one step bit for bit, so a sample
-    stays valid and sampling never changes the trajectory. The returned
-    grid is real. A monitor or step-size failure is re-raised with the step
-    index and the time it happened at.
+    (step_plan) for that step. Where the plan carries an axis, the field is
+    held as that axis's rfft from the first step to the last, a
+    pure-diffusion run (a plan that carries p) as its start spectrum and a
+    pending factor (step). Such a run calls step(state, plan, k) for up to
+    _BLOCK steps at a time counted from the run's start, whatever
+    sample_every is; any other run calls it once for the steps up to each
+    sample, or once for the run with no observer.
+
+    The observer gets the grid it was given, then each sample: the state
+    after every k-th step as held, a grid whose held field is plan.carry
+    (PhaseSpaceGrid.held), with no transform made for it. A pure-diffusion
+    sample keeps its pending factor, which its readers take into their 1-D
+    contractions; it is rebuilt with its time from the start of the step
+    call that holds it (_running, as step builds it), so it is the state of
+    k calls of one step bit for bit. A sample's values and factor are
+    read-only: every sample of a pure-diffusion run shares its start
+    spectrum. Samples are delivered once every step of the call that holds
+    them has passed its monitors, so a run that fails delivers no sample at
+    or after its failing step (and none of that call's). step makes a new
+    grid and writes into no array it was given, so sampling never changes
+    the trajectory. The returned grid is real. A monitor or step-size
+    failure is re-raised with the step index and the time it happened at.
     """
     if not grid.time <= t_final < math.inf:
         raise DomainError(f"t_final = {t_final!r} must be finite and not before the "
@@ -854,18 +883,27 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     except StepSizeError as exc:
         raise located(exc, 1, grid.time) from exc
     shape, held = (grid.nx, grid.np), plan.carry
-    state = replace(grid, values=_in_domain(grid.values, grid.held, held, shape), held=held,
+    state = replace(grid, values=_in_domain(_settled(grid), grid.held, held, shape), held=held,
                     factor=numpy.ones(grid.np // 2 + 1) if held == 1 else None)
     every = sample_every if sampling else n
-    for done in range(0, n, every):
+    block = _BLOCK if held == 1 else every
+    for done in range(0, n, block):
+        k = min(block, n - done)
         try:
-            state = step(state, plan, min(every, n - done))
+            after = step(state, plan, k)
         except StabilityViolation as exc:
             raise located(exc, done + exc.step, exc.time) from exc
-        if sampling and done + every <= n:
-            observer(_settled(state))
-    return replace(state, values=_in_domain(_settled(state).values, held, None, shape),
-                   held=None, factor=None)
+        marks = range(every - done % every, k + 1, every) if sampling else range(0)
+        if marks and held == 1:
+            factors, times = _running(plan, state.factor, state.time, k)
+            _read_only(factors)
+        for j in marks:
+            factor, t = (factors[j], times[j]) if held == 1 else (None, after.time)
+            observer(replace(after, values=_read_only(after.values.view()), factor=factor,
+                             time=t))
+        state = after
+    return replace(state, values=_in_domain(_settled(state), held, None, shape), held=None,
+                   factor=None)
 
 
 def _profile(grid: PhaseSpaceGrid, axis: int, weights=None) -> numpy.ndarray:
@@ -879,21 +917,29 @@ def _profile(grid: PhaseSpaceGrid, axis: int, weights=None) -> numpy.ndarray:
     it, the node sum is the real part of the zero-frequency slice, and any
     other weights are one weighted sum over the bins: bin k weighs
     _bin_weights(n)[k] times the conjugate of the weights' own rfft, and
-    only the real part is kept, as in irfft."""
-    w, held = grid.values, grid.held
+    only the real part is kept, as in irfft. A pending factor F
+    (PhaseSpaceGrid.factor, along the p bins) scales the 1-D result across
+    the held axis, and the zero bin or the bin weights along it, never the
+    field."""
+    w, held, factor = grid.values, grid.held, grid.factor
     if held == axis:
         if weights is None:
-            return numpy.take(w, 0, axis=axis).real
+            out = numpy.take(w, 0, axis=axis).real
+            return out if factor is None else out * factor[0]
         n = (grid.nx, grid.np)[axis]
         if isinstance(weights, int):
             weights = numpy.arange(n) == weights
         bins = _bin_weights(n) * numpy.conj(rfft(weights))
+        if factor is not None:
+            bins *= factor
         return (bins @ w if axis == 0 else w @ bins).real
     if isinstance(weights, int):
         out = numpy.take(w, weights, axis=axis)
     else:
         u = numpy.ones(w.shape[axis]) if weights is None else weights
         out = u @ w if axis == 0 else w @ u
+    if factor is not None:
+        out = out * factor
     return out if held is None else irfft(out, n=(grid.nx, grid.np)[held])
 
 
@@ -919,15 +965,23 @@ def grid_moments(grid: PhaseSpaceGrid) -> tuple[float, float, float, float, floa
 def grid_purity(grid: PhaseSpaceGrid) -> float:
     """Tr rho^2 = 2 pi hbar Integral[W^2], hbar = 1. A held grid sums its
     bins' power by Parseval: twice every bin's over n, less once the zero
-    and (even n) Nyquist bins', whose imaginary parts irfft ignores."""
+    and (even n) Nyquist bins', whose imaginary parts irfft ignores. With a
+    pending factor F (PhaseSpaceGrid.factor) each bin's column power is
+    weighted by F^2, taken from the float view of the held field."""
     f, held = grid.values, grid.held
     if held is None:
         total = float(np.sum(f**2))
-    else:
+    elif grid.factor is None:
         n = (grid.nx, grid.np)[held]
         ends = numpy.take(f, [0, -1] if n % 2 == 0 else [0], axis=held)
         total = (2.0 * numpy.vdot(f, f).real - numpy.vdot(ends, ends).real
                  - numpy.vdot(ends.imag, ends.imag)) / n
+    else:
+        wf = numpy.ascontiguousarray(f).view(float)
+        # per p bin: the power of its real and its imaginary parts
+        power = numpy.einsum("ij,ij->j", wf, wf).reshape(-1, 2) * (grid.factor**2)[:, None]
+        ends = power[[0, -1] if grid.np % 2 == 0 else [0]]
+        total = (2.0 * power.sum() - ends.sum() - ends[:, 1].sum()) / grid.np
     return 2.0 * math.pi * total * grid.dx * grid.dp
 
 

@@ -939,9 +939,10 @@ def test_a_carried_run_matches_real_space_stepping(kind):
                           observer=lambda g: seen.append((g.held, g.factor, g.values,
                                                           g.values.copy())))
         assert out.values.dtype == np.float64 and out.held is None and out.factor is None
-        # the grid it was given, then the state as held, its factor multiplied out
+        # the grid it was given, then the state as held, a pure-diffusion one
+        # with its pending factor
         assert [h for h, _, _, _ in seen] == ([None] + [held] * 50 if every else [])
-        assert all(factor is None for _, factor, _, _ in seen)
+        assert all((factor is None) == (h != 1) for h, factor, _, _ in seen[1:])
         # no step writes into an array a sample holds
         assert all(np.array_equal(kept, copy) for _, _, kept, copy in seen)
         finals.append(out.values)
@@ -960,11 +961,16 @@ def test_a_step_on_a_held_sample_hands_back_a_settled_grid(kind):
     n = (grid.nx, grid.np)[held]
     for g in samples[1:]:
         out = step(g, plan)
-        assert (out.held, out.factor) == (held, None)
-        got = np.fft.irfft(out.values, n=n, axis=held)
+        # a pure-diffusion sample and the grid stepped from it carry a pending factor
+        assert out.held == held and (out.factor is None) == (held != 1)
+        got = np.fft.irfft(wigner_solver._settled(out), n=n, axis=held)
         want = _real_space_step(
-            replace(g, values=np.fft.irfft(g.values, n=n, axis=held), held=None), sc, _CARRY_DT)
+            replace(g, values=np.fft.irfft(wigner_solver._settled(g), n=n, axis=held),
+                    held=None, factor=None), sc, _CARRY_DT)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+        # a run resumed from the sample starts from its pending factor too
+        resumed = evolve_grid(g, sc, g.time + _CARRY_DT, _CARRY_DT)
+        assert np.max(np.abs(resumed.values - want)) <= 1e-13 * np.max(want)
 
 
 def test_a_pure_diffusion_run_sets_its_factor_to_zero_below_the_normal_range():
@@ -1018,8 +1024,8 @@ def _held_samples(kind, nx, n_p):
 def test_a_held_sample_reads_as_its_real_copy(kind, nx, n_p):
     # odd sizes have no Nyquist bin, and an odd nx takes the one midpoint row
     for g in _held_samples(kind, nx, n_p):
-        real = replace(g, values=np.fft.irfft(g.values, n=(nx, n_p)[g.held], axis=g.held),
-                       held=None)
+        real = replace(g, values=np.fft.irfft(wigner_solver._settled(g), n=(nx, n_p)[g.held],
+                                              axis=g.held), held=None, factor=None)
         assert grid_moments(g) == pytest.approx(grid_moments(real), rel=1e-12, abs=1e-13)
         assert grid_purity(g) == pytest.approx(grid_purity(real), rel=1e-12)
         assert grid_norm(g) == pytest.approx(grid_norm(real), rel=1e-12)
@@ -1033,7 +1039,8 @@ def test_a_held_sample_reads_as_its_real_copy(kind, nx, n_p):
 
 def test_a_held_sample_reads_its_zero_and_nyquist_bins_as_irfft_does():
     # irfft ignores the imaginary parts of the zero and (even n) Nyquist bins,
-    # and so must every reading of a held grid
+    # and so must every reading of a held grid; a field held along p is also
+    # read through a pending factor, one that is not 1 even on the zero bin
     rng = np.random.default_rng(3)
     for nx, n_p in ((32, 32), (33, 31)):
         for held in (0, 1):
@@ -1044,12 +1051,20 @@ def test_a_held_sample_reads_its_zero_and_nyquist_bins_as_irfft_does():
                 spectrum[ends] += 1j * rng.standard_normal((len(ends), n_p))
             else:
                 spectrum[:, ends] += 1j * rng.standard_normal((nx, len(ends)))
-            g = wigner_solver.PhaseSpaceGrid(nx, n_p, 8.0, 4.0, values=spectrum, held=held,
-                                             fringe_wavenumber=2.0, fringe_ref=1.0)
-            real = replace(g, values=np.fft.irfft(spectrum, n=n, axis=held), held=None)
-            assert grid_moments(g) == pytest.approx(grid_moments(real), rel=1e-12, abs=1e-13)
-            assert grid_purity(g) == pytest.approx(grid_purity(real), rel=1e-12)
-            assert fringe_visibility(g) == pytest.approx(fringe_visibility(real), rel=1e-12)
+            for factor in _pending_factors(rng, held, n_p):
+                g = wigner_solver.PhaseSpaceGrid(nx, n_p, 8.0, 4.0, values=spectrum,
+                                                 held=held, factor=factor,
+                                                 fringe_wavenumber=2.0, fringe_ref=1.0)
+                real = replace(g, values=np.fft.irfft(wigner_solver._settled(g), n=n,
+                                                      axis=held), held=None, factor=None)
+                assert grid_moments(g) == pytest.approx(grid_moments(real), rel=1e-12,
+                                                        abs=1e-13)
+                assert grid_purity(g) == pytest.approx(grid_purity(real), rel=1e-12)
+                assert grid_norm(g) == pytest.approx(grid_norm(real), rel=1e-12)
+                for got, want in zip(marginals(g), marginals(real)):
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+                assert fringe_visibility(g) == pytest.approx(fringe_visibility(real),
+                                                             rel=1e-12)
 
 
 def _full_field_transforms(monkeypatch, kind, passes):
@@ -1237,9 +1252,68 @@ def test_a_run_leaving_the_box_fails_alike_in_both_domains(kind, sc, start):
             expected = f"step {i} of {n} (h = {dt:.6g}) from t = {real.time:.6g}: {exc}"
             break
     assert expected is not None, f"{kind} never left the box"
-    with pytest.raises(StabilityViolation) as info:
-        evolve_grid(grid, sc, t_final, dt)
-    assert str(info.value) == expected
+    for every in (0, 10):
+        samples = []
+        with pytest.raises(StabilityViolation) as info:
+            evolve_grid(grid, sc, t_final, dt, sample_every=every, observer=samples.append)
+        assert str(info.value) == expected
+        # no sample at or after the failing step i, whose start time is real.time
+        assert all(g.time < real.time for g in samples)
+
+
+@pytest.mark.parametrize("every", [1, 7, 63, 64, 65, 70, 130])
+def test_pure_diffusion_samples_are_single_steps_bit_for_bit(every):
+    # 150 steps, not a whole number of _BLOCK = 64, so the run's last step
+    # call is short; the samples fall inside its calls, at their ends, or
+    # across them; the top factor bins leave the normal range mid-run
+    grid = init_cat(CatWignerSpec(alpha_mag=1.0), nx=48, n_p=501, p_half_width=6.0)
+    sc = SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=0.1)
+    n, t_final = 150, 0.5
+    samples = []
+    evolve_grid(grid, sc, t_final, t_final / n, sample_every=every, observer=samples.append)
+    plan = step_plan(grid, sc, t_final / n)
+    state = replace(grid, values=np.fft.rfft(grid.values, axis=1), held=1,
+                    factor=np.ones(grid.np // 2 + 1))
+    singles = []
+    for i in range(1, n + 1):
+        state = step(state, plan)
+        if i % every == 0:
+            singles.append(state)
+    assert np.any(state.factor == 0.0)
+    assert samples[0] is grid and len(samples) == 1 + n // every
+    for got, want in zip(samples[1:], singles):
+        assert got.held == 1 and got.time == want.time
+        assert np.array_equal(got.factor, want.factor)
+        assert np.array_equal(got.values * got.factor, want.values * want.factor)
+
+
+@pytest.mark.parametrize("kind", list(_PLAN_KINDS))
+def test_an_observer_cannot_write_into_a_sample(kind):
+    # every sample of a pure-diffusion run shares its start spectrum
+    sc, held = _PLAN_KINDS[kind]
+    grid = init_gaussian(1.0, 0.25, 1.0, 0.05, 0.25, **_CARRY_BOX)
+    kept, refused = [], []
+
+    def vandal(g):
+        if g.held is None:   # the grid evolve_grid was given
+            return
+        for a in (g.values, g.factor):
+            if a is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0.0
+                refused.append(a)
+        kept.append((wigner_solver._settled(g), g.time))
+
+    evolve_grid(grid, sc, 20 * _CARRY_DT, _CARRY_DT, sample_every=5, observer=vandal)
+    assert len(refused) == (8 if held == 1 else 4)
+    clean = []
+    evolve_grid(grid, sc, 20 * _CARRY_DT, _CARRY_DT, sample_every=5,
+                observer=lambda g: clean.append((wigner_solver._settled(g), g.time)))
+    assert len(kept) == len(clean) - 1 == 4
+    for (got, t), (want, u) in zip(kept, clean[1:]):
+        assert t == u and np.array_equal(got, want)
+    # and a grid the solver makes shares its box's read-only axes
+    assert replace(grid).x_axis is grid.x_axis and not grid.p_axis.flags.writeable
 
 
 # ------------------------------------------------------ steps in one call
