@@ -78,8 +78,8 @@ from .errors import (
     StabilityViolation,
     StepSizeError,
 )
-from .gaussian_dynamics import _generator
-from .params import CODATA, CatSpec, MirrorParams, PhysicalConstants, resolve_cat, thermal_de_broglie
+from .gaussian_dynamics import _expm1, _generator
+from .params import CODATA, MirrorParams, PhysicalConstants, thermal_de_broglie
 from .spectra_damping import CoefficientSet
 
 __all__ = [
@@ -191,12 +191,6 @@ class CatWignerSpec:
         if self.alpha_mag == 0 and math.cos(self.phase) <= -1.0 + 1e-12:
             raise NonPhysicalInput(
                 "alpha_mag = 0 with phase pi leaves a state of zero norm")
-
-    @classmethod
-    def from_cat_spec(cls, cat: CatSpec, params: MirrorParams,
-                      constants: PhysicalConstants = CODATA) -> "CatWignerSpec":
-        cat = resolve_cat(cat, params, constants)
-        return cls(alpha_mag=cat.alpha_mag, phase=cat.phase)
 
     @property
     def separation(self) -> float:
@@ -419,27 +413,6 @@ def _transport_generator(mass: float | None, omega: float, gamma: float, d1: flo
     no spring."""
     inv_mass, spring = (0.0, 0.0) if mass is None else (1.0 / mass, mass * omega**2)
     return _generator(inv_mass, spring, gamma, d1, 0.0)
-
-
-def _expm1(m):
-    """exp(m) - I, by scaling and squaring on E = exp - I itself: a Taylor
-    sum at norm 1/64, then E(2X) = 2 E(X) + E(X)^2.
-
-    Small entries keep their relative precision, which exp(m) - I read off
-    a rounded exp(m) loses: the drift's 1 - cos(w dt) and w^2 dt at any dt
-    and any w, and the blur's dt^3 position variance. Entries that vanish
-    stay exactly zero.
-    """
-    norm = float(numpy.max(numpy.sum(numpy.abs(m), axis=0)))
-    squarings = max(0, math.ceil(math.log2(64.0 * norm))) if norm > 0 else 0
-    x = m / 2.0**squarings
-    e = term = x
-    for k in range(2, 8):
-        term = term @ x / k
-        e = e + term
-    for _ in range(squarings):
-        e = 2.0 * e + e @ e
-    return e
 
 
 def _drift_maps(mass: float | None, omega: float, gamma: float, dt: float):
@@ -865,8 +838,10 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     if not dt > 0:
         raise StepSizeError(f"dt = {dt!r} must be positive")
     span = t_final - grid.time
-    if span == 0:
-        return grid
+    shape = (grid.nx, grid.np)
+    if span == 0:   # a held grid comes back real, as the returned grid always does
+        return grid if grid.held is None else replace(
+            grid, values=_in_domain(_settled(grid), grid.held, None, shape), held=None, factor=None)
     if not span / dt < math.inf:
         raise StepSizeError(f"the span {span!r} over dt = {dt!r} overflows the step count")
     n = max(1, math.ceil(span / dt * (1.0 - 1e-9)))
@@ -882,7 +857,7 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
         plan = step_plan(grid, sc, h)
     except StepSizeError as exc:
         raise located(exc, 1, grid.time) from exc
-    shape, held = (grid.nx, grid.np), plan.carry
+    held = plan.carry
     state = replace(grid, values=_in_domain(_settled(grid), grid.held, held, shape), held=held,
                     factor=numpy.ones(grid.np // 2 + 1) if held == 1 else None)
     every = sample_every if sampling else n

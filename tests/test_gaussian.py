@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,22 @@ def test_evolve_names_the_time_and_determinant_when_the_cone_is_left():
         evolve(st, OSC, c, 1.0, dt=0.001)
 
 
+@pytest.mark.parametrize("mass, omega, gamma, d1, h", [
+    (1e-320, 1.0, 0.0, 0.0, "0.0625"),        # 1/M is inf
+    (1e-300, 1.0, 0.1, 1.0, "0.0625"),        # the flow overflows as it is squared up
+    (1.0, 1.0, 0.0, 1e308, "0.0625"),         # 2 D1 is inf
+    (1.0, 1e200, 0.0, 0.0, "6.28319e-202"),   # M omega^2 overflows a Python float
+])
+def test_evolve_refuses_a_flow_beyond_the_double_range(mass, omega, gamma, d1, h):
+    # a typed failure naming the time the first check would be at, with no
+    # warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSizeError, match=f"t = {h}"):
+            evolve(GaussianState(0.0, 0.0, 1.0, 0.0, 1.0), MirrorParams(mass=mass, omega0=1.0),
+                   _coeffs(gamma=gamma, d1=d1, omega=omega), 1.0)
+
+
 # ------------------------------------------------------------- exact flow
 
 ORACLE = scenario_defaults("wigner-gaussian-oracle")
@@ -219,9 +236,15 @@ MOMENTS = ("mean_x", "mean_p", "cov_xx", "cov_xp", "cov_pp")
 FINE_DT = 2.0 * math.pi * 1e-3
 
 
-def _oracle_flow(times):
-    """Exact moments of the oracle defaults, from an expm written out here."""
-    co, init = ORACLE["coefficients"], ORACLE["initial"]
+# the oracle defaults, then undamped, then free and damped
+FLOWS = [ORACLE["coefficients"], {**ORACLE["coefficients"], "gamma": 0.0},
+         {**ORACLE["coefficients"], "omega": 0.0}]
+
+
+def _exact_flow(co, times):
+    """Exact moments from the oracle's initial state under the coefficients
+    co, from an expm written out here."""
+    init = ORACLE["initial"]
     m, k, g = co["mass"], co["mass"] * co["omega"] ** 2, co["gamma"]
     gen = np.array([
         [0.0, 1.0 / m, 0.0, 0.0, 0.0, 0.0],
@@ -235,8 +258,8 @@ def _oracle_flow(times):
     return np.array([(expm(gen * t) @ y0)[:5] for t in times])
 
 
-def _evolved_series(times, dt):
-    co, init = ORACLE["coefficients"], ORACLE["initial"]
+def _evolved_series(co, times, dt):
+    init = ORACLE["initial"]
     params = MirrorParams(mass=co["mass"], omega0=co["omega"])
     c = _coeffs(gamma=co["gamma"], d1=co["d1"], d2=co["d2"], omega=co["omega"])
     state = GaussianState(**init)
@@ -250,15 +273,17 @@ def _evolved_series(times, dt):
 @pytest.mark.parametrize("dt", [None, FINE_DT])
 def test_evolve_is_the_exact_flow(dt):
     times = np.linspace(0.0, 20.0, 41)
-    exact = _oracle_flow(times)
-    got = _evolved_series(times, dt)
-    assert np.all(np.max(np.abs(got - exact), axis=0) <= 1e-12 * np.max(np.abs(exact), axis=0))
+    for co in FLOWS:
+        exact = _exact_flow(co, times)
+        got = _evolved_series(co, times, dt)
+        assert np.all(np.max(np.abs(got - exact), axis=0)
+                      <= 1e-12 * np.max(np.abs(exact), axis=0)), co
 
 
 def test_evolve_does_not_depend_on_the_check_interval():
     times = np.linspace(0.0, 20.0, 41)
-    coarse = _evolved_series(times, None)
-    fine = _evolved_series(times, FINE_DT)
+    coarse = _evolved_series(ORACLE["coefficients"], times, None)
+    fine = _evolved_series(ORACLE["coefficients"], times, FINE_DT)
     assert np.all(np.max(np.abs(coarse - fine), axis=0) <= 1e-12 * np.max(np.abs(fine), axis=0))
 
 

@@ -37,7 +37,7 @@ from casidec import (
 )
 from casidec import wigner_solver
 from casidec.gaussian_dynamics import GaussianState, _generator, evolve
-from casidec.params import CODATA, CatSpec, MirrorParams, ground_state_width
+from casidec.params import CODATA, MirrorParams, ground_state_width
 from casidec.spectra_damping import CoefficientSet, coefficient_set
 
 TWO_PI = 2.0 * math.pi
@@ -272,15 +272,6 @@ def test_degenerate_single_packet():
     assert grid.fringe_wavenumber is None
     with pytest.raises(DomainError):
         fringe_visibility(grid)
-
-
-def test_from_cat_spec_routes():
-    direct = CatWignerSpec.from_cat_spec(CatSpec(alpha_mag=2.0, phase=0.3), MIRROR)
-    assert direct.alpha_mag == pytest.approx(2.0)
-    assert direct.phase == pytest.approx(0.3)
-    via_separation = CatWignerSpec.from_cat_spec(
-        CatSpec(delta_x=9.1850827628279975e-11), MIRROR)
-    assert via_separation.alpha_mag == pytest.approx(10.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [
@@ -971,6 +962,24 @@ def test_a_step_on_a_held_sample_hands_back_a_settled_grid(kind):
         # a run resumed from the sample starts from its pending factor too
         resumed = evolve_grid(g, sc, g.time + _CARRY_DT, _CARRY_DT)
         assert np.max(np.abs(resumed.values - want)) <= 1e-13 * np.max(want)
+
+
+@pytest.mark.parametrize("kind", list(_PLAN_KINDS))
+def test_evolve_grid_at_zero_span_hands_back_a_held_sample_settled(kind):
+    # a held sample, a pure-diffusion one with its pending factor, comes back
+    # as the real field it holds, which every reader takes
+    sc, held = _PLAN_KINDS[kind]
+    grid = init_gaussian(1.0, 0.25, 1.0, 0.05, 0.25, **_CARRY_BOX)
+    samples = []
+    evolve_grid(grid, sc, 10 * _CARRY_DT, _CARRY_DT, sample_every=5, observer=samples.append)
+    g = samples[-1]
+    assert g.held == held and (g.factor is None) == (held != 1)
+    out = evolve_grid(g, sc, g.time, _CARRY_DT)
+    assert out.held is None and out.factor is None and out.time == g.time
+    values = g.values if g.factor is None else g.values * g.factor
+    want = np.fft.irfft(values, n=(grid.nx, grid.np)[held], axis=held)
+    assert np.array_equal(out.values, want)
+    assert wmin_over_wmax(out) == np.min(want) / np.max(want)
 
 
 def test_a_pure_diffusion_run_sets_its_factor_to_zero_below_the_normal_range():

@@ -9,9 +9,11 @@ tree's scenarios run at their defaults, and the configs of _EXTRA with their
 overrides, in a child process whose PYTHONPATH is that tree's src, and the
 child refuses to run unless casidec is imported from there. One line per
 artifact gives its SHA-256 in this checkout and whether it matches the
-base. The exit status is 1 when a digest differs while the schema version
-(each manifest's schema_version) is unchanged, else 0. With no base commit (BASE_REV empty, all zeros, or not in this
-clone) the script says so and exits 0.
+base; under a summary.json that differs, one line per JSON key path whose
+value differs gives that value in the base, then here. The exit status is 1
+when a digest differs while the schema version (each manifest's
+schema_version) is unchanged, else 0. With no base commit (BASE_REV empty,
+all zeros, or not in this clone) the script says so and exits 0.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ for key, (name, overrides) in runs.items():
     result[key] = {"schema": manifest["schema_version"], "digests": {
         artifact: hashlib.sha256((report.out_dir / artifact).read_bytes()).hexdigest()
         for artifact in ("summary.json", "series.csv")
-        if (report.out_dir / artifact).exists()}}
+        if (report.out_dir / artifact).exists()},
+        "summary": json.loads((report.out_dir / "summary.json").read_text())}
 print(json.dumps(result))
 """
 
@@ -79,6 +82,28 @@ def _run_configs(src: Path, out: Path) -> dict:
                            json.dumps(_EXTRA)], env=env,
                           cwd=out.parent, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
+
+
+_ABSENT = object()
+
+
+def _differences(old, new, path: str = ""):
+    """(key path, old, new) for each leaf at which two parsed JSON documents
+    differ, compared and given as JSON text (so 1 and 1.0 differ); a key on
+    one side only is "absent" on the other."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from _differences(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                                    f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _differences(a, b, f"{path}[{i}]")
+    elif _text(old) != _text(new):
+        yield path or "(root)", _text(old), _text(new)
+
+
+def _text(value) -> str:
+    return "absent" if value is _ABSENT else json.dumps(value)
 
 
 def _has_commit(rev: str) -> bool:
@@ -120,6 +145,9 @@ def main(argv: list[str]) -> int:
             else:
                 status = f"differs from base, schema {schemas[0]} -> {schemas[1]}"
             print(f"{now or '-':64}  {name}/{artifact}  {status}")
+            if artifact == "summary.json" and was != now:
+                for path, a, b in _differences(old[name]["summary"], new[name]["summary"]):
+                    print(f"    {path}: {a} -> {b}")
     print(f"base {base}: " + ("artifact bytes changed without a schema bump" if failed
                               else "no artifact changed without a schema bump"))
     return 1 if failed else 0
