@@ -129,6 +129,13 @@ def _default_dt(coeffs: CoefficientSet) -> float:
     return 0.01 * min(scales)
 
 
+# the most positivity checks one evolve call runs, each a Python-level step:
+# a default oracle leg takes about 8, and the longest leg an accepted oracle
+# config can ask for about 500,000 (100,000 grid steps, each at most five
+# checks long under the grid's damping guard)
+_MAX_CHECKS = 1_000_000
+
+
 def evolve(state: GaussianState, params: MirrorParams, coeffs: CoefficientSet,
            t: float, dt: float | None = None) -> GaussianState:
     """Propagate the moments for a time t along their exact flow exp(G h).
@@ -138,6 +145,8 @@ def evolve(state: GaussianState, params: MirrorParams, coeffs: CoefficientSet,
     checked; it does not change the result beyond rounding. A coefficient set
     can leave the physical cone (the transport equation is not completely
     positive) or the double range: StepSizeError names the time (and det cov).
+    A span that needs more than _MAX_CHECKS checks is refused up front with
+    StepSizeError, naming t, dt and the count.
     """
     if not 0 <= t < math.inf:
         raise DomainError(f"evolution time must be finite and >= 0, got {t!r}")
@@ -155,6 +164,10 @@ def evolve(state: GaussianState, params: MirrorParams, coeffs: CoefficientSet,
     if not t / dt < math.inf:
         raise StepSizeError(f"the span {t!r} over dt = {dt!r} overflows the step count")
     n = max(1, math.ceil(t / dt - 1e-12))
+    if n > _MAX_CHECKS:
+        raise StepSizeError(
+            f"t = {t:.6g}, dt = {dt:.6g}: {n} positivity checks, more than the "
+            f"{_MAX_CHECKS} one call takes; evolve over shorter spans")
     h = t / n
     try:
         with np.errstate(over="raise", invalid="raise"):

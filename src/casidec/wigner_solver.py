@@ -43,10 +43,13 @@ slice, the two ring edges across the held axis by small irffts, and the
 two along it by one real matmul on its float view, whose operator the plan
 holds. An observer sample is the state as held (PhaseSpaceGrid.held), a
 pure-diffusion one with its pending factor, and the readers take it from
-the spectrum, the factor scaling only their 1-D results: marginals and
-moments by 1-D contractions and irffts, purity by Parseval, the fringe
-slice by a row irfft or a weighted sum over the bins. evolve_grid returns
-a real grid.
+the spectrum: held along x by 1-D contractions and irffts, purity by
+Parseval and the fringe slice by a weighted sum over the bins; held along p
+(spectrum S, factor F) through its sums over x (ones @ S, x @ S, each p
+bin's power, the midpoint row against the fringe kernel), so that each
+reading is a dot product of p-bin vectors with F or F^2. A pure-diffusion
+run's samples share S, and the run takes those sums once. evolve_grid
+returns a real grid.
 
 The solver is dimensionless by convention: callers map SI inputs through
 nondimensionalize(), which rescales lengths to the ground-state width (or
@@ -63,7 +66,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy
 import numpy as np
@@ -230,9 +233,11 @@ class PhaseSpaceGrid:
     values, a pure-diffusion run's start spectrum, times this factor along
     the p bins (a pending factor), which each step call advances by all its
     steps at once; evolve_grid holds its run and hands its samples this
-    way, and the readers take the factor into their 1-D contractions.
-    x_axis and p_axis come from one read-only cache keyed by the box side,
-    so a grid made by dataclasses.replace builds neither.
+    way. A grid held along p is read through its sums over x (_XSums) and
+    then its factor: the samples of a run share the run's (_run_sums), and
+    any other grid, one made by dataclasses.replace too, takes its own at
+    each read. x_axis and p_axis come from one read-only cache keyed by the
+    box side, so a grid made by dataclasses.replace builds neither.
     """
 
     nx: int
@@ -245,6 +250,7 @@ class PhaseSpaceGrid:
     fringe_ref: float | None = None
     held: int | None = None
     factor: numpy.ndarray | None = None
+    _run_sums: _XSums | None = field(default=None, init=False, repr=False)
 
     @property
     def x_axis(self) -> numpy.ndarray:
@@ -825,8 +831,9 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     call that holds it (_running, as step builds it), so it is the state of
     k calls of one step bit for bit. A sample's values and factor are
     read-only: every sample of a pure-diffusion run shares its start
-    spectrum. Samples are delivered once every step of the call that holds
-    them has passed its monitors, so a run that fails delivers no sample at
+    spectrum, and the sums over x (_XSums) that the run takes from it at
+    its samples' first read. Samples are delivered once every step of the
+    call that holds them has passed its monitors, so a run that fails delivers no sample at
     or after its failing step (and none of that call's). step makes a new
     grid and writes into no array it was given, so sampling never changes
     the trajectory. The returned grid is real. A monitor or step-size
@@ -862,6 +869,7 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
                     factor=numpy.ones(grid.np // 2 + 1) if held == 1 else None)
     every = sample_every if sampling else n
     block = _BLOCK if held == 1 else every
+    run_sums = _XSums(state) if held == 1 else None
     for done in range(0, n, block):
         k = min(block, n - done)
         try:
@@ -874,11 +882,74 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
             _read_only(factors)
         for j in marks:
             factor, t = (factors[j], times[j]) if held == 1 else (None, after.time)
-            observer(replace(after, values=_read_only(after.values.view()), factor=factor,
-                             time=t))
+            sample = replace(after, values=_read_only(after.values.view()), factor=factor,
+                             time=t)
+            sample._run_sums = run_sums
+            observer(sample)
         state = after
     return replace(state, values=_in_domain(_settled(state), held, None, shape), held=None,
                    factor=None)
+
+
+class _XSums:
+    """The sums over x that the readers of a field W held along p, spectrum
+    S times factor F, take from S, each at its first use, then kept: ones @
+    S (the p marginal over F), and real p-bin arrays with F @ moments = sum
+    W (p, p^2, x p), F^2 @ power = n_p sum W^2 and F @ fringe = the midpoint
+    slice's sums against (cos k p, sin k p), k the fringe wavenumber. A sum
+    against a function u of p weighs bin k by _bin_weights(n_p)[k] times the
+    conjugate of rfft(u)[k], keeping the real part, as irfft does."""
+
+    def __init__(self, grid: PhaseSpaceGrid):
+        self._w, self._x, self._p = grid.values, grid.x_axis, grid.p_axis
+        self._wf = numpy.ascontiguousarray(grid.values).view(float)
+        self._k = grid.fringe_wavenumber
+
+    def _against(self, row, u):
+        return (row * _bin_weights(len(self._p)) * numpy.conj(rfft(u))).real
+
+    @functools.cached_property
+    def _ones_x(self):
+        """ones @ S and x @ S, by one real matmul on S's float view."""
+        return (numpy.stack([numpy.ones(len(self._x)), self._x]) @ self._wf).view(complex)
+
+    @property
+    def ones(self):
+        return self._ones_x[0]
+
+    @functools.cached_property
+    def moments(self):
+        ones, xs = self._ones_x
+        p = self._p
+        return numpy.stack([self._against(ones, p), self._against(ones, p * p),
+                            self._against(xs, p)], axis=1)
+
+    @functools.cached_property
+    def power(self):
+        """Each bin's power twice, by Parseval, but only its real part's, once,
+        at zero and (even n_p) Nyquist, whose imaginary parts irfft ignores."""
+        parts = numpy.einsum("ij,ij->j", self._wf, self._wf).reshape(-1, 2)
+        ends = [0, -1] if len(self._p) % 2 == 0 else [0]
+        power = 2.0 * parts.sum(axis=1)
+        power[ends] = parts[ends, 0]
+        return power
+
+    @functools.cached_property
+    def fringe(self):
+        """The midpoint row of S, or the mean of the two middle rows for an
+        even n_x, against the fringe kernel."""
+        w, mid = self._w, len(self._x) // 2
+        row = w[mid] if len(self._x) % 2 else 0.5 * (w[mid - 1] + w[mid])
+        kp = self._k * self._p
+        return numpy.stack([self._against(row, numpy.cos(kp)),
+                            self._against(row, numpy.sin(kp))], axis=1)
+
+
+def _held_p(grid: PhaseSpaceGrid) -> tuple[_XSums, numpy.ndarray]:
+    """grid's sums over x, its run's if it is a sample of one, and its
+    factor (1 when it has none)."""
+    sums = _XSums(grid) if grid._run_sums is None else grid._run_sums
+    return sums, numpy.ones(grid.np // 2 + 1) if grid.factor is None else grid.factor
 
 
 def _profile(grid: PhaseSpaceGrid, axis: int, weights=None) -> numpy.ndarray:
@@ -888,11 +959,12 @@ def _profile(grid: PhaseSpaceGrid, axis: int, weights=None) -> numpy.ndarray:
 
     A held grid (PhaseSpaceGrid.held) is read from its spectrum, with no
     full-field transform. Across the held axis, the spectrum is summed,
-    sliced or contracted in the same way, then takes one 1-D irfft. Along
-    it, the node sum is the real part of the zero-frequency slice, and any
-    other weights are one weighted sum over the bins: bin k weighs
-    _bin_weights(n)[k] times the conjugate of the weights' own rfft, and
-    only the real part is kept, as in irfft. A pending factor F
+    sliced or contracted in the same way (held along p, the node sum is
+    _XSums' ones @ S), then takes one 1-D irfft. Along it, the node sum is
+    the real part of the zero-frequency slice, and any other weights are
+    one weighted sum over the bins: bin k weighs _bin_weights(n)[k] times
+    the conjugate of the weights' own rfft, and only the real part is kept,
+    as in irfft. A pending factor F
     (PhaseSpaceGrid.factor, along the p bins) scales the 1-D result across
     the held axis, and the zero bin or the bin weights along it, never the
     field."""
@@ -910,6 +982,8 @@ def _profile(grid: PhaseSpaceGrid, axis: int, weights=None) -> numpy.ndarray:
         return (bins @ w if axis == 0 else w @ bins).real
     if isinstance(weights, int):
         out = numpy.take(w, weights, axis=axis)
+    elif weights is None and held == 1:
+        out = _held_p(grid)[0].ones
     else:
         u = numpy.ones(w.shape[axis]) if weights is None else weights
         out = u @ w if axis == 0 else w @ u
@@ -925,38 +999,42 @@ def grid_norm(grid: PhaseSpaceGrid) -> float:
 
 def grid_moments(grid: PhaseSpaceGrid) -> tuple[float, float, float, float, float]:
     """(mean_x, mean_p, cov_xx, cov_xp, cov_pp) by Riemann sums: the means
-    and variances from the two marginals, cov_xp as one bilinear form."""
+    and variances from the two marginals, cov_xp as one bilinear form. Held
+    along p, the p sums come from _XSums: cov_pp as the mean of p^2 less
+    mean_p^2, cov_xp as the mean of x p less mean_x mean_p."""
     x, p = grid.x_axis, grid.p_axis
-    wx, wp = _profile(grid, 1), _profile(grid, 0)
+    wx = _profile(grid, 1)
     n = float(np.sum(wx))
     mx = float(wx @ x) / n
-    mp_ = float(wp @ p) / n
     xx = float(wx @ (x - mx) ** 2) / n
+    if grid.held == 1:
+        sums, factor = _held_p(grid)
+        sp, spp, sxp = (float(v) / n for v in factor @ sums.moments)
+        return mx, sp, xx, sxp - mx * sp, spp - sp * sp
+    wp = _profile(grid, 0)
+    mp_ = float(wp @ p) / n
     pp = float(wp @ (p - mp_) ** 2) / n
     xp = float((x - mx) @ _profile(grid, 1, p - mp_)) / n
     return mx, mp_, xx, xp, pp
 
 
 def grid_purity(grid: PhaseSpaceGrid) -> float:
-    """Tr rho^2 = 2 pi hbar Integral[W^2], hbar = 1. A held grid sums its
-    bins' power by Parseval: twice every bin's over n, less once the zero
-    and (even n) Nyquist bins', whose imaginary parts irfft ignores. With a
-    pending factor F (PhaseSpaceGrid.factor) each bin's column power is
-    weighted by F^2, taken from the float view of the held field."""
+    """Tr rho^2 = 2 pi hbar Integral[W^2], hbar = 1. A grid held along x sums
+    its bins' power by Parseval: twice every bin's over n, less once the
+    zero and (even n) Nyquist bins', whose imaginary parts irfft ignores. A
+    grid held along p weighs that power per p bin (_XSums) by its factor
+    squared."""
     f, held = grid.values, grid.held
     if held is None:
         total = float(np.sum(f**2))
-    elif grid.factor is None:
-        n = (grid.nx, grid.np)[held]
-        ends = numpy.take(f, [0, -1] if n % 2 == 0 else [0], axis=held)
+    elif held == 0:
+        n = grid.nx
+        ends = f[[0, -1] if n % 2 == 0 else [0]]
         total = (2.0 * numpy.vdot(f, f).real - numpy.vdot(ends, ends).real
                  - numpy.vdot(ends.imag, ends.imag)) / n
     else:
-        wf = numpy.ascontiguousarray(f).view(float)
-        # per p bin: the power of its real and its imaginary parts
-        power = numpy.einsum("ij,ij->j", wf, wf).reshape(-1, 2) * (grid.factor**2)[:, None]
-        ends = power[[0, -1] if grid.np % 2 == 0 else [0]]
-        total = (2.0 * power.sum() - ends.sum() - ends[:, 1].sum()) / grid.np
+        sums, factor = _held_p(grid)
+        total = float(factor**2 @ sums.power) / grid.np
     return 2.0 * math.pi * total * grid.dx * grid.dp
 
 
@@ -966,9 +1044,13 @@ def marginals(grid: PhaseSpaceGrid) -> tuple[numpy.ndarray, numpy.ndarray]:
 
 
 def _fringe_amplitude(grid: PhaseSpaceGrid) -> float:
-    """|Fourier amplitude| of the midpoint slice at the fringe wavenumber."""
+    """|Fourier amplitude| of the midpoint slice at the fringe wavenumber,
+    held along p as two sums from _XSums."""
     if grid.fringe_wavenumber is None:
         raise DomainError("grid carries no fringe metadata; build it with init_cat")
+    if grid.held == 1:
+        sums, factor = _held_p(grid)
+        return math.hypot(*(factor @ sums.fringe)) * grid.dp
     mid = grid.nx // 2
     sl = (_profile(grid, 0, mid) if grid.nx % 2
           else 0.5 * (_profile(grid, 0, mid - 1) + _profile(grid, 0, mid)))

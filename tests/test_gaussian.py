@@ -1,4 +1,6 @@
 import math
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -227,6 +229,27 @@ def test_evolve_refuses_a_flow_beyond_the_double_range(mass, omega, gamma, d1, h
         with pytest.raises(StepSizeError, match=f"t = {h}"):
             evolve(GaussianState(0.0, 0.0, 1.0, 0.0, 1.0), MirrorParams(mass=mass, omega0=1.0),
                    _coeffs(gamma=gamma, d1=d1, omega=omega), 1.0)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs a POSIX interval timer")
+def test_evolve_refuses_more_positivity_checks_than_it_can_run():
+    # omega* = 1e8 over t = 1 asks for 1.6e9 checks, one per hundredth of a
+    # period, in a Python loop: a typed failure up front, not a call that
+    # never returns (the timer stops the call if it runs on)
+    def stop(signum, frame):
+        raise TimeoutError("evolve ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(StepSizeError, match=r"t = 1, dt = 6\.28319e-10: 1591549431 "):
+            evolve(GaussianState(0.0, 0.0, 0.5, 0.0, 0.5), MirrorParams(mass=1e-8, omega0=1.0),
+                   CoefficientSet(omega_star=1e8, gamma=0.0, d1=0.0, d2=0.0), 1.0)
+        assert time.perf_counter() - start < 1.0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ------------------------------------------------------------- exact flow

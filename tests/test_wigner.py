@@ -1028,22 +1028,108 @@ def _held_samples(kind, nx, n_p):
     return held_samples
 
 
+def _reads_as_its_real_copy(g):
+    n = (g.nx, g.np)[g.held]
+    real = replace(g, values=np.fft.irfft(wigner_solver._settled(g), n=n, axis=g.held),
+                   held=None, factor=None)
+    assert grid_moments(g) == pytest.approx(grid_moments(real), rel=1e-12, abs=1e-13)
+    assert grid_purity(g) == pytest.approx(grid_purity(real), rel=1e-12)
+    assert grid_norm(g) == pytest.approx(grid_norm(real), rel=1e-12)
+    for got, want in zip(marginals(g), marginals(real)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if g.fringe_ref is not None:
+        assert fringe_visibility(g) == pytest.approx(fringe_visibility(real), rel=1e-12)
+    with pytest.raises(DomainError, match="every node"):
+        wmin_over_wmax(g)
+
+
 @pytest.mark.parametrize("nx, n_p", [(64, 64), (63, 57), (64, 57), (63, 64)])
 @pytest.mark.parametrize("kind", list(_PLAN_KINDS))
 def test_a_held_sample_reads_as_its_real_copy(kind, nx, n_p):
-    # odd sizes have no Nyquist bin, and an odd nx takes the one midpoint row
+    # odd sizes have no Nyquist bin, and an odd nx takes the one midpoint row;
+    # a pure-diffusion sample is read through the sums over x of its run
     for g in _held_samples(kind, nx, n_p):
-        real = replace(g, values=np.fft.irfft(wigner_solver._settled(g), n=(nx, n_p)[g.held],
-                                              axis=g.held), held=None, factor=None)
-        assert grid_moments(g) == pytest.approx(grid_moments(real), rel=1e-12, abs=1e-13)
-        assert grid_purity(g) == pytest.approx(grid_purity(real), rel=1e-12)
-        assert grid_norm(g) == pytest.approx(grid_norm(real), rel=1e-12)
-        for got, want in zip(marginals(g), marginals(real)):
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        if g.fringe_ref is not None:
-            assert fringe_visibility(g) == pytest.approx(fringe_visibility(real), rel=1e-12)
-        with pytest.raises(DomainError, match="every node"):
-            wmin_over_wmax(g)
+        _reads_as_its_real_copy(g)
+    if kind == "pure diffusion":
+        # and so is one whose top factor bins left the normal range and were
+        # set to 0: the Nyquist decay exponent d1 k^2 t reaches 855 to 1,074 here
+        grid = init_cat(CatWignerSpec(0.5, phase=0.7), nx=nx, n_p=8 * n_p + n_p % 2,
+                        x_half_width=12.0, p_half_width=6.0)
+        samples = []
+        evolve_grid(grid, SolverCoefficients(mass=None, omega=0.0, gamma=0.0, d1=0.1), 0.6,
+                    0.01, sample_every=20, observer=samples.append)
+        assert np.any(samples[-1].factor == 0.0) and samples[-1].np % 2 == n_p % 2
+        for g in samples[1:]:
+            _reads_as_its_real_copy(g)
+
+
+def _readings(g):
+    """Every reading of a grid, the marginals as bytes."""
+    return (grid_moments(g), grid_purity(g), grid_norm(g), fringe_visibility(g),
+            tuple(m.tobytes() for m in marginals(g)))
+
+
+def _cat_run(kind, observer):
+    """A 350-step run of a cat, sampled every 7 steps."""
+    sc, _ = _PLAN_KINDS[kind]
+    grid = init_cat(CatWignerSpec(0.5, phase=0.7), **_CARRY_BOX)
+    evolve_grid(grid, sc, 350 * _CARRY_DT, _CARRY_DT, sample_every=7, observer=observer)
+
+
+def test_a_pure_diffusion_run_takes_its_sums_over_x_once(monkeypatch):
+    built, powers = [], []
+
+    class Counted(wigner_solver._XSums):
+        def __init__(self, grid):
+            built.append(grid)
+            super().__init__(grid)
+
+    def einsum(*args, _fn=np.einsum):
+        powers.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(wigner_solver, "_XSums", Counted)
+    monkeypatch.setattr(np, "einsum", einsum)
+    samples = []
+    _cat_run("pure diffusion", lambda g: (samples.append(g), _readings(g)))
+    # one record for the run's 50 samples, on the start spectrum they share,
+    # and one full pass over it for the power of its bins
+    assert len(samples) == 51 and len(built) == len(powers) == 1
+    assert all(np.shares_memory(g.values, built[0].values) for g in samples[1:])
+    # a grid a caller builds takes its own at each read that needs them:
+    # the moments, the purity, the fringe and the p marginal
+    _readings(replace(samples[-1]))
+    assert len(built) == 5 and len(powers) == 2
+    # a run held along x reads its samples with none
+    _cat_run("damped", _readings)
+    assert len(built) == 5 and len(powers) == 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 25, 50])
+def test_a_sample_read_first_reads_as_after_the_samples_before_it(k):
+    # the run's sums are the same whichever sample takes them
+    in_turn, kept = [], []
+    _cat_run("pure diffusion", lambda g: in_turn.append(_readings(g)))
+    _cat_run("pure diffusion", kept.append)
+    assert len(kept) == len(in_turn) == 51
+    assert _readings(kept[k]) == in_turn[k]
+
+
+def test_a_sample_made_over_by_replace_reads_its_own_spectrum():
+    samples = []
+    _cat_run("pure diffusion", samples.append)
+    g = samples[-1]
+    _readings(g)   # the run takes its sums
+    other = np.fft.rfft(init_gaussian(1.0, 0.25, 1.0, 0.05, 0.25, **_CARRY_BOX).values, axis=1)
+    swapped = replace(g, values=other)
+    real = replace(g, values=np.fft.irfft(other * g.factor, n=g.np, axis=1), held=None,
+                   factor=None)
+    assert grid_moments(swapped) == pytest.approx(grid_moments(real), rel=1e-12, abs=1e-13)
+    assert grid_purity(swapped) == pytest.approx(grid_purity(real), rel=1e-12)
+    assert fringe_visibility(swapped) == pytest.approx(fringe_visibility(real), rel=1e-12)
+    for got, want in zip(marginals(swapped), marginals(real)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert grid_moments(swapped) != pytest.approx(grid_moments(g), rel=1e-3)
 
 
 def test_a_held_sample_reads_its_zero_and_nyquist_bins_as_irfft_does():
@@ -1060,7 +1146,11 @@ def test_a_held_sample_reads_its_zero_and_nyquist_bins_as_irfft_does():
                 spectrum[ends] += 1j * rng.standard_normal((len(ends), n_p))
             else:
                 spectrum[:, ends] += 1j * rng.standard_normal((nx, len(ends)))
-            for factor in _pending_factors(rng, held, n_p):
+            # held along p also: no factor, and one with its top bins set to 0
+            flushed = rng.uniform(0.5, 2.0, n_p // 2 + 1)
+            flushed[n_p // 4:] = 0.0
+            more = (None, flushed) if held == 1 else ()
+            for factor in (*_pending_factors(rng, held, n_p), *more):
                 g = wigner_solver.PhaseSpaceGrid(nx, n_p, 8.0, 4.0, values=spectrum,
                                                  held=held, factor=factor,
                                                  fringe_wavenumber=2.0, fringe_ref=1.0)

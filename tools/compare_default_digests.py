@@ -27,13 +27,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# paths that no scenario's defaults reach, nine non-default configs: the
+# paths that no scenario's defaults reach, ten non-default configs: the
 # damped cat, the cat on an odd grid (no Nyquist bin, an odd midpoint slice),
 # the cat run long enough that its p factor leaves the double range, the cat
 # at 70 steps a sample (a sample falls inside a step call of _BLOCK = 64
-# steps), the cat at one step a sample, the undamped oracle, an odd oracle
-# grid, the sieve at a kilogram mirror and the sphere's relative-weight
-# route, each keyed by its scenario and overrides
+# steps), the cat at one step a sample, the cat at a nonzero relative phase
+# (its mean p, zero by symmetry at the defaults, is not), the undamped
+# oracle, an odd oracle grid, the sieve at a kilogram mirror and the sphere's
+# relative-weight route, each keyed by its scenario and overrides
 _EXTRA = {
     "sieve-pointer-states:mass=1": ["sieve-pointer-states", {"mirror": {"mass": 1.0}}],
     "sphere-rayleigh-vacuum:radius=3e-11": ["sphere-rayleigh-vacuum",
@@ -43,6 +44,7 @@ _EXTRA = {
     "wigner-cat-highT:t_end_over_td=6": ["wigner-cat-highT", {"t_end_over_td": 6.0}],
     "wigner-cat-highT:n_samples=5": ["wigner-cat-highT", {"time": {"n_samples": 5}}],
     "wigner-cat-highT:dt=3.125e-3": ["wigner-cat-highT", {"time": {"dt": 3.125e-3}}],
+    "wigner-cat-highT:phase=1": ["wigner-cat-highT", {"cat": {"phase": 1.0}}],
     "wigner-gaussian-oracle:gamma=0": ["wigner-gaussian-oracle",
                                        {"coefficients": {"gamma": 0.0}}],
     "wigner-gaussian-oracle:grid=65x63": ["wigner-gaussian-oracle",
