@@ -5,51 +5,35 @@ Integrates
     dW/dt = -(p/m) dW/dx + m w*^2 x dW/dp + 2 g d(p W)/dp + d1 d^2W/dp^2
 
 on a uniform (x, p) grid: the transport equation at d2 = 0, an
-Ornstein-Uhlenbeck equation. Each step applies its flow over dt exactly in
-time: the drift map (rotation, shear, damping contraction), then a Gaussian
-blur whose covariance Q(dt) is the covariance block of expm(G dt) e_6, G
-the moment generator of gaussian_dynamics. The drift's backtrace matrix is
-factored into three shears and a momentum stretch. Each shear is a per-row (or
-per-column) shift applied as an FFT phase ramp, exact for a band-limited
-field; the stretch, which carries the Jacobian exp(2 g dt) that restores
-the mass the contraction removes, is a 1-D quintic B-spline pass along p,
-zero outside the box. The blur splits into one non-negative variance per
-pass, along that pass's axis, multiplied into its factor; it adds a
-zero-shift p pass only where no pass can carry it (pure diffusion, free
-streaming). step_plan builds these passes for one box and step size, and
-step applies them; evolve_grid builds one plan per run and hands it to
-every step, and nothing is kept between runs. The FFT passes treat the box
-as periodic, so mass that reaches the edge would wrap to the far side: the
-boundary-ring monitor that stops a run whose state leaves the box also
-guards against that wrap. Cross diffusion d2 is not integrated: with no
+Ornstein-Uhlenbeck equation. Cross diffusion d2 is not integrated: with no
 position diffusion its term d2 k_x k_p is ill-posed, so nondimensionalize
 refuses it; the exact moment flow of gaussian_dynamics keeps it.
 
-Every plan with passes carries an axis: p when every pass is a p pass (pure
-diffusion), x otherwise. step runs on that axis's rfft, and evolve_grid
-holds the field there between steps, so a step skips its opening rfft and
-closing irfft. A plan that carries p is one factor along the p bins, and
-evolve_grid holds a pure-diffusion run as its start spectrum times the
-factor's running product (PhaseSpaceGrid.factor, bins below the least
-normal double set to 0). evolve_grid steps such a run in calls of up to
-_BLOCK steps (step(grid, plan, n)) across its samples, and a call takes
-that product for all its steps at once and reads all their monitors
-through it: one irfft and one matmul on the field. The stretch is a
-matmul along p, so it commutes with the rfft along x and acts on the x
-spectrum as one real matmul on its stacked real and imaginary parts: a
-damped step takes 4 transforms instead of 6, and a damping-only step none.
-The monitors read the spectrum directly: the norm from its zero-frequency
-slice, the two ring edges across the held axis by small irffts, and the
-two along it by one real matmul on its float view, whose operator the plan
-holds. An observer sample is the state as held (PhaseSpaceGrid.held), a
-pure-diffusion one with its pending factor, and the readers take it from
-the spectrum: held along x by 1-D contractions and irffts, purity by
-Parseval and the fringe slice by a weighted sum over the bins; held along p
-(spectrum S, factor F) through its sums over x (ones @ S, x @ S, each p
-bin's power, the midpoint row against the fringe kernel), so that each
-reading is a dot product of p-bin vectors with F or F^2. A pure-diffusion
-run's samples share S, and the run takes those sums once. evolve_grid
-returns a real grid.
+Each step applies the flow over dt exactly in time, the drift map then the
+Gaussian blur of the moment flow, as 1-D passes that step_plan builds for
+one box: FFT shears, a quintic B-spline momentum stretch, and the blur split
+over them. The FFT passes treat the box as periodic, so the boundary-ring
+monitor, which stops a run whose state reaches the edge, also guards
+against the wrap.
+
+A plan carries p when all its passes are p passes (pure diffusion), else x.
+evolve_grid holds the field as the rfft along that axis from its first step
+to its last; the stretch acts on the x spectrum as one real matmul. A
+pure-diffusion plan is one factor f along the p bins, so such a run is held
+as its start spectrum S times a pending factor F, the running product of f
+(bins below the least normal double set to 0), taken for up to _BLOCK steps
+per step call. Every step is monitored on the spectrum. An x-carried step
+reads its norm drift from the zero-frequency slice and its ring mass from
+small edge irffts and one real matmul. A p-carried step reads only the
+ring: the zero bin of f is exactly 1, so its norm cannot drift while the
+field is finite, and a non-finite or overflowing field reads NaN or far
+over tolerance on the ring.
+
+An observer sample is the state as held. A field held along x is read by
+1-D contractions of its spectrum and irffts, one held along p through its
+sums over x (_XSums), taken once per grid and shared by a run's samples, so
+that each reading is a dot product of p-bin vectors with F or F^2.
+evolve_grid returns a real grid.
 
 The solver is dimensionless by convention: callers map SI inputs through
 nondimensionalize(), which rescales lengths to the ground-state width (or
@@ -225,20 +209,13 @@ def _axis(n: int, half_width: float) -> numpy.ndarray:
 class PhaseSpaceGrid:
     """Uniform phase-space grid, W indexed [ix, ip], node-centered axes.
 
-    held None: values is the real field. held 0 or 1: values is the field's
-    rfft along that axis (a complex array, shorter along it), the state that
-    evolve_grid steps and hands to its observer; grid_moments, grid_purity,
-    marginals, grid_norm and fringe_visibility read it from the spectrum,
-    and wmin_over_wmax refuses it. factor, with held 1 only: the state is
-    values, a pure-diffusion run's start spectrum, times this factor along
-    the p bins (a pending factor), which each step call advances by all its
-    steps at once; evolve_grid holds its run and hands its samples this
-    way. A grid held along p is read through its sums over x (_XSums) and
-    then its factor: the samples of a run share the run's (_run_sums), and
-    any other grid, one made by dataclasses.replace too, takes its own at
-    each read. x_axis and p_axis come from one read-only cache keyed by the
-    box side, so a grid made by dataclasses.replace builds neither.
-    """
+    held None: values is the real field. held 0 or 1: values is its rfft
+    along that axis, as evolve_grid steps and samples it; every reader but
+    wmin_over_wmax takes it from the spectrum. factor (held 1 only): the
+    field is values times this pending factor along the p bins. A grid held
+    along p keeps its readers' sums over x (_XSums) from its first read on,
+    so its values must not change after that (dataclasses.replace makes a
+    grid without them). x_axis and p_axis are shared read-only arrays."""
 
     nx: int
     np: int
@@ -250,7 +227,7 @@ class PhaseSpaceGrid:
     fringe_ref: float | None = None
     held: int | None = None
     factor: numpy.ndarray | None = None
-    _run_sums: _XSums | None = field(default=None, init=False, repr=False)
+    _sums: _XSums | None = field(default=None, init=False, repr=False)
 
     @property
     def x_axis(self) -> numpy.ndarray:
@@ -326,11 +303,10 @@ def init_cat(spec: CatWignerSpec, nx: int = 256, n_p: int = 256,
     """Build the initial cat state on a grid sized to hold it.
 
     Default box: x gets 1.5 times (half separation plus five packet
-    widths), p twelve packet widths. Raises
-    GridTooSmall when the analytic field exceeds 1e-8 of its peak on the
-    boundary or the fringes get fewer than eight nodes per period. The
-    grid is renormalized once after sampling; the sampled norm must
-    already match 1 to 1e-9.
+    widths), p twelve packet widths. Raises GridTooSmall when the analytic
+    field exceeds 1e-8 of its peak on the boundary or the fringes get fewer
+    than eight nodes per period. The grid is renormalized once after
+    sampling; the sampled norm must already match 1 to 1e-9.
     """
     if nx < 16 or n_p < 16:
         raise GridTooSmall("grid must be at least 16 x 16")
@@ -356,17 +332,14 @@ def init_cat(spec: CatWignerSpec, nx: int = 256, n_p: int = 256,
 def check_cat_contained(grid: PhaseSpaceGrid, sc: SolverCoefficients, times) -> None:
     """Raise GridTooSmall when, at one of `times`, the cat that init_cat put
     on grid would carry more mass on the box's p edges than the ring monitor
-    allows. Without streaming (sc.mass None) p evolves on its own: the
-    momentum envelope stays a Gaussian centred at p = 0, with variance
-    _SIGMA_P^2 e^{-4 g t} + d1 (1 - e^{-4 g t}) / (2 g), or _SIGMA_P^2 +
-    2 d1 t at g = 0; both p edges lie at the half width from it. Its
-    density at a distance peaks at a width equal to it, past which the
-    periodic field only flattens, so the width is capped there. The variance
-    moves monotonically toward d1 / (2 g) and the edge density rises with it
-    to that cap, so a run's first and last steps settle the verdict. At a damping
-    so strong that g t or the edge's distance over the width overflows, the
-    exponentials take their limit 0, and a width that underflows to 0 is
-    held at the least normal double."""
+    allows. Without streaming (sc.mass None) the momentum envelope stays a
+    Gaussian centred at p = 0, of variance _SIGMA_P^2 e^{-4 g t} + d1 (1 -
+    e^{-4 g t}) / (2 g), or _SIGMA_P^2 + 2 d1 t at g = 0. Its density at the
+    half width peaks at a width equal to it, past which the periodic field
+    only flattens, so the width is capped there; the variance is monotonic,
+    so a run's first and last steps settle the verdict. Exponentials that
+    overflow take their limit 0, and a width that underflows to 0 is held at
+    the least normal double."""
     t = numpy.asarray(times, dtype=float)
     dist = grid.p_half_width
     with np.errstate(over="ignore"):
@@ -513,11 +486,10 @@ def _exact_passes(mass: float | None, omega: float, gamma: float, d1: float,
 
     The drift is the shears of _shear_factors, then ("stretch", stretch) when
     damped. Q(dt) is the covariance block of expm(G dt) e_6 for the moment
-    generator G, split into one variance per pass by _blur_variances. That
-    split needs a p pass mid-step: a lone x shear (free streaming) is halved
-    around a zero-shift p pass; with no streaming a single p pass carries the
-    blur, or the stretch alone when damped. With neither drift nor diffusion
-    there are no passes.
+    generator G, split by _blur_variances. That split needs a p pass
+    mid-step: a lone x shear (free streaming) is halved around a zero-shift
+    p pass; with no streaming a p pass carries the blur, or the stretch when
+    damped. With neither drift nor diffusion there are no passes.
     """
     stretch = math.exp(2.0 * gamma * dt)
     passes = _shear_factors(_drift_maps(mass, omega, gamma, dt), stretch)
@@ -587,10 +559,8 @@ def step_plan(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> StepPl
     pass's variance v, or the blur alone for a zero-shift p pass.
     ("stretch", C): the damping stretch, a quintic B-spline operator along p,
     zero outside the box and carrying the Jacobian exp(2 g dt), applied as
-    w @ C, with its blur multiplied into C's columns. So pure diffusion is
-    one exp(-d1 k_p^2 dt) pass. A plan of p passes alone carries p; every
-    other plan with passes carries x (the stretch acts on the x spectrum as
-    on the field); a plan with no passes carries nothing.
+    w @ C, with its blur multiplied into C's columns. Pure diffusion is one
+    exp(-d1 k_p^2 dt) pass, a plan that carries p (StepPlan).
 
     dt must resolve the rotation (dt <= 0.005 periods) and the damping
     (gamma dt <= 0.05); StepSizeError otherwise.
@@ -660,57 +630,49 @@ def _stretch(w, c):
     return out
 
 
-def _node_sum(w, held: int, factor=None):
-    """Sum of the field over all nodes, read from w, its rfft along axis
-    `held`, times `factor` along the p bins (held 1) if given: the real part
-    of the zero-frequency slice. A stack of factors, (k, m), gives k sums."""
-    total = float(np.sum((w[0] if held == 0 else w[:, 0]).real))
-    return total if factor is None else total * factor[..., 0]
+def _node_sum(w) -> float:
+    """Sum of the field over all nodes, read from w, its rfft along x: the
+    real part of the zero-frequency slice."""
+    return float(np.sum(w[0].real))
 
 
 def _ring_sum(w, held: int, shape, edges, factor=None):
-    """Sum of |W| over the four edges of the box, corners counted twice, read
-    from w, its rfft along axis `held`: the two edges across that axis are
-    irffts of its edge slices, and the two along it one real matmul of
-    `edges` (StepPlan.edges) on w's float view, not numpy's complex matmul:
-    held x, E.real @ w.real sits in its rows 0-1 at even columns and
-    E.imag @ w.imag in rows 2-3 at odd ones. Held p, the field is w times
-    `factor` along the p bins, which scales the edge slices and the
-    operator's rows, never w; a stack of factors, (k, m), gives the k sums
-    from one irfft of the scaled slices and one matmul of the (2k, 2m)
-    scaled operator, the small operand on the left, on w's float view."""
+    """Sum of |W| over the box's four edges, corners counted twice, from w,
+    its rfft along axis `held`: the edges across that axis by irffts of its
+    edge slices, the two along it by one real matmul of `edges`
+    (StepPlan.edges) on w's float view (held x, E.real @ w.real in rows 0-1
+    at even columns, E.imag @ w.imag in rows 2-3 at odd ones). Held p, it
+    gives k sums for a stack of k factors (k, m) that scale the slices and
+    the operator's rows, never w."""
     wf = numpy.ascontiguousarray(w).view(float)
     if held == 0:
         ab = edges @ wf
         sides = (ab[:2, 0::2] - ab[2:, 1::2], irfft(w[:, [0, -1]], n=shape[0], axis=0))
         return sum(float(np.sum(np.abs(e))) for e in sides)
-    stack = factor.shape[:-1]
     across = irfft(w[[0, -1]] * factor[..., None, :], n=shape[1], axis=-1)
     rows = edges.T * numpy.repeat(factor, 2, axis=-1)[..., None, :]
     along = rows.reshape(-1, edges.shape[0]) @ wf.T
-    return sum(numpy.abs(e).reshape(*stack, -1).sum(axis=-1) for e in (across, along))
+    return sum(numpy.abs(e).reshape(*factor.shape[:-1], -1).sum(axis=-1) for e in (across, along))
 
 
-def _monitor(norms, rings, done: int, times):
-    """Check consecutive steps of one step call: norms holds the opening norm
-    then each step's closing one, rings each step's ring mass (its ring sum
-    times dx dp), times each step's start time, and `done` counts the call's
-    steps before them. At the first step whose norm drift or ring mass
-    crosses its tolerance, or reads NaN, raise StabilityViolation; it
-    carries that step's index in the call (from 1) as `step` and its start
-    time as `time`."""
-    norms = numpy.asarray(norms)
-    drift, mass = norms[1:] - norms[:-1], numpy.asarray(rings)
-    failed = ~((abs(drift) <= _NORM_TOL) & (mass <= _BOUNDARY_TOL))
-    if failed.any():
-        j = int(failed.argmax())
-        exc = StabilityViolation(
-            f"norm drifted by {drift[j]:.3g} in one step (tolerance {_NORM_TOL:g})"
-            if not abs(drift[j]) <= _NORM_TOL else
-            f"boundary ring carries {mass[j]:.3g} mass (tolerance {_BOUNDARY_TOL:g}); "
-            "the state is leaving the box and would wrap in the periodic passes")
-        exc.step, exc.time = done + j + 1, times[j]
-        raise exc
+def _monitor(rings, done: int, times, drift: float = 0.0):
+    """Check consecutive steps of one step call: rings holds each step's ring
+    mass (ring sum times dx dp), times its start time, `done` counts the
+    call's steps before them, and drift is a lone x-carried step's norm
+    drift. At the first step whose drift or ring mass crosses its tolerance
+    or reads NaN, raise StabilityViolation with its index in the call (from
+    1) as `step` and its start time as `time`."""
+    mass = numpy.asarray(rings)
+    j = int(numpy.argmin(mass <= _BOUNDARY_TOL))    # the first failing step, else 0
+    if abs(drift) <= _NORM_TOL and mass[j] <= _BOUNDARY_TOL:
+        return
+    exc = StabilityViolation(
+        f"norm drifted by {drift:.3g} in one step (tolerance {_NORM_TOL:g})"
+        if not abs(drift) <= _NORM_TOL else
+        f"boundary ring carries {mass[j]:.3g} mass (tolerance {_BOUNDARY_TOL:g}); "
+        "the state is leaving the box and would wrap in the periodic passes")
+    exc.step, exc.time = done + j + 1, times[j]
+    raise exc
 
 
 # the most steps of a pure-diffusion step call whose monitors are read as
@@ -720,11 +682,9 @@ _BLOCK = 64
 
 def _running(plan: StepPlan, factor, t: float, k: int):
     """The pending factors F f^j and start times t + j plan.dt, j = 0..k, of k
-    steps of the held-p plan's factor f from the factor F at time t: one
-    numpy.cumprod with bins below the least normal double then set to 0, and
-    the times summed one plan.dt at a time. Every bin of f is at most 1, so
-    a bin below the normal range stays there, and the product set to 0 there
-    once equals the one set at every step."""
+    steps of the held-p plan's factor f from F at time t, by one cumprod;
+    bins below the least normal double are then set to 0, which, every bin
+    of f being at most 1, equals setting them to 0 at every step."""
     (_, f), = plan.passes
     factors = numpy.empty((k + 1, f.size))
     factors[0], factors[1:] = factor, f
@@ -734,32 +694,18 @@ def _running(plan: StepPlan, factor, t: float, k: int):
 
 
 def step(grid: PhaseSpaceGrid, plan: StepPlan, n: int = 1) -> PhaseSpaceGrid:
-    """Advance n steps by plan (from step_plan), n >= 1: the exact
-    Ornstein-Uhlenbeck flow over plan.dt, n times, the time summed one
+    """Advance n >= 1 steps by plan (from step_plan), the time summed one
     plan.dt at a time.
 
-    The steps run on the field's rfft along plan.carry, as evolve_grid holds
-    it between steps; a grid in another domain (a real grid, as a direct
-    caller passes) is moved there on entry and back on exit, once per call.
-    Each pass runs on the rfft along its own axis, the stretch on the one
-    along x. A plan that carries p is one factor f along the p bins: a grid
-    with a pending factor F (PhaseSpaceGrid.factor) keeps its field and gets
-    F f^n, bins below the least normal double set to 0; any other grid gets
-    its field times that product once. The product is taken over up to
-    _BLOCK steps at a time by _running, which evolve_grid shares to rebuild
-    its samples. On a grid as evolve_grid holds it, n steps are n
-    calls of one step, bit for bit, in values, factor and time. A plan with
-    no passes leaves the field untouched, and one built for another box
-    raises DomainError.
-
-    Norm drift per step and mass on the boundary ring are monitored at every
-    step, each step's closing norm its successor's opening one; crossing
-    either tolerance, or a NaN reading, raises StabilityViolation at the
-    first step that does, with its index in the call (from 1) as the
-    exception's `step` and its start time as `time`. A plan that carries p
-    reads the norms and ring sums of up to _BLOCK steps at once (_ring_sum).
-    The ring monitor is what keeps the periodic wrap of the FFT passes
-    harmless.
+    The steps run on the field's rfft along plan.carry; a grid held
+    otherwise (a real one, say) is moved there on entry and back on exit. A
+    plan that carries p is one factor f along the p bins: a grid with a
+    pending factor F keeps its field and gets F f^n (_running), any other
+    grid its field times f^n. On a grid as evolve_grid holds it, n steps
+    are n calls of one step bit for bit. A plan with no passes leaves the
+    field untouched; one built for another box raises DomainError. Every
+    step is monitored; the first that fails raises StabilityViolation with
+    its index in the call (from 1) as `step` and its start time as `time`.
     """
     box = (grid.nx, grid.np, grid.x_half_width, grid.p_half_width)
     if box != plan.box:
@@ -779,14 +725,13 @@ def step(grid: PhaseSpaceGrid, plan: StepPlan, n: int = 1) -> PhaseSpaceGrid:
         factor = 1.0 if grid.factor is None else grid.factor
         for done in range(0, n, _BLOCK):
             factors, times = _running(plan, factor, t, min(_BLOCK, n - done))
-            _monitor(_node_sum(w, held, factors) * dx * dp,
-                     _ring_sum(w, held, shape, plan.edges, factors[1:]) * dx * dp, done, times)
+            _monitor(_ring_sum(w, held, shape, plan.edges, factors[1:]) * dx * dp, done, times)
             factor, t = factors[-1], times[-1]
         if grid.factor is None:
             w, factor = w * factor, None
     else:
         factor = None
-        norm = _node_sum(w, held) * dx * dp
+        norm = _node_sum(w) * dx * dp
         for done in range(n):
             at = held
             for kind, op in plan.passes:
@@ -794,9 +739,8 @@ def step(grid: PhaseSpaceGrid, plan: StepPlan, n: int = 1) -> PhaseSpaceGrid:
                 w, at = _in_domain(w, at, axis, shape), axis
                 w = _stretch(w, op) if kind == "stretch" else w * op
             w = _in_domain(w, at, held, shape)
-            after = _node_sum(w, held) * dx * dp
-            ring = _ring_sum(w, held, shape, plan.edges) * dx * dp
-            _monitor([norm, after], [ring], done, [t])
+            after = _node_sum(w) * dx * dp
+            _monitor([_ring_sum(w, held, shape, plan.edges) * dx * dp], done, [t], after - norm)
             norm, t = after, t + plan.dt
 
     return replace(grid, values=_in_domain(w, held, grid.held, shape), factor=factor, time=t)
@@ -810,34 +754,20 @@ def _settled(grid: PhaseSpaceGrid) -> numpy.ndarray:
 
 def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
                 dt: float, *, sample_every: int = 0, observer=None) -> PhaseSpaceGrid:
-    """Step the grid to t_final; optionally call observer(grid) every k steps.
+    """Step the grid to t_final by the fewest equal steps of at most dt (to a
+    relative 1e-9, so a whole number of dt gains no step from rounding), all
+    by one plan (step_plan); optionally call observer(grid) every
+    sample_every steps. A pure-diffusion run calls step for up to _BLOCK
+    steps at a time, any other run once per sample, or once with no observer.
 
-    Takes the fewest equal steps that tile t_final and are no longer than
-    dt (to a relative 1e-9, so a span that is a whole number of dt in exact
-    arithmetic does not gain a step from rounding). Builds one step plan
-    (step_plan) for that step. Where the plan carries an axis, the field is
-    held as that axis's rfft from the first step to the last, a
-    pure-diffusion run (a plan that carries p) as its start spectrum and a
-    pending factor (step). Such a run calls step(state, plan, k) for up to
-    _BLOCK steps at a time counted from the run's start, whatever
-    sample_every is; any other run calls it once for the steps up to each
-    sample, or once for the run with no observer.
-
-    The observer gets the grid it was given, then each sample: the state
-    after every k-th step as held, a grid whose held field is plan.carry
-    (PhaseSpaceGrid.held), with no transform made for it. A pure-diffusion
-    sample keeps its pending factor, which its readers take into their 1-D
-    contractions; it is rebuilt with its time from the start of the step
-    call that holds it (_running, as step builds it), so it is the state of
-    k calls of one step bit for bit. A sample's values and factor are
-    read-only: every sample of a pure-diffusion run shares its start
-    spectrum, and the sums over x (_XSums) that the run takes from it at
-    its samples' first read. Samples are delivered once every step of the
-    call that holds them has passed its monitors, so a run that fails delivers no sample at
-    or after its failing step (and none of that call's). step makes a new
-    grid and writes into no array it was given, so sampling never changes
-    the trajectory. The returned grid is real. A monitor or step-size
-    failure is re-raised with the step index and the time it happened at.
+    The observer gets the grid it was given, then the state after every
+    sample_every-th step as held (PhaseSpaceGrid.held), with no transform
+    made for it: read-only, a pure-diffusion one with its pending factor,
+    and bit for bit the state of that many single steps. A sample is
+    delivered once every step of its call has passed its monitors, so a run
+    that fails delivers none at or after its failing step. Sampling never
+    changes the trajectory. The returned grid is real. A monitor or
+    step-size failure is re-raised with the step index and its time.
     """
     if not grid.time <= t_final < math.inf:
         raise DomainError(f"t_final = {t_final!r} must be finite and not before the "
@@ -884,7 +814,7 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
             factor, t = (factors[j], times[j]) if held == 1 else (None, after.time)
             sample = replace(after, values=_read_only(after.values.view()), factor=factor,
                              time=t)
-            sample._run_sums = run_sums
+            sample._sums = run_sums
             observer(sample)
         state = after
     return replace(state, values=_in_domain(_settled(state), held, None, shape), held=None,
@@ -892,13 +822,12 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
 
 
 class _XSums:
-    """The sums over x that the readers of a field W held along p, spectrum
-    S times factor F, take from S, each at its first use, then kept: ones @
-    S (the p marginal over F), and real p-bin arrays with F @ moments = sum
-    W (p, p^2, x p), F^2 @ power = n_p sum W^2 and F @ fringe = the midpoint
-    slice's sums against (cos k p, sin k p), k the fringe wavenumber. A sum
-    against a function u of p weighs bin k by _bin_weights(n_p)[k] times the
-    conjugate of rfft(u)[k], keeping the real part, as irfft does."""
+    """The sums over x of a field W held along p, spectrum S times factor F,
+    each taken from S at its first use and kept: ones_x (ones @ S, x @ S),
+    and real p-bin arrays with F @ moments = sum W (p, p^2, x p), F^2 @ power
+    = n_p sum W^2, and F @ fringe = the midpoint slice against (cos k p, sin
+    k p). A sum against a function u of p weighs bin k by _bin_weights(n_p)[k]
+    times the conjugate of rfft(u)[k], keeping the real part, as irfft does."""
 
     def __init__(self, grid: PhaseSpaceGrid):
         self._w, self._x, self._p = grid.values, grid.x_axis, grid.p_axis
@@ -909,17 +838,13 @@ class _XSums:
         return (row * _bin_weights(len(self._p)) * numpy.conj(rfft(u))).real
 
     @functools.cached_property
-    def _ones_x(self):
+    def ones_x(self):
         """ones @ S and x @ S, by one real matmul on S's float view."""
         return (numpy.stack([numpy.ones(len(self._x)), self._x]) @ self._wf).view(complex)
 
-    @property
-    def ones(self):
-        return self._ones_x[0]
-
     @functools.cached_property
     def moments(self):
-        ones, xs = self._ones_x
+        ones, xs = self.ones_x
         p = self._p
         return numpy.stack([self._against(ones, p), self._against(ones, p * p),
                             self._against(xs, p)], axis=1)
@@ -946,10 +871,11 @@ class _XSums:
 
 
 def _held_p(grid: PhaseSpaceGrid) -> tuple[_XSums, numpy.ndarray]:
-    """grid's sums over x, its run's if it is a sample of one, and its
-    factor (1 when it has none)."""
-    sums = _XSums(grid) if grid._run_sums is None else grid._run_sums
-    return sums, numpy.ones(grid.np // 2 + 1) if grid.factor is None else grid.factor
+    """grid's sums over x, taken at its first read and kept, and its factor
+    (1 when it has none)."""
+    if grid._sums is None:
+        grid._sums = _XSums(grid)
+    return grid._sums, numpy.ones(grid.np // 2 + 1) if grid.factor is None else grid.factor
 
 
 def _profile(grid: PhaseSpaceGrid, axis: int, weights=None) -> numpy.ndarray:
@@ -957,17 +883,10 @@ def _profile(grid: PhaseSpaceGrid, axis: int, weights=None) -> numpy.ndarray:
     along the other axis. weights None sums the nodes, an int j takes the
     slice at node j, and a vector along `axis` weighs each node.
 
-    A held grid (PhaseSpaceGrid.held) is read from its spectrum, with no
-    full-field transform. Across the held axis, the spectrum is summed,
-    sliced or contracted in the same way (held along p, the node sum is
-    _XSums' ones @ S), then takes one 1-D irfft. Along it, the node sum is
-    the real part of the zero-frequency slice, and any other weights are
-    one weighted sum over the bins: bin k weighs _bin_weights(n)[k] times
-    the conjugate of the weights' own rfft, and only the real part is kept,
-    as in irfft. A pending factor F
-    (PhaseSpaceGrid.factor, along the p bins) scales the 1-D result across
-    the held axis, and the zero bin or the bin weights along it, never the
-    field."""
+    A held grid is read from its spectrum with at most one 1-D irfft: along
+    the held axis the weights become one sum over the bins, each weighed as
+    irfft weighs it; across it the spectrum is contracted as the field
+    would be. A pending factor scales only the 1-D results, never the field."""
     w, held, factor = grid.values, grid.held, grid.factor
     if held == axis:
         if weights is None:
@@ -983,7 +902,7 @@ def _profile(grid: PhaseSpaceGrid, axis: int, weights=None) -> numpy.ndarray:
     if isinstance(weights, int):
         out = numpy.take(w, weights, axis=axis)
     elif weights is None and held == 1:
-        out = _held_p(grid)[0].ones
+        out = _held_p(grid)[0].ones_x[0]
     else:
         u = numpy.ones(w.shape[axis]) if weights is None else weights
         out = u @ w if axis == 0 else w @ u
@@ -1020,10 +939,9 @@ def grid_moments(grid: PhaseSpaceGrid) -> tuple[float, float, float, float, floa
 
 def grid_purity(grid: PhaseSpaceGrid) -> float:
     """Tr rho^2 = 2 pi hbar Integral[W^2], hbar = 1. A grid held along x sums
-    its bins' power by Parseval: twice every bin's over n, less once the
-    zero and (even n) Nyquist bins', whose imaginary parts irfft ignores. A
-    grid held along p weighs that power per p bin (_XSums) by its factor
-    squared."""
+    its bins' power by Parseval: twice every bin's over n, less once the zero
+    and (even n) Nyquist bins', whose imaginary parts irfft ignores; one held
+    along p weighs the power of each p bin (_XSums) by its factor squared."""
     f, held = grid.values, grid.held
     if held is None:
         total = float(np.sum(f**2))

@@ -10,7 +10,12 @@ overrides, in a child process whose PYTHONPATH is that tree's src, and the
 child refuses to run unless casidec is imported from there. One line per
 artifact gives its SHA-256 in this checkout and whether it matches the
 base; under a summary.json that differs, one line per JSON key path whose
-value differs gives that value in the base, then here. The exit status is 1
+value differs gives that value in the base, then here, and under a
+series.csv that differs, one line per column that differs gives its largest
+absolute and relative change. A closing line gives the largest relative
+change over all artifacts: |new - old| / max(|old|, |new|) between two
+finite numbers, and inf for any other change (text, an absent key, a row
+count). The exit status is 1
 when a digest differs while the schema version (each manifest's
 schema_version) is unchanged, else 0. With no base commit (BASE_REV empty,
 all zeros, or not in this clone) the script says so and exits 0.
@@ -18,7 +23,10 @@ all zeros, or not in this clone) the script says so and exits 0.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -73,7 +81,9 @@ for key, (name, overrides) in runs.items():
         artifact: hashlib.sha256((report.out_dir / artifact).read_bytes()).hexdigest()
         for artifact in ("summary.json", "series.csv")
         if (report.out_dir / artifact).exists()},
-        "summary": json.loads((report.out_dir / "summary.json").read_text())}
+        "summary": json.loads((report.out_dir / "summary.json").read_text()),
+        "series": (report.out_dir / "series.csv").read_text()
+        if (report.out_dir / "series.csv").exists() else ""}
 print(json.dumps(result))
 """
 
@@ -108,6 +118,35 @@ def _text(value) -> str:
     return "absent" if value is _ABSENT else json.dumps(value)
 
 
+def _size(old: str, new: str) -> tuple[float, float]:
+    """(absolute, relative) change from one number, given as text, to
+    another: |new - old| and that over max(|old|, |new|); inf for both when
+    either is not a number or the change is not finite."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf, math.inf
+    if a == b:
+        return 0.0, 0.0
+    change = abs(b - a)
+    return (change, change / max(abs(a), abs(b))) if math.isfinite(change) else (
+        math.inf, math.inf)
+
+
+def _column_changes(old: str, new: str):
+    """(column, largest absolute change, largest relative change) for each
+    column of two series.csv texts that differs; a header or row shape that
+    differs is one ("(shape)", inf, inf)."""
+    a, b = (list(csv.reader(io.StringIO(text))) for text in (old, new))
+    if [len(row) for row in a] != [len(row) for row in b] or a[:1] != b[:1]:
+        yield "(shape)", math.inf, math.inf
+        return
+    for j, column in enumerate(a[0] if a else []):
+        sizes = [_size(x[j], y[j]) for x, y in zip(a[1:], b[1:]) if x[j] != y[j]]
+        if sizes:
+            yield column, max(s[0] for s in sizes), max(s[1] for s in sizes)
+
+
 def _has_commit(rev: str) -> bool:
     if not rev.strip("0"):
         return False
@@ -132,7 +171,7 @@ def main(argv: list[str]) -> int:
         old = _run_configs(tree / "src", Path(tmp) / "base-runs")
         new = _run_configs(ROOT / "src", Path(tmp) / "head-runs")
 
-    failed = False
+    failed, largest = False, (0.0, "")
     for name in sorted(old.keys() | new.keys()):
         if name not in old or name not in new:
             print(f"{name}: only in {'this checkout' if name in new else 'the base'}")
@@ -147,9 +186,19 @@ def main(argv: list[str]) -> int:
             else:
                 status = f"differs from base, schema {schemas[0]} -> {schemas[1]}"
             print(f"{now or '-':64}  {name}/{artifact}  {status}")
-            if artifact == "summary.json" and was != now:
+            if was == now:
+                continue
+            if artifact == "summary.json":
                 for path, a, b in _differences(old[name]["summary"], new[name]["summary"]):
                     print(f"    {path}: {a} -> {b}")
+                    largest = max(largest, (_size(a, b)[1], f"{name}/{artifact} {path}"))
+            else:
+                for column, size, rel in _column_changes(old[name]["series"],
+                                                         new[name]["series"]):
+                    print(f"    {column}: largest change {size:.3g}, relative {rel:.3g}")
+                    largest = max(largest, (rel, f"{name}/{artifact} {column}"))
+    print(f"largest relative change over all artifacts: {largest[0]:.3g}"
+          + (f" ({largest[1]})" if largest[1] else ""))
     print(f"base {base}: " + ("artifact bytes changed without a schema bump" if failed
                               else "no artifact changed without a schema bump"))
     return 1 if failed else 0
