@@ -610,11 +610,14 @@ def step_plan(grid: PhaseSpaceGrid, sc: SolverCoefficients, dt: float) -> StepPl
                     passes=tuple(passes), carry=carry, edges=edges)
 
 
-def _in_domain(w, held: int | None, to: int | None, shape):
+def _in_domain(w, held: int | None, to: int | None, shape, factor=None):
     """w, the rfft along axis `held` of a field of this shape (None: the real
-    field itself), as the rfft along axis `to` (None: real)."""
+    field itself), as the rfft along axis `to` (None: real); a pending factor
+    along the p bins is multiplied in only as w leaves the p spectrum."""
     if held == to:
         return w
+    if factor is not None:
+        w = w * factor
     if held is not None:
         w = irfft(w, n=shape[held], axis=held)
     return w if to is None else rfft(w, axis=to)
@@ -682,12 +685,12 @@ _BLOCK = 64
 
 def _running(plan: StepPlan, factor, t: float, k: int):
     """The pending factors F f^j and start times t + j plan.dt, j = 0..k, of k
-    steps of the held-p plan's factor f from F at time t, by one cumprod;
-    bins below the least normal double are then set to 0, which, every bin
-    of f being at most 1, equals setting them to 0 at every step."""
+    steps of the held-p plan's factor f from F (None: 1) at time t, by one
+    cumprod; bins below the least normal double are then set to 0, which,
+    every bin of f being at most 1, equals setting them to 0 at every step."""
     (_, f), = plan.passes
     factors = numpy.empty((k + 1, f.size))
-    factors[0], factors[1:] = factor, f
+    factors[0], factors[1:] = 1.0 if factor is None else factor, f
     numpy.cumprod(factors, axis=0, out=factors)
     factors[factors < sys.float_info.min] = 0.0
     return factors, list(itertools.accumulate(itertools.repeat(plan.dt, k), initial=t))
@@ -698,20 +701,21 @@ def step(grid: PhaseSpaceGrid, plan: StepPlan, n: int = 1) -> PhaseSpaceGrid:
     plan.dt at a time.
 
     The steps run on the field's rfft along plan.carry; a grid held
-    otherwise (a real one, say) is moved there on entry and back on exit. A
-    plan that carries p is one factor f along the p bins: a grid with a
-    pending factor F keeps its field and gets F f^n (_running), any other
-    grid its field times f^n. On a grid as evolve_grid holds it, n steps
-    are n calls of one step bit for bit. A plan with no passes leaves the
-    field untouched; one built for another box raises DomainError. Every
-    step is monitored; the first that fails raises StabilityViolation with
-    its index in the call (from 1) as `step` and its start time as `time`.
+    otherwise (a real one, say) is moved there on entry and back on exit by
+    _in_domain. A plan that carries p is one factor f along the p bins: a
+    grid held along p keeps its field and gets F f^n (_running, F its
+    factor or 1), any other grid its field times f^n. On a grid as
+    evolve_grid holds it, n steps are n calls of one step bit for bit. A
+    plan with no passes leaves the field untouched; one built for another
+    box raises DomainError. Every step is monitored; the first that fails
+    raises StabilityViolation with its index in the call (from 1) as `step`
+    and its start time as `time`.
     """
     box = (grid.nx, grid.np, grid.x_half_width, grid.p_half_width)
     if box != plan.box:
         raise DomainError(f"step plan built for the box {plan.box}, not {box}")
-    if not n >= 1:
-        raise DomainError(f"step count n = {n!r} must be at least 1")
+    if not (isinstance(n, (int, numpy.integer)) and n >= 1):
+        raise DomainError(f"step count n = {n!r} must be an integer of at least 1")
     t = grid.time
     if not plan.passes:
         for _ in range(n):
@@ -719,37 +723,31 @@ def step(grid: PhaseSpaceGrid, plan: StepPlan, n: int = 1) -> PhaseSpaceGrid:
         return replace(grid, time=t)
     dx, dp = grid.dx, grid.dp
     shape, held = (grid.nx, grid.np), plan.carry
-    w = _in_domain(grid.values, grid.held, held, shape)
+    # a non-finite or overflowing field stops typed, on the monitors, unwarned
+    with numpy.errstate(over="ignore", invalid="ignore"):
+        w = _in_domain(grid.values, grid.held, held, shape, grid.factor)
+        if held == 1:
+            factor = grid.factor
+            for done in range(0, n, _BLOCK):
+                factors, times = _running(plan, factor, t, min(_BLOCK, n - done))
+                _monitor(_ring_sum(w, held, shape, plan.edges, factors[1:]) * dx * dp, done, times)
+                factor, t = factors[-1], times[-1]
+        else:
+            factor = None
+            norm = _node_sum(w) * dx * dp
+            for done in range(n):
+                at = held
+                for kind, op in plan.passes:
+                    axis = 1 if kind == "p" else 0   # the stretch, along p, acts on the x spectrum
+                    w, at = _in_domain(w, at, axis, shape), axis
+                    w = _stretch(w, op) if kind == "stretch" else w * op
+                w = _in_domain(w, at, held, shape)
+                after = _node_sum(w) * dx * dp
+                _monitor([_ring_sum(w, held, shape, plan.edges) * dx * dp], done, [t], after - norm)
+                norm, t = after, t + plan.dt
 
-    if held == 1:
-        factor = 1.0 if grid.factor is None else grid.factor
-        for done in range(0, n, _BLOCK):
-            factors, times = _running(plan, factor, t, min(_BLOCK, n - done))
-            _monitor(_ring_sum(w, held, shape, plan.edges, factors[1:]) * dx * dp, done, times)
-            factor, t = factors[-1], times[-1]
-        if grid.factor is None:
-            w, factor = w * factor, None
-    else:
-        factor = None
-        norm = _node_sum(w) * dx * dp
-        for done in range(n):
-            at = held
-            for kind, op in plan.passes:
-                axis = 1 if kind == "p" else 0   # the stretch is along p: it acts on the x spectrum
-                w, at = _in_domain(w, at, axis, shape), axis
-                w = _stretch(w, op) if kind == "stretch" else w * op
-            w = _in_domain(w, at, held, shape)
-            after = _node_sum(w) * dx * dp
-            _monitor([_ring_sum(w, held, shape, plan.edges) * dx * dp], done, [t], after - norm)
-            norm, t = after, t + plan.dt
-
-    return replace(grid, values=_in_domain(w, held, grid.held, shape), factor=factor, time=t)
-
-
-def _settled(grid: PhaseSpaceGrid) -> numpy.ndarray:
-    """grid's values with its pending factor (PhaseSpaceGrid.factor)
-    multiplied out."""
-    return grid.values if grid.factor is None else grid.values * grid.factor
+    return replace(grid, values=_in_domain(w, held, grid.held, shape, factor),
+                   factor=factor if grid.held == 1 else None, time=t)
 
 
 def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
@@ -763,11 +761,12 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     The observer gets the grid it was given, then the state after every
     sample_every-th step as held (PhaseSpaceGrid.held), with no transform
     made for it: read-only, a pure-diffusion one with its pending factor,
-    and bit for bit the state of that many single steps. A sample is
-    delivered once every step of its call has passed its monitors, so a run
-    that fails delivers none at or after its failing step. Sampling never
-    changes the trajectory. The returned grid is real. A monitor or
-    step-size failure is re-raised with the step index and its time.
+    and bit for bit the state of that many single steps; a run started from
+    one starts from its pending factor. A sample is delivered once every
+    step of its call has passed its monitors, so a run that fails delivers
+    none at or after its failing step. Sampling never changes the
+    trajectory. The returned grid is real. A monitor or step-size failure
+    is re-raised with the step index and its time.
     """
     if not grid.time <= t_final < math.inf:
         raise DomainError(f"t_final = {t_final!r} must be finite and not before the "
@@ -778,7 +777,8 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     shape = (grid.nx, grid.np)
     if span == 0:   # a held grid comes back real, as the returned grid always does
         return grid if grid.held is None else replace(
-            grid, values=_in_domain(_settled(grid), grid.held, None, shape), held=None, factor=None)
+            grid, values=_in_domain(grid.values, grid.held, None, shape, grid.factor),
+            held=None, factor=None)
     if not span / dt < math.inf:
         raise StepSizeError(f"the span {span!r} over dt = {dt!r} overflows the step count")
     n = max(1, math.ceil(span / dt * (1.0 - 1e-9)))
@@ -795,8 +795,9 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     except StepSizeError as exc:
         raise located(exc, 1, grid.time) from exc
     held = plan.carry
-    state = replace(grid, values=_in_domain(_settled(grid), grid.held, held, shape), held=held,
-                    factor=numpy.ones(grid.np // 2 + 1) if held == 1 else None)
+    with numpy.errstate(over="ignore", invalid="ignore"):   # step's monitors stop a bad field
+        state = replace(grid, values=_in_domain(grid.values, grid.held, held, shape, grid.factor),
+                        held=held, factor=grid.factor if held == 1 else None)
     every = sample_every if sampling else n
     block = _BLOCK if held == 1 else every
     run_sums = _XSums(state) if held == 1 else None
@@ -817,8 +818,8 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
             sample._sums = run_sums
             observer(sample)
         state = after
-    return replace(state, values=_in_domain(_settled(state), held, None, shape), held=None,
-                   factor=None)
+    return replace(state, values=_in_domain(state.values, held, None, shape, state.factor),
+                   held=None, factor=None)
 
 
 class _XSums:

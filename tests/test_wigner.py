@@ -861,6 +861,17 @@ def test_step_refuses_a_plan_built_for_another_box(box):
     step(grid, step_plan(grid, sc, 0.01))
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+def test_step_refuses_a_step_count_that_is_not_a_whole_number_of_at_least_1(n):
+    sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=0.0, d1=0.01)
+    grid = init_gaussian(1.0, 0.0, 1.0, 0.0, 0.25, nx=64, n_p=64,
+                         x_half_width=14.0, p_half_width=7.0)
+    for plan_sc in (sc, replace(sc, mass=None, omega=0.0)):
+        with pytest.raises(DomainError,
+                           match=rf"^step count n = {n!r} must be an integer of at least 1$"):
+            step(grid, step_plan(grid, plan_sc, 0.01), n)
+
+
 # ------------------------------------------------- carried spectral state
 
 
@@ -922,16 +933,16 @@ def test_a_nan_field_trips_the_step_monitors(kind):
 @pytest.mark.parametrize("kind", list(_PLAN_KINDS))
 def test_a_non_finite_or_huge_node_stops_every_plan_at_step_1(kind, value):
     # a pure-diffusion step reads no norm drift, which is exactly 0 while the
-    # field is finite: its ring reading stops these fields as the norm does
+    # field is finite: its ring reading stops these fields as the norm does;
+    # neither warns on the way, which the suite would fail untyped
     sc, _ = _PLAN_KINDS[kind]
     grid = init_gaussian(1.0, 0.25, 1.0, 0.05, 0.25, **_CARRY_BOX)
     grid.values[20, 20] = value
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(StabilityViolation) as info:
-            step(grid, step_plan(grid, sc, _CARRY_DT))
-        assert info.value.step == 1 and info.value.time == 0.0
-        with pytest.raises(StabilityViolation, match="^step 1 of 3 "):
-            evolve_grid(grid, sc, 3 * _CARRY_DT, _CARRY_DT)
+    with pytest.raises(StabilityViolation) as info:
+        step(grid, step_plan(grid, sc, _CARRY_DT))
+    assert info.value.step == 1 and info.value.time == 0.0
+    with pytest.raises(StabilityViolation, match="^step 1 of 3 "):
+        evolve_grid(grid, sc, 3 * _CARRY_DT, _CARRY_DT)
 
 
 @pytest.mark.parametrize("kind", list(_PLAN_KINDS))
@@ -960,26 +971,35 @@ def test_a_carried_run_matches_real_space_stepping(kind):
     assert np.array_equal(finals[0], finals[1])
 
 
+def _real_copy(g):
+    """The real grid a grid holds, its pending factor multiplied out."""
+    if g.held is None:
+        return g
+    values = g.values if g.factor is None else g.values * g.factor
+    return replace(g, values=np.fft.irfft(values, n=(g.nx, g.np)[g.held], axis=g.held),
+                   held=None, factor=None)
+
+
 @pytest.mark.parametrize("kind", list(_PLAN_KINDS))
 def test_a_step_on_a_held_sample_hands_back_a_settled_grid(kind):
+    # every kind's samples stepped under every plan kind: a pure-diffusion
+    # sample's pending factor is multiplied out whenever its field leaves the
+    # p spectrum, so a grid comes back with one only if it stays held along p
     sc, held = _PLAN_KINDS[kind]
     grid = init_gaussian(1.0, 0.25, 1.0, 0.05, 0.25, **_CARRY_BOX)
     samples = []
     evolve_grid(grid, sc, 20 * _CARRY_DT, _CARRY_DT, sample_every=5, observer=samples.append)
-    plan = step_plan(grid, sc, _CARRY_DT)
-    n = (grid.nx, grid.np)[held]
-    for g in samples[1:]:
-        out = step(g, plan)
-        # a pure-diffusion sample and the grid stepped from it carry a pending factor
-        assert out.held == held and (out.factor is None) == (held != 1)
-        got = np.fft.irfft(wigner_solver._settled(out), n=n, axis=held)
-        want = _real_space_step(
-            replace(g, values=np.fft.irfft(wigner_solver._settled(g), n=n, axis=held),
-                    held=None, factor=None), sc, _CARRY_DT)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
-        # a run resumed from the sample starts from its pending factor too
-        resumed = evolve_grid(g, sc, g.time + _CARRY_DT, _CARRY_DT)
-        assert np.max(np.abs(resumed.values - want)) <= 1e-13 * np.max(want)
+    for other, (plan_sc, carry) in _PLAN_KINDS.items():
+        plan = step_plan(grid, plan_sc, _CARRY_DT)
+        for g in samples[1:]:
+            out = step(g, plan)
+            assert out.held == held and (out.factor is not None) == (held == carry == 1)
+            want = _real_space_step(_real_copy(g), plan_sc, _CARRY_DT)
+            got = _real_copy(out).values
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want), other
+            # a run resumed from the sample starts from its pending factor too
+            resumed = evolve_grid(g, plan_sc, g.time + _CARRY_DT, _CARRY_DT)
+            assert np.max(np.abs(resumed.values - want)) <= 1e-13 * np.max(want), other
 
 
 @pytest.mark.parametrize("kind", list(_PLAN_KINDS))
@@ -994,8 +1014,7 @@ def test_evolve_grid_at_zero_span_hands_back_a_held_sample_settled(kind):
     assert g.held == held and (g.factor is None) == (held != 1)
     out = evolve_grid(g, sc, g.time, _CARRY_DT)
     assert out.held is None and out.factor is None and out.time == g.time
-    values = g.values if g.factor is None else g.values * g.factor
-    want = np.fft.irfft(values, n=(grid.nx, grid.np)[held], axis=held)
+    want = _real_copy(g).values
     assert np.array_equal(out.values, want)
     assert wmin_over_wmax(out) == np.min(want) / np.max(want)
 
@@ -1047,9 +1066,7 @@ def _held_samples(kind, nx, n_p):
 
 
 def _reads_as_its_real_copy(g):
-    n = (g.nx, g.np)[g.held]
-    real = replace(g, values=np.fft.irfft(wigner_solver._settled(g), n=n, axis=g.held),
-                   held=None, factor=None)
+    real = _real_copy(g)
     assert grid_moments(g) == pytest.approx(grid_moments(real), rel=1e-12, abs=1e-13)
     assert grid_purity(g) == pytest.approx(grid_purity(real), rel=1e-12)
     assert grid_norm(g) == pytest.approx(grid_norm(real), rel=1e-12)
@@ -1172,8 +1189,7 @@ def test_a_held_sample_reads_its_zero_and_nyquist_bins_as_irfft_does():
                 g = wigner_solver.PhaseSpaceGrid(nx, n_p, 8.0, 4.0, values=spectrum,
                                                  held=held, factor=factor,
                                                  fringe_wavenumber=2.0, fringe_ref=1.0)
-                real = replace(g, values=np.fft.irfft(wigner_solver._settled(g), n=n,
-                                                      axis=held), held=None, factor=None)
+                real = _real_copy(g)
                 assert grid_moments(g) == pytest.approx(grid_moments(real), rel=1e-12,
                                                         abs=1e-13)
                 assert grid_purity(g) == pytest.approx(grid_purity(real), rel=1e-12)
@@ -1421,13 +1437,13 @@ def test_an_observer_cannot_write_into_a_sample(kind):
                 with pytest.raises(ValueError, match="read-only"):
                     a[...] = 0.0
                 refused.append(a)
-        kept.append((wigner_solver._settled(g), g.time))
+        kept.append((_real_copy(g).values, g.time))
 
     evolve_grid(grid, sc, 20 * _CARRY_DT, _CARRY_DT, sample_every=5, observer=vandal)
     assert len(refused) == (8 if held == 1 else 4)
     clean = []
     evolve_grid(grid, sc, 20 * _CARRY_DT, _CARRY_DT, sample_every=5,
-                observer=lambda g: clean.append((wigner_solver._settled(g), g.time)))
+                observer=lambda g: clean.append((_real_copy(g).values, g.time)))
     assert len(kept) == len(clean) - 1 == 4
     for (got, t), (want, u) in zip(kept, clean[1:]):
         assert t == u and np.array_equal(got, want)
