@@ -29,11 +29,12 @@ ring: the zero bin of f is exactly 1, so its norm cannot drift while the
 field is finite, and a non-finite or overflowing field reads NaN or far
 over tolerance on the ring.
 
-An observer sample is the state as held. A field held along x is read by
-1-D contractions of its spectrum and irffts, one held along p through its
-sums over x (_XSums), taken once per grid and shared by a run's samples, so
-that each reading is a dot product of p-bin vectors with F or F^2.
-evolve_grid returns a real grid.
+A run that carries x hands each observer sample over real, one irfft along
+x of the state it holds. A pure-diffusion run hands them over held along p
+with their pending factor, read through their sums over x (_XSums), taken
+once per grid and shared by a run's samples, so that each reading is a dot
+product of p-bin vectors with F or F^2. Only step works on a grid held
+along x: every reader refuses one. evolve_grid returns a real grid.
 
 The solver is dimensionless by convention: callers map SI inputs through
 nondimensionalize(), which rescales lengths to the ground-state width (or
@@ -209,13 +210,14 @@ def _axis(n: int, half_width: float) -> numpy.ndarray:
 class PhaseSpaceGrid:
     """Uniform phase-space grid, W indexed [ix, ip], node-centered axes.
 
-    held None: values is the real field. held 0 or 1: values is its rfft
-    along that axis, as evolve_grid steps and samples it; every reader but
-    wmin_over_wmax takes it from the spectrum. factor (held 1 only): the
-    field is values times this pending factor along the p bins. A grid held
-    along p keeps its readers' sums over x (_XSums) from its first read on,
-    so its values must not change after that (dataclasses.replace makes a
-    grid without them). x_axis and p_axis are shared read-only arrays."""
+    held None: values is the real field, as a sample of a run that carries
+    x. held 1: values times the pending factor `factor` (None: 1) along the
+    p bins is the field's rfft along p, as a pure-diffusion sample; its
+    readers' sums over x (_XSums) are kept from its first read on, so its
+    values must not change after that (dataclasses.replace makes a grid
+    without them). held 0: values is the rfft along x, which only step
+    works on; every reader refuses it. wmin_over_wmax takes only a real
+    grid. x_axis and p_axis are shared read-only arrays."""
 
     nx: int
     np: int
@@ -759,20 +761,23 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     steps at a time, any other run once per sample, or once with no observer.
 
     The observer gets the grid it was given, then the state after every
-    sample_every-th step as held (PhaseSpaceGrid.held), with no transform
-    made for it: read-only, a pure-diffusion one with its pending factor,
-    and bit for bit the state of that many single steps; a run started from
-    one starts from its pending factor. A sample is delivered once every
-    step of its call has passed its monitors, so a run that fails delivers
-    none at or after its failing step. Sampling never changes the
-    trajectory. The returned grid is real. A monitor or step-size failure
-    is re-raised with the step index and its time.
+    sample_every-th step (an integer >= 0, else DomainError), read-only and
+    bit for bit that of as many single steps: real for a run that carries
+    x (only step works on a grid held along x), held along p with its
+    pending factor for a pure-diffusion run; a run started from one starts
+    from its pending factor. A sample is delivered once every step of its
+    call has passed its monitors, so a run that fails delivers none at or
+    after its failing step. Sampling never changes the trajectory. The
+    returned grid is real. A monitor or step-size failure is re-raised with
+    the step index and its time.
     """
     if not grid.time <= t_final < math.inf:
         raise DomainError(f"t_final = {t_final!r} must be finite and not before the "
                           f"grid's current time {grid.time!r}")
     if not dt > 0:
         raise StepSizeError(f"dt = {dt!r} must be positive")
+    if not (isinstance(sample_every, (int, numpy.integer)) and sample_every >= 0):
+        raise DomainError(f"sample_every = {sample_every!r} must be an integer of at least 0")
     span = t_final - grid.time
     shape = (grid.nx, grid.np)
     if span == 0:   # a held grid comes back real, as the returned grid always does
@@ -795,6 +800,7 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
     except StepSizeError as exc:
         raise located(exc, 1, grid.time) from exc
     held = plan.carry
+    to = 1 if held == 1 else None   # the axis a sample is handed over held along
     with numpy.errstate(over="ignore", invalid="ignore"):   # step's monitors stop a bad field
         state = replace(grid, values=_in_domain(grid.values, grid.held, held, shape, grid.factor),
                         held=held, factor=grid.factor if held == 1 else None)
@@ -813,8 +819,8 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
             _read_only(factors)
         for j in marks:
             factor, t = (factors[j], times[j]) if held == 1 else (None, after.time)
-            sample = replace(after, values=_read_only(after.values.view()), factor=factor,
-                             time=t)
+            values = _in_domain(after.values, held, to, shape).view()
+            sample = replace(after, values=_read_only(values), held=to, factor=factor, time=t)
             sample._sums = run_sums
             observer(sample)
         state = after
@@ -879,41 +885,35 @@ def _held_p(grid: PhaseSpaceGrid) -> tuple[_XSums, numpy.ndarray]:
     return grid._sums, numpy.ones(grid.np // 2 + 1) if grid.factor is None else grid.factor
 
 
-def _profile(grid: PhaseSpaceGrid, axis: int, weights=None) -> numpy.ndarray:
-    """The field summed over `axis` against `weights`, as a real profile
-    along the other axis. weights None sums the nodes, an int j takes the
-    slice at node j, and a vector along `axis` weighs each node.
+def _readable(grid: PhaseSpaceGrid) -> int | None:
+    """grid.held, once the grid is one a reader takes: real or held along p."""
+    if grid.held == 0:
+        raise DomainError("a grid held along x is a step's working state, which no reader "
+                          "takes; read the samples or the grid evolve_grid hands over")
+    return grid.held
 
-    A held grid is read from its spectrum with at most one 1-D irfft: along
-    the held axis the weights become one sum over the bins, each weighed as
-    irfft weighs it; across it the spectrum is contracted as the field
-    would be. A pending factor scales only the 1-D results, never the field."""
-    w, held, factor = grid.values, grid.held, grid.factor
-    if held == axis:
-        if weights is None:
-            out = numpy.take(w, 0, axis=axis).real
-            return out if factor is None else out * factor[0]
-        n = (grid.nx, grid.np)[axis]
-        if isinstance(weights, int):
-            weights = numpy.arange(n) == weights
-        bins = _bin_weights(n) * numpy.conj(rfft(weights))
-        if factor is not None:
-            bins *= factor
-        return (bins @ w if axis == 0 else w @ bins).real
-    if isinstance(weights, int):
-        out = numpy.take(w, weights, axis=axis)
-    elif weights is None and held == 1:
-        out = _held_p(grid)[0].ones_x[0]
-    else:
+
+def _profile(grid: PhaseSpaceGrid, axis: int, weights=None) -> numpy.ndarray:
+    """The field summed over `axis` against `weights` (None: ones), as a
+    real profile along the other axis.
+
+    A real grid is contracted directly. One held along p takes no weights:
+    summed over p it is its zero bin, summed over x one irfft of its sums
+    over x (_XSums); its pending factor scales only those 1-D results. A
+    grid held along x raises DomainError."""
+    w, factor = grid.values, grid.factor
+    if _readable(grid) is None:
         u = numpy.ones(w.shape[axis]) if weights is None else weights
-        out = u @ w if axis == 0 else w @ u
-    if factor is not None:
-        out = out * factor
-    return out if held is None else irfft(out, n=(grid.nx, grid.np)[held])
+        return u @ w if axis == 0 else w @ u
+    if axis == 1:
+        out = w[:, 0].real
+        return out if factor is None else out * factor[0]
+    out = _held_p(grid)[0].ones_x[0]
+    return irfft(out if factor is None else out * factor, n=grid.np)
 
 
 def grid_norm(grid: PhaseSpaceGrid) -> float:
-    w = grid.values if grid.held is None else _profile(grid, grid.held)
+    w = grid.values if grid.held is None else _profile(grid, 1)
     return float(np.sum(w)) * grid.dx * grid.dp
 
 
@@ -921,10 +921,13 @@ def grid_moments(grid: PhaseSpaceGrid) -> tuple[float, float, float, float, floa
     """(mean_x, mean_p, cov_xx, cov_xp, cov_pp) by Riemann sums: the means
     and variances from the two marginals, cov_xp as one bilinear form. Held
     along p, the p sums come from _XSums: cov_pp as the mean of p^2 less
-    mean_p^2, cov_xp as the mean of x p less mean_x mean_p."""
+    mean_p^2, cov_xp as the mean of x p less mean_x mean_p. A field whose
+    node sum is not positive and finite raises DomainError."""
     x, p = grid.x_axis, grid.p_axis
     wx = _profile(grid, 1)
     n = float(np.sum(wx))
+    if not 0.0 < n < math.inf:
+        raise DomainError(f"field sums to {n!r}; moments need a positive, finite mass")
     mx = float(wx @ x) / n
     xx = float(wx @ (x - mx) ** 2) / n
     if grid.held == 1:
@@ -939,18 +942,10 @@ def grid_moments(grid: PhaseSpaceGrid) -> tuple[float, float, float, float, floa
 
 
 def grid_purity(grid: PhaseSpaceGrid) -> float:
-    """Tr rho^2 = 2 pi hbar Integral[W^2], hbar = 1. A grid held along x sums
-    its bins' power by Parseval: twice every bin's over n, less once the zero
-    and (even n) Nyquist bins', whose imaginary parts irfft ignores; one held
-    along p weighs the power of each p bin (_XSums) by its factor squared."""
-    f, held = grid.values, grid.held
-    if held is None:
-        total = float(np.sum(f**2))
-    elif held == 0:
-        n = grid.nx
-        ends = f[[0, -1] if n % 2 == 0 else [0]]
-        total = (2.0 * numpy.vdot(f, f).real - numpy.vdot(ends, ends).real
-                 - numpy.vdot(ends.imag, ends.imag)) / n
+    """Tr rho^2 = 2 pi hbar Integral[W^2], hbar = 1. A grid held along p
+    weighs the power of each p bin (_XSums) by its factor squared."""
+    if _readable(grid) is None:
+        total = float(np.sum(grid.values**2))
     else:
         sums, factor = _held_p(grid)
         total = float(factor**2 @ sums.power) / grid.np
@@ -963,16 +958,16 @@ def marginals(grid: PhaseSpaceGrid) -> tuple[numpy.ndarray, numpy.ndarray]:
 
 
 def _fringe_amplitude(grid: PhaseSpaceGrid) -> float:
-    """|Fourier amplitude| of the midpoint slice at the fringe wavenumber,
-    held along p as two sums from _XSums."""
+    """|Fourier amplitude| of the midpoint slice at the fringe wavenumber:
+    a real grid's midpoint rows, or two sums from _XSums held along p."""
+    held = _readable(grid)
     if grid.fringe_wavenumber is None:
         raise DomainError("grid carries no fringe metadata; build it with init_cat")
-    if grid.held == 1:
+    if held == 1:
         sums, factor = _held_p(grid)
         return math.hypot(*(factor @ sums.fringe)) * grid.dp
-    mid = grid.nx // 2
-    sl = (_profile(grid, 0, mid) if grid.nx % 2
-          else 0.5 * (_profile(grid, 0, mid - 1) + _profile(grid, 0, mid)))
+    w, mid = grid.values, grid.nx // 2
+    sl = w[mid] if grid.nx % 2 else 0.5 * (w[mid - 1] + w[mid])
     return float(np.abs(np.sum(sl * np.exp(-1j * grid.fringe_wavenumber * grid.p_axis)))
                  * grid.dp)
 
@@ -1010,7 +1005,8 @@ _FIT_R2_MIN = 0.99
 
 
 def measure_td(times, visibilities) -> DecayFit:
-    """Least-squares exponential fit v(t) = exp(-t/td) on the series.
+    """Least-squares exponential fit v(t) = exp(-t/td) on the series, whose
+    times and visibilities must all be finite (FitFailure otherwise).
 
     Points at or below the floor 1e-3 are dropped (everything after the
     first floor crossing is noise). The retained window must span three
@@ -1021,6 +1017,8 @@ def measure_td(times, visibilities) -> DecayFit:
     v = np.asarray(visibilities, dtype=float)
     if t.shape != v.shape or t.ndim != 1 or t.size < 4:
         raise FitFailure("need matching 1-d series with at least 4 samples")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise FitFailure("times and visibilities must all be finite")
     crossed = bool(np.any(v <= _FIT_FLOOR))
     if crossed:
         cut = int(np.argmax(v <= _FIT_FLOOR))

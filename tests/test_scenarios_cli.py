@@ -104,7 +104,7 @@ def test_manifest_is_the_only_place_with_timing(tmp_path):
     rep = run_scenario("cosmic-background-sphere", {"series_points": 5},
                        out_base=str(tmp_path))
     manifest = json.loads((rep.out_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == 16
+    assert manifest["schema_version"] == 17
     assert manifest["scenario"] == "cosmic-background-sphere"
     assert rep.summary["scenario"] == "cosmic-background-sphere"
     assert manifest["config"]["series_points"] == 5

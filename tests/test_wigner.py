@@ -283,6 +283,15 @@ def test_cat_spec_validation(bad):
         CatWignerSpec(**bad)
 
 
+def test_grid_moments_refuses_a_field_with_no_mass():
+    # an all-zero field raised ZeroDivisionError; real and held along p
+    grid = init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, nx=32, n_p=32)
+    for g in (replace(grid, values=np.zeros((32, 32))), replace(grid, values=-grid.values),
+              replace(grid, values=np.zeros((32, 17), complex), held=1)):
+        with pytest.raises(DomainError, match="positive, finite mass"):
+            grid_moments(g)
+
+
 def test_gaussian_grid_matches_requested_moments():
     grid = init_gaussian(0.6, -0.4, 1.3, 0.2, 0.5, nx=256, n_p=256)
     moments = grid_moments(grid)
@@ -578,6 +587,17 @@ def test_evolve_grid_bookkeeping():
                       observer=lambda g: seen.append(g.time))
     assert out.time == pytest.approx(0.1, rel=1e-12)
     assert seen == pytest.approx([0.0, 0.05, 0.1])
+
+
+@pytest.mark.parametrize("every", [2.5, -3, "2"])
+def test_evolve_grid_refuses_a_sample_every_that_is_not_a_count(every):
+    # 2.5 and "2" failed untyped in range and in ">", and -3 sampled nothing
+    grid = init_gaussian(0.0, 0.0, 1.0, 0.0, 0.25, nx=32, n_p=32)
+    sc = SolverCoefficients(mass=0.5, omega=1.0, gamma=0.0, d1=0.0)
+    seen = []
+    with pytest.raises(DomainError, match="sample_every"):
+        evolve_grid(grid, sc, 0.1, 0.01, sample_every=every, observer=seen.append)
+    assert seen == []
 
 
 def test_evolve_grid_never_steps_past_dt():
@@ -959,9 +979,10 @@ def test_a_carried_run_matches_real_space_stepping(kind):
                           observer=lambda g: seen.append((g.held, g.factor, g.values,
                                                           g.values.copy())))
         assert out.values.dtype == np.float64 and out.held is None and out.factor is None
-        # the grid it was given, then the state as held, a pure-diffusion one
-        # with its pending factor
-        assert [h for h, _, _, _ in seen] == ([None] + [held] * 50 if every else [])
+        # the grid it was given, then the state handed over real, a
+        # pure-diffusion one held along p with its pending factor
+        sampled = 1 if held == 1 else None
+        assert [h for h, _, _, _ in seen] == ([None] + [sampled] * 50 if every else [])
         assert all((factor is None) == (h != 1) for h, factor, _, _ in seen[1:])
         # no step writes into an array a sample holds
         assert all(np.array_equal(kept, copy) for _, _, kept, copy in seen)
@@ -993,7 +1014,7 @@ def test_a_step_on_a_held_sample_hands_back_a_settled_grid(kind):
         plan = step_plan(grid, plan_sc, _CARRY_DT)
         for g in samples[1:]:
             out = step(g, plan)
-            assert out.held == held and (out.factor is not None) == (held == carry == 1)
+            assert out.held == g.held and (out.factor is not None) == (held == carry == 1)
             want = _real_space_step(_real_copy(g), plan_sc, _CARRY_DT)
             got = _real_copy(out).values
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want), other
@@ -1004,14 +1025,15 @@ def test_a_step_on_a_held_sample_hands_back_a_settled_grid(kind):
 
 @pytest.mark.parametrize("kind", list(_PLAN_KINDS))
 def test_evolve_grid_at_zero_span_hands_back_a_held_sample_settled(kind):
-    # a held sample, a pure-diffusion one with its pending factor, comes back
-    # as the real field it holds, which every reader takes
+    # a pure-diffusion sample, held along p with its pending factor, comes
+    # back as the real field it holds, which every reader takes; a sample of
+    # a run that carries x is real already
     sc, held = _PLAN_KINDS[kind]
     grid = init_gaussian(1.0, 0.25, 1.0, 0.05, 0.25, **_CARRY_BOX)
     samples = []
     evolve_grid(grid, sc, 10 * _CARRY_DT, _CARRY_DT, sample_every=5, observer=samples.append)
     g = samples[-1]
-    assert g.held == held and (g.factor is None) == (held != 1)
+    assert g.held == (1 if held == 1 else None) and (g.factor is None) == (held != 1)
     out = evolve_grid(g, sc, g.time, _CARRY_DT)
     assert out.held is None and out.factor is None and out.time == g.time
     want = _real_copy(g).values
@@ -1050,19 +1072,29 @@ def test_a_pure_diffusion_run_sets_its_factor_to_zero_below_the_normal_range():
     assert np.max(np.abs(out.values - exact)) <= 1e-12 * np.max(exact)
 
 
-def _held_samples(kind, nx, n_p):
-    """The held samples of a short run of this plan kind, from a cat (for its
-    fringes) and from an offset, tilted Gaussian (for means and cov_xp)."""
+def _run_samples(kind, nx, n_p):
+    """The samples of a 20-step run of this plan kind, every 5 steps, from a
+    cat (for its fringes) and from an offset, tilted Gaussian (for means and
+    cov_xp), each with the state the run holds then: the start grid held
+    along the plan's carried axis, stepped 5 steps a call as evolve_grid
+    steps it."""
     sc, held = _PLAN_KINDS[kind]
     box = dict(nx=nx, n_p=n_p, x_half_width=12.0, p_half_width=6.0)
-    samples = []
+    pairs = []
     for grid in (init_cat(CatWignerSpec(0.5, phase=0.7), **box),
                  init_gaussian(1.0, 0.25, 1.0, 0.05, 0.25, **box)):
-        evolve_grid(grid, sc, 20 * _CARRY_DT, _CARRY_DT, sample_every=5,
-                    observer=samples.append)
-    held_samples = [g for g in samples if g.held is not None]
-    assert len(held_samples) == 8 and {g.held for g in held_samples} == {held}
-    return held_samples
+        samples = []
+        out = evolve_grid(grid, sc, 20 * _CARRY_DT, _CARRY_DT, sample_every=5,
+                          observer=samples.append)
+        assert np.array_equal(out.values, evolve_grid(grid, sc, 20 * _CARRY_DT,
+                                                      _CARRY_DT).values)
+        plan = step_plan(grid, sc, 20 * _CARRY_DT / 20)
+        state = replace(grid, values=np.fft.rfft(grid.values, axis=held), held=held)
+        for g in samples[1:]:
+            state = step(state, plan, 5)
+            pairs.append((g, state))
+    assert len(pairs) == 8
+    return pairs
 
 
 def _reads_as_its_real_copy(g):
@@ -1082,9 +1114,19 @@ def _reads_as_its_real_copy(g):
 @pytest.mark.parametrize("kind", list(_PLAN_KINDS))
 def test_a_held_sample_reads_as_its_real_copy(kind, nx, n_p):
     # odd sizes have no Nyquist bin, and an odd nx takes the one midpoint row;
-    # a pure-diffusion sample is read through the sums over x of its run
-    for g in _held_samples(kind, nx, n_p):
-        _reads_as_its_real_copy(g)
+    # a pure-diffusion sample is read through the sums over x of its run; a
+    # run that carries x hands over, read-only, the real copy of the state it
+    # holds, which no reader takes
+    for g, state in _run_samples(kind, nx, n_p):
+        assert g.time == state.time and not g.values.flags.writeable
+        if state.held == 1:
+            assert g.held == 1 and np.array_equal(g.factor, state.factor)
+            assert np.array_equal(g.values, state.values)
+            _reads_as_its_real_copy(g)
+        else:
+            assert g.held is None and g.factor is None
+            assert np.array_equal(g.values, _real_copy(state).values)
+            _refused_by_every_reader(state)
     if kind == "pure diffusion":
         # and so is one whose top factor bins left the normal range and were
         # set to 0: the Nyquist decay exponent d1 k^2 t reaches 855 to 1,074 here
@@ -1096,6 +1138,27 @@ def test_a_held_sample_reads_as_its_real_copy(kind, nx, n_p):
         assert np.any(samples[-1].factor == 0.0) and samples[-1].np % 2 == n_p % 2
         for g in samples[1:]:
             _reads_as_its_real_copy(g)
+
+
+def _refused_by_every_reader(g):
+    """Every reader refuses the grid g, held along x, typed."""
+    assert g.held == 0
+    for reader in (grid_norm, grid_moments, grid_purity, marginals, fringe_visibility):
+        with pytest.raises(DomainError, match="held along x"):
+            reader(g)
+    with pytest.raises(DomainError, match="every node"):
+        wmin_over_wmax(g)
+
+
+@pytest.mark.parametrize("nx, n_p", [(64, 64), (63, 57)])
+def test_every_reader_refuses_a_grid_held_along_x(nx, n_p):
+    # one built by hand, with fringe metadata, and one that step hands back
+    # from a grid held along x
+    grid = init_cat(CatWignerSpec(0.5, phase=0.7), nx=nx, n_p=n_p, x_half_width=12.0,
+                    p_half_width=6.0)
+    held = replace(grid, values=np.fft.rfft(grid.values, axis=0), held=0)
+    _refused_by_every_reader(held)
+    _refused_by_every_reader(step(held, step_plan(grid, _PLAN_KINDS["damped"][0], _CARRY_DT)))
 
 
 def _readings(g):
@@ -1135,7 +1198,7 @@ def test_a_pure_diffusion_run_takes_its_sums_over_x_once(monkeypatch):
     # for the moments, the purity, the fringe and the p marginal
     _readings(replace(samples[-1]))
     assert len(built) == 2 and len(powers) == 2
-    # a run held along x reads its samples with none
+    # a run that carries x hands its samples over real, read with none
     _cat_run("damped", _readings)
     assert len(built) == 2 and len(powers) == 2
 
@@ -1169,35 +1232,27 @@ def test_a_sample_made_over_by_replace_reads_its_own_spectrum():
 
 def test_a_held_sample_reads_its_zero_and_nyquist_bins_as_irfft_does():
     # irfft ignores the imaginary parts of the zero and (even n) Nyquist bins,
-    # and so must every reading of a held grid; a field held along p is also
-    # read through a pending factor, one that is not 1 even on the zero bin
+    # and so must every reading of a grid held along p, read through a
+    # pending factor: none, one that is not 1 even on the zero bin, and one
+    # with its top bins set to 0
     rng = np.random.default_rng(3)
     for nx, n_p in ((32, 32), (33, 31)):
-        for held in (0, 1):
-            n = (nx, n_p)[held]
-            spectrum = np.fft.rfft(1.0 + rng.random((nx, n_p)), axis=held)
-            ends = [0, -1] if n % 2 == 0 else [0]
-            if held == 0:
-                spectrum[ends] += 1j * rng.standard_normal((len(ends), n_p))
-            else:
-                spectrum[:, ends] += 1j * rng.standard_normal((nx, len(ends)))
-            # held along p also: no factor, and one with its top bins set to 0
-            flushed = rng.uniform(0.5, 2.0, n_p // 2 + 1)
-            flushed[n_p // 4:] = 0.0
-            more = (None, flushed) if held == 1 else ()
-            for factor in (*_pending_factors(rng, held, n_p), *more):
-                g = wigner_solver.PhaseSpaceGrid(nx, n_p, 8.0, 4.0, values=spectrum,
-                                                 held=held, factor=factor,
-                                                 fringe_wavenumber=2.0, fringe_ref=1.0)
-                real = _real_copy(g)
-                assert grid_moments(g) == pytest.approx(grid_moments(real), rel=1e-12,
-                                                        abs=1e-13)
-                assert grid_purity(g) == pytest.approx(grid_purity(real), rel=1e-12)
-                assert grid_norm(g) == pytest.approx(grid_norm(real), rel=1e-12)
-                for got, want in zip(marginals(g), marginals(real)):
-                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-                assert fringe_visibility(g) == pytest.approx(fringe_visibility(real),
-                                                             rel=1e-12)
+        spectrum = np.fft.rfft(1.0 + rng.random((nx, n_p)), axis=1)
+        ends = [0, -1] if n_p % 2 == 0 else [0]
+        spectrum[:, ends] += 1j * rng.standard_normal((nx, len(ends)))
+        flushed = rng.uniform(0.5, 2.0, n_p // 2 + 1)
+        flushed[n_p // 4:] = 0.0
+        for factor in (*_pending_factors(rng, 1, n_p), None, flushed):
+            g = wigner_solver.PhaseSpaceGrid(nx, n_p, 8.0, 4.0, values=spectrum, held=1,
+                                             factor=factor, fringe_wavenumber=2.0,
+                                             fringe_ref=1.0)
+            real = _real_copy(g)
+            assert grid_moments(g) == pytest.approx(grid_moments(real), rel=1e-12, abs=1e-13)
+            assert grid_purity(g) == pytest.approx(grid_purity(real), rel=1e-12)
+            assert grid_norm(g) == pytest.approx(grid_norm(real), rel=1e-12)
+            for got, want in zip(marginals(g), marginals(real)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert fringe_visibility(g) == pytest.approx(fringe_visibility(real), rel=1e-12)
 
 
 def _full_field_transforms(monkeypatch, kind, passes):
@@ -1430,7 +1485,7 @@ def test_an_observer_cannot_write_into_a_sample(kind):
     kept, refused = [], []
 
     def vandal(g):
-        if g.held is None:   # the grid evolve_grid was given
+        if g is grid:   # the grid evolve_grid was given
             return
         for a in (g.values, g.factor):
             if a is not None:
@@ -1537,6 +1592,16 @@ def test_measure_td_truncates_at_the_floor():
 def test_measure_td_rejects_unusable_series(times, vis):
     with pytest.raises(FitFailure):
         measure_td(times, vis)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("series", [0, 1], ids=["times", "visibilities"])
+def test_measure_td_refuses_a_non_finite_point(series, bad):
+    # a NaN visibility fitted to td = nan, and an inf one warned untyped
+    points = [np.arange(5.0), np.array([1.0, 0.8, 0.5, 0.25, 0.1])]
+    points[series][1] = bad
+    with pytest.raises(FitFailure, match="finite"):
+        measure_td(*points)
 
 
 def test_measure_td_rejects_a_bad_fit():
