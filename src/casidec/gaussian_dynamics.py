@@ -192,24 +192,11 @@ def purity(state: GaussianState, constants: PhysicalConstants = CODATA) -> float
     return constants.hbar / (2.0 * math.sqrt(state.det_cov))
 
 
-def secular_linear_entropy(state: GaussianState, params: MirrorParams,
-                           coeffs: CoefficientSet, t: float,
-                           constants: PhysicalConstants = CODATA) -> float:
-    """Linear entropy at time t from the period-averaged moment system.
-
-    Exact closed form of the rotation-averaged (secular) covariance
-    dynamics at the frequency omega_star: the occupation-like invariant
-    relaxes as e^(-2 gamma t) toward its diffusive steady state and the
-    squeezing-correlation magnitude decays as e^(-2 gamma t); the phase of
-    the squeezing ellipse is dropped. Accurate to O(gamma/omega) and
-    O(D2/omega) relative to the exact dynamics, at O(1) cost for any t,
-    which is what makes evaluation times of order 1/gamma reachable when
-    omega/gamma is astronomically large.
-    """
-    if coeffs.omega_star <= 0:
-        raise DomainError("secular evaluation needs omega_star > 0")
-    if t < 0:
-        raise DomainError("evolution time must be >= 0")
+def _secular_flow(state: GaussianState, params: MirrorParams, coeffs: CoefficientSet,
+                  t: float, constants: PhysicalConstants = CODATA) -> tuple[float, float]:
+    """Occupation and squeezing magnitude (over hbar) of the secular covariance
+    flow at t: the occupation relaxes as e^(-2 gamma t) to its diffusive steady
+    state (grows linearly at gamma = 0), the squeezing decays as e^(-2 gamma t)."""
     hbar = constants.hbar
     mw = params.mass * coeffs.omega_star
     occ = (mw * state.cov_xx + state.cov_pp / mw) / (2.0 * hbar)
@@ -222,6 +209,26 @@ def secular_linear_entropy(state: GaussianState, params: MirrorParams,
         sq *= decay
     else:
         occ += source * t
+    return occ, sq
+
+
+def secular_linear_entropy(state: GaussianState, params: MirrorParams,
+                           coeffs: CoefficientSet, t: float,
+                           constants: PhysicalConstants = CODATA) -> float:
+    """Linear entropy at time t from the period-averaged moment system.
+
+    Exact closed form of the rotation-averaged (secular) covariance dynamics
+    at the frequency omega_star (_secular_flow); the phase of the squeezing
+    ellipse is dropped. Accurate to O(gamma/omega) and O(D2/omega) relative
+    to the exact dynamics, at O(1) cost for any t, which is what makes
+    evaluation times of order 1/gamma reachable when omega/gamma is
+    astronomically large.
+    """
+    if coeffs.omega_star <= 0:
+        raise DomainError("secular evaluation needs omega_star > 0")
+    if t < 0:
+        raise DomainError("evolution time must be >= 0")
+    occ, sq = _secular_flow(state, params, coeffs, t, constants)
     det_scaled = occ**2 - sq**2  # det cov / hbar^2
     if det_scaled <= 0:
         raise DomainError("secular covariance lost positivity; inconsistent inputs")

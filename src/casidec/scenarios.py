@@ -62,6 +62,7 @@ from .decoherence_times import (
 )
 from .gaussian_dynamics import (
     GaussianState,
+    _secular_flow,
     evolve,
     purity,
     secular_linear_entropy,
@@ -92,7 +93,7 @@ __all__ = [
     "scenario_defaults",
 ]
 
-_SCHEMA_VERSION = 17
+_SCHEMA_VERSION = 18
 _OUT_DIR_ENV = "CASIDEC_OUT_DIR"
 _CSV_COLUMNS = ("visibility", "purity", "mean_x", "mean_p",
                 "cov_xx", "cov_xp", "cov_pp")
@@ -117,13 +118,20 @@ def _json_render(obj) -> str:
                           "the inputs drive a result beyond double precision") from exc
 
 
-def _write_atomic(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
+def _write_all(out_dir: Path, texts: dict):
+    """Write every artifact to its .tmp, then rename each into place: a
+    failed write replaces no artifact, and unlinks the temps written."""
+    tmps = []
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        for name, text in texts.items():
+            tmps.append(out_dir / (name + ".tmp"))
+            tmps[-1].write_text(text)
+        for name, tmp in zip(texts, tmps):
+            os.replace(tmp, out_dir / name)
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        raise IoError(f"cannot write {out_dir / name}: {exc}") from exc
 
 
 def _render_csv(time_label: str, rows: list[dict]) -> str:
@@ -407,15 +415,12 @@ def _run_sieve_pointer_states(cfg: dict):
 
     # time series: the selected pointer state, period-averaged closed form
     # (step-resolved integration to 0.5/gamma is unreachable at vacuum scale)
-    n = cfg["series_points"]
     state = squeezed_pure_state(res.r_star, 0.0, params, coeffs.omega_star)
     mw = params.mass * coeffs.omega_star
-    occ0 = (mw * state.cov_xx + state.cov_pp / mw) / (2.0 * CODATA.hbar)
-    occ_inf = coeffs.d1 / (2.0 * gamma * CODATA.hbar * mw)
     rows = []
-    for t in np.linspace(0.0, 0.5 / gamma, n):
+    for t in np.linspace(0.0, 0.5 / gamma, cfg["series_points"]):
         ent = secular_linear_entropy(state, params, coeffs, float(t))
-        occ = occ_inf + (occ0 - occ_inf) * math.exp(-2.0 * gamma * float(t))
+        occ, _ = _secular_flow(state, params, coeffs, float(t))
         rows.append({"time": float(t), "visibility": None,
                      "purity": 1.0 - ent,
                      "mean_x": 0.0, "mean_p": 0.0,
@@ -850,17 +855,7 @@ def run_scenario(name: str, overrides: dict | None = None,
     if series is not None:
         texts["series.csv"] = _render_csv(*series)
 
-    base = out_base or os.environ.get(_OUT_DIR_ENV) or "runs"
-    out_dir = Path(base) / name
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
-
-    for artifact, text in texts.items():
-        _write_atomic(out_dir / artifact, text)
     artifacts = list(texts)
-
     manifest = {
         "schema_version": _SCHEMA_VERSION,
         "package_version": _version,
@@ -870,6 +865,14 @@ def run_scenario(name: str, overrides: dict | None = None,
         "started_utc": started,
         "wall_clock_seconds": wall,
     }
-    _write_atomic(out_dir / "manifest.json", _json_render(manifest) + "\n")
+    texts["manifest.json"] = _json_render(manifest) + "\n"
+
+    base = out_base or os.environ.get(_OUT_DIR_ENV) or "runs"
+    out_dir = Path(base) / name
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
+    _write_all(out_dir, texts)
     return RunReport(scenario=name, summary=summary, out_dir=out_dir,
                      artifacts=tuple(artifacts))

@@ -30,11 +30,13 @@ field is finite, and a non-finite or overflowing field reads NaN or far
 over tolerance on the ring.
 
 A run that carries x hands each observer sample over real, one irfft along
-x of the state it holds. A pure-diffusion run hands them over held along p
-with their pending factor, read through their sums over x (_XSums), taken
-once per grid and shared by a run's samples, so that each reading is a dot
-product of p-bin vectors with F or F^2. Only step works on a grid held
-along x: every reader refuses one. evolve_grid returns a real grid.
+x of the state it holds; a pure-diffusion run hands them over held along p
+with their pending factor. Every reading is taken from one record of sums
+over x about the field's own mean (_XSums), as dot products of p vectors
+with F or F^2 (F = 1 on a real grid): a real grid takes a fresh record at
+each read, a held one keeps its record, shared by a run's samples. Only
+step works on a grid held along x: every reader refuses one. evolve_grid
+returns a real grid.
 
 The solver is dimensionless by convention: callers map SI inputs through
 nondimensionalize(), which rescales lengths to the ground-state width (or
@@ -212,11 +214,12 @@ class PhaseSpaceGrid:
 
     held None: values is the real field, as a sample of a run that carries
     x. held 1: values times the pending factor `factor` (None: 1) along the
-    p bins is the field's rfft along p, as a pure-diffusion sample; its
-    readers' sums over x (_XSums) are kept from its first read on, so its
-    values must not change after that (dataclasses.replace makes a grid
-    without them). held 0: values is the rfft along x, which only step
-    works on; every reader refuses it. wmin_over_wmax takes only a real
+    p bins is the field's rfft along p, as a pure-diffusion sample. Every
+    reader reads a grid through its record of sums over x (_XSums): a real
+    grid takes a fresh one at each read, a held one keeps it from its first
+    read on, so its values must not change after that (dataclasses.replace
+    makes a grid without it). held 0: values is the rfft along x, which only
+    step works on; every reader refuses it. wmin_over_wmax takes only a real
     grid. x_axis and p_axis are shared read-only arrays."""
 
     nx: int
@@ -829,147 +832,133 @@ def evolve_grid(grid: PhaseSpaceGrid, sc: SolverCoefficients, t_final: float,
 
 
 class _XSums:
-    """The sums over x of a field W held along p, spectrum S times factor F,
-    each taken from S at its first use and kept: ones_x (ones @ S, x @ S),
-    and real p-bin arrays with F @ moments = sum W (p, p^2, x p), F^2 @ power
-    = n_p sum W^2, and F @ fringe = the midpoint slice against (cos k p, sin
-    k p). A sum against a function u of p weighs bin k by _bin_weights(n_p)[k]
-    times the conjugate of rfft(u)[k], keeping the real part, as irfft does."""
+    """The sums over x of a field W that every reader reads, each taken at
+    its first use and kept: rows (W summed over p at each x, F aside), cols
+    (ones @ W), and p arrays with F @ moments = sum W (p - p0, (p - p0)^2,
+    (x - x0)(p - p0)) about W's own mean (x0, p0), F^2 @ power = sum W^2,
+    and F @ fringe = the midpoint slice against (cos k p, sin k p). Only the
+    record depends on the representation: a real grid, F = 1, sums a row
+    against u(p) as row * u; one held along p, spectrum S times F, weighs
+    bin k by _bin_weights(n_p)[k] times the conjugate of rfft(u)[k], keeping
+    the real part, as irfft does."""
 
     def __init__(self, grid: PhaseSpaceGrid):
         self._w, self._x, self._p = grid.values, grid.x_axis, grid.p_axis
-        self._wf = numpy.ascontiguousarray(grid.values).view(float)
-        self._k = grid.fringe_wavenumber
+        self._held, self._k = grid.held == 1, grid.fringe_wavenumber
+        self._wf = numpy.ascontiguousarray(self._w, complex if self._held else float).view(float)
+
+    def _over_x(self, u):
+        """u @ W, held along p by one real matmul on S's float view."""
+        out = u @ self._wf
+        return out.view(complex) if self._held else out
 
     def _against(self, row, u):
-        return (row * _bin_weights(len(self._p)) * numpy.conj(rfft(u))).real
+        return ((row * _bin_weights(len(self._p)) * numpy.conj(rfft(u))).real
+                if self._held else row * u)
+
+    def profile_p(self, factor):
+        """W summed over x, a real profile along p."""
+        return irfft(self.cols * factor, n=len(self._p)) if self._held else self.cols
 
     @functools.cached_property
-    def ones_x(self):
-        """ones @ S and x @ S, by one real matmul on S's float view."""
-        return (numpy.stack([numpy.ones(len(self._x)), self._x]) @ self._wf).view(complex)
+    def rows(self):
+        return self._w[:, 0].real if self._held else self._w @ numpy.ones(len(self._p))
+
+    @functools.cached_property
+    def cols(self):
+        return self._over_x(numpy.ones(len(self._x)))
+
+    @functools.cached_property
+    def total(self):
+        return float(numpy.sum(self.rows))
+
+    @functools.cached_property
+    def centre(self):
+        """x0, p0 (at F = 1) and the variance of x, which F leaves."""
+        n, x = self.total, self._x
+        x0 = float(self.rows @ x) / n
+        return (x0, float(numpy.sum(self._against(self.cols, self._p))) / n,
+                float(self.rows @ (x - x0) ** 2) / n)
 
     @functools.cached_property
     def moments(self):
-        ones, xs = self.ones_x
-        p = self._p
-        return numpy.stack([self._against(ones, p), self._against(ones, p * p),
-                            self._against(xs, p)], axis=1)
+        x0, p0, _ = self.centre
+        dp = self._p - p0
+        return numpy.stack([self._against(self.cols, dp), self._against(self.cols, dp * dp),
+                            self._against(self._over_x(self._x - x0), dp)], axis=1)
 
     @functools.cached_property
     def power(self):
-        """Each bin's power twice, by Parseval, but only its real part's, once,
-        at zero and (even n_p) Nyquist, whose imaginary parts irfft ignores."""
-        parts = numpy.einsum("ij,ij->j", self._wf, self._wf).reshape(-1, 2)
+        """Held along p, by Parseval: each bin's power twice over n_p, but its
+        real part's only, once, at zero and (even n_p) Nyquist, as irfft."""
+        parts = numpy.einsum("ij,ij->j", self._wf, self._wf)
+        if not self._held:
+            return parts
+        parts = parts.reshape(-1, 2)
         ends = [0, -1] if len(self._p) % 2 == 0 else [0]
         power = 2.0 * parts.sum(axis=1)
         power[ends] = parts[ends, 0]
-        return power
+        return power / len(self._p)
 
     @functools.cached_property
     def fringe(self):
-        """The midpoint row of S, or the mean of the two middle rows for an
-        even n_x, against the fringe kernel."""
+        """The midpoint row (even n_x: the two middle rows' mean) against the fringe kernel."""
         w, mid = self._w, len(self._x) // 2
         row = w[mid] if len(self._x) % 2 else 0.5 * (w[mid - 1] + w[mid])
         kp = self._k * self._p
-        return numpy.stack([self._against(row, numpy.cos(kp)),
-                            self._against(row, numpy.sin(kp))], axis=1)
+        return numpy.stack([self._against(row, f(kp)) for f in (numpy.cos, numpy.sin)], axis=1)
 
 
-def _held_p(grid: PhaseSpaceGrid) -> tuple[_XSums, numpy.ndarray]:
-    """grid's sums over x, taken at its first read and kept, and its factor
-    (1 when it has none)."""
-    if grid._sums is None:
-        grid._sums = _XSums(grid)
-    return grid._sums, numpy.ones(grid.np // 2 + 1) if grid.factor is None else grid.factor
-
-
-def _readable(grid: PhaseSpaceGrid) -> int | None:
-    """grid.held, once the grid is one a reader takes: real or held along p."""
+def _sums(grid: PhaseSpaceGrid) -> tuple[_XSums, numpy.ndarray]:
+    """grid's record of sums over x (_XSums), kept from the first read on
+    along p and fresh at each read of a real grid, whose values may change,
+    and its factor (ones when it has none). Held along x: DomainError."""
     if grid.held == 0:
         raise DomainError("a grid held along x is a step's working state, which no reader "
                           "takes; read the samples or the grid evolve_grid hands over")
-    return grid.held
-
-
-def _profile(grid: PhaseSpaceGrid, axis: int, weights=None) -> numpy.ndarray:
-    """The field summed over `axis` against `weights` (None: ones), as a
-    real profile along the other axis.
-
-    A real grid is contracted directly. One held along p takes no weights:
-    summed over p it is its zero bin, summed over x one irfft of its sums
-    over x (_XSums); its pending factor scales only those 1-D results. A
-    grid held along x raises DomainError."""
-    w, factor = grid.values, grid.factor
-    if _readable(grid) is None:
-        u = numpy.ones(w.shape[axis]) if weights is None else weights
-        return u @ w if axis == 0 else w @ u
-    if axis == 1:
-        out = w[:, 0].real
-        return out if factor is None else out * factor[0]
-    out = _held_p(grid)[0].ones_x[0]
-    return irfft(out if factor is None else out * factor, n=grid.np)
+    sums = grid._sums if grid.held and grid._sums is not None else _XSums(grid)
+    if grid.held:
+        grid._sums = sums
+    return sums, numpy.ones(grid.values.shape[1]) if grid.factor is None else grid.factor
 
 
 def grid_norm(grid: PhaseSpaceGrid) -> float:
-    w = grid.values if grid.held is None else _profile(grid, 1)
-    return float(np.sum(w)) * grid.dx * grid.dp
+    sums, factor = _sums(grid)
+    return sums.total * float(factor[0]) * grid.dx * grid.dp
 
 
 def grid_moments(grid: PhaseSpaceGrid) -> tuple[float, float, float, float, float]:
-    """(mean_x, mean_p, cov_xx, cov_xp, cov_pp) by Riemann sums: the means
-    and variances from the two marginals, cov_xp as one bilinear form. Held
-    along p, the p sums come from _XSums: cov_pp as the mean of p^2 less
-    mean_p^2, cov_xp as the mean of x p less mean_x mean_p. A field whose
-    node sum is not positive and finite raises DomainError."""
-    x, p = grid.x_axis, grid.p_axis
-    wx = _profile(grid, 1)
-    n = float(np.sum(wx))
+    """(mean_x, mean_p, cov_xx, cov_xp, cov_pp) by Riemann sums from grid's
+    record (_XSums): mean_x = x0 and cov_xx from its centre; cov_pp as the
+    mean of (p - p0)^2 less (mean_p - p0)^2, cov_xp as the mean of (x -
+    x0)(p - p0). A node sum not positive and finite raises DomainError."""
+    sums, factor = _sums(grid)
+    n = sums.total * float(factor[0])
     if not 0.0 < n < math.inf:
         raise DomainError(f"field sums to {n!r}; moments need a positive, finite mass")
-    mx = float(wx @ x) / n
-    xx = float(wx @ (x - mx) ** 2) / n
-    if grid.held == 1:
-        sums, factor = _held_p(grid)
-        sp, spp, sxp = (float(v) / n for v in factor @ sums.moments)
-        return mx, sp, xx, sxp - mx * sp, spp - sp * sp
-    wp = _profile(grid, 0)
-    mp_ = float(wp @ p) / n
-    pp = float(wp @ (p - mp_) ** 2) / n
-    xp = float((x - mx) @ _profile(grid, 1, p - mp_)) / n
-    return mx, mp_, xx, xp, pp
+    sp, spp, sxp = (float(v) / n for v in factor @ sums.moments)
+    x0, p0, xx = sums.centre
+    return x0, p0 + sp, xx, sxp, spp - sp * sp
 
 
 def grid_purity(grid: PhaseSpaceGrid) -> float:
-    """Tr rho^2 = 2 pi hbar Integral[W^2], hbar = 1. A grid held along p
-    weighs the power of each p bin (_XSums) by its factor squared."""
-    if _readable(grid) is None:
-        total = float(np.sum(grid.values**2))
-    else:
-        sums, factor = _held_p(grid)
-        total = float(factor**2 @ sums.power) / grid.np
-    return 2.0 * math.pi * total * grid.dx * grid.dp
+    """Tr rho^2 = 2 pi hbar Integral[W^2], hbar = 1."""
+    sums, factor = _sums(grid)
+    return 2.0 * math.pi * float(factor**2 @ sums.power) * grid.dx * grid.dp
 
 
 def marginals(grid: PhaseSpaceGrid) -> tuple[numpy.ndarray, numpy.ndarray]:
     """Position and momentum marginal densities (P(x), P(p))."""
-    return _profile(grid, 1) * grid.dp, _profile(grid, 0) * grid.dx
+    sums, factor = _sums(grid)
+    return sums.rows * factor[0] * grid.dp, sums.profile_p(factor) * grid.dx
 
 
 def _fringe_amplitude(grid: PhaseSpaceGrid) -> float:
-    """|Fourier amplitude| of the midpoint slice at the fringe wavenumber:
-    a real grid's midpoint rows, or two sums from _XSums held along p."""
-    held = _readable(grid)
+    """|Fourier amplitude| of the midpoint slice at the fringe wavenumber."""
+    sums, factor = _sums(grid)
     if grid.fringe_wavenumber is None:
         raise DomainError("grid carries no fringe metadata; build it with init_cat")
-    if held == 1:
-        sums, factor = _held_p(grid)
-        return math.hypot(*(factor @ sums.fringe)) * grid.dp
-    w, mid = grid.values, grid.nx // 2
-    sl = w[mid] if grid.nx % 2 else 0.5 * (w[mid - 1] + w[mid])
-    return float(np.abs(np.sum(sl * np.exp(-1j * grid.fringe_wavenumber * grid.p_axis)))
-                 * grid.dp)
+    return math.hypot(*(factor @ sums.fringe)) * grid.dp
 
 
 def fringe_visibility(grid: PhaseSpaceGrid) -> float:

@@ -2,8 +2,10 @@
 exit codes."""
 
 import dataclasses
+import errno
 import json
 import math
+import pathlib
 import re
 import time
 
@@ -104,7 +106,7 @@ def test_manifest_is_the_only_place_with_timing(tmp_path):
     rep = run_scenario("cosmic-background-sphere", {"series_points": 5},
                        out_base=str(tmp_path))
     manifest = json.loads((rep.out_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == 17
+    assert manifest["schema_version"] == 18
     assert manifest["scenario"] == "cosmic-background-sphere"
     assert rep.summary["scenario"] == "cosmic-background-sphere"
     assert manifest["config"]["series_points"] == 5
@@ -671,3 +673,34 @@ def test_cli_check_runs_the_identity_suite(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "all identities hold" in out
     assert "max deviation" in out
+
+
+def test_cli_check_exits_4_and_says_fail_when_an_identity_breaks(tmp_path, capsys,
+                                                                  monkeypatch):
+    # no deviation is below a negative tolerance
+    defaults = scenarios._REGISTRY["identity-suite"].defaults
+    monkeypatch.setitem(defaults, "tolerance", -1.0)
+    monkeypatch.setitem(defaults, "draws", 5)
+    assert main(["check", "--out", str(tmp_path)]) == 4
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.err and "max deviation" in captured.out
+
+
+def test_a_failed_write_replaces_no_artifact_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    # the new summary.json was renamed into place before series.csv failed,
+    # beside the old series.csv and manifest.json, and series.csv.tmp was left
+    name = "1d-mirror-vacuum"
+    out_dir = run_scenario(name, out_base=str(tmp_path)).out_dir
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    write_text = pathlib.Path.write_text
+
+    def disk_full(path, text, *args, **kwargs):
+        if path.name == "series.csv.tmp":
+            write_text(path, text[:10], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", disk_full)
+    with pytest.raises(errors.IoError, match="series.csv"):
+        run_scenario(name, {"mirror": {"mass": 2e-21}}, out_base=str(tmp_path))
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before

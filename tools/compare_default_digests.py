@@ -35,14 +35,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# paths that no scenario's defaults reach, ten non-default configs: the
+# paths that no scenario's defaults reach, eleven non-default configs: the
 # damped cat, the cat on an odd grid (no Nyquist bin, an odd midpoint slice),
 # the cat run long enough that its p factor leaves the double range, the cat
 # at 70 steps a sample (a sample falls inside a step call of _BLOCK = 64
 # steps), the cat at one step a sample, the cat at a nonzero relative phase
 # (its mean p, zero by symmetry at the defaults, is not), the undamped
-# oracle, an odd oracle grid, the sieve at a kilogram mirror and the sphere's
-# relative-weight route, each keyed by its scenario and overrides
+# oracle, an odd oracle grid, the oracle orbiting far from the box centre
+# (the readers' sums are taken about the field's own mean), the sieve at a
+# kilogram mirror and the sphere's relative-weight route, each keyed by its
+# scenario and overrides
 _EXTRA = {
     "sieve-pointer-states:mass=1": ["sieve-pointer-states", {"mirror": {"mass": 1.0}}],
     "sphere-rayleigh-vacuum:radius=3e-11": ["sphere-rayleigh-vacuum",
@@ -57,6 +59,10 @@ _EXTRA = {
                                        {"coefficients": {"gamma": 0.0}}],
     "wigner-gaussian-oracle:grid=65x63": ["wigner-gaussian-oracle",
                                           {"grid": {"nx": 65, "np": 63}}],
+    "wigner-gaussian-oracle:mean_x=6": [
+        "wigner-gaussian-oracle",
+        {"initial": {"mean_x": 6.0, "mean_p": 0.0},
+         "grid": {"x_half_width": 20.0, "p_half_width": 8.0}}],
 }
 
 # runs in the child: argv is (src, out, extra as JSON); prints
