@@ -32,12 +32,12 @@ def _print_derived(derived: dict):
 
 def _cmd_run(args) -> int:
     try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        with open(args.config, "rb") as fh:
+            raw = json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a long int, deep nesting
+        raise ConfigError(f"cannot parse config {args.config} as JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     name = raw.pop("scenario", None)

@@ -93,7 +93,7 @@ __all__ = [
     "scenario_defaults",
 ]
 
-_SCHEMA_VERSION = 18
+_SCHEMA_VERSION = 19
 _OUT_DIR_ENV = "CASIDEC_OUT_DIR"
 _CSV_COLUMNS = ("visibility", "purity", "mean_x", "mean_p",
                 "cov_xx", "cov_xp", "cov_pp")

@@ -12,6 +12,9 @@ plane mirror, the momentum-diffusion coefficient it generates (finite-time
 closed form and asymptotic value), and the characteristic roots of the
 mirror's equation of motion including radiation reaction.
 
+The roots are taken in double precision, where nothing cancels. Only the
+finite-time diffusion, whose terms cancel, needs mpmath, and imports it.
+
 No interpolation is attempted between regimes: each rate is the printed
 formula for its regime and the dispatcher refuses anything else.
 """
@@ -23,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .errors import (
     DomainError,
@@ -135,9 +137,9 @@ class CharacteristicRoots:
     The oscillatory pair sits at -Gamma +/- i omega0 up to corrections of
     order (eps omega0)^2; the third root ~ 1/eps is the unphysical runaway
     branch of radiation reaction and must be discarded by any sensible
-    integration contour. Deviation diagnostics are computed in arbitrary
-    precision before being rounded to floats, because the interesting
-    deviations sit far below double-precision eigenvalue accuracy.
+    integration contour. Every field is a ratio of positive terms (see
+    characteristic_roots), so double precision holds to a few ulps even the
+    deviations that sit far below eigenvalue accuracy.
     """
 
     oscillatory: tuple[complex, complex]
@@ -150,64 +152,49 @@ class CharacteristicRoots:
 
 def characteristic_roots(params: MirrorParams,
                          constants: PhysicalConstants = CODATA) -> CharacteristicRoots:
-    """Solve the cubic dispersion relation of the damped mirror exactly.
+    """Solve the cubic dispersion relation of the damped mirror in double precision.
 
-    For omega0 = 0 the roots {0, 0, 1/eps} are returned in closed form.
-    Otherwise the cubic has exactly one real root, the runaway r > 1/eps,
-    and Cardano's formula gives it: with a = (eps omega0)^2 and
-    u = cbrt(1 + 27a/2 + sqrt(27a (1 + 27a/4))), r = (1 + u + 1/u)/(3 eps),
-    a sum of positive terms at every a, so nothing cancels. Deflating by r
-    leaves the oscillatory pair as the roots of the quadratic
-    s^2 - (1/eps - r) s + omega0^2/(eps r) = 0 (Vieta). The work runs in
-    arbitrary precision, at 30 + 4.2 log10(1/(eps omega0)) digits: the pair's
-    sum 1/eps - r cancels (eps omega0)^2 of 1/eps, and the real part's
-    deviation from -Gamma is a further (eps omega0)^2 below that.
+    For omega0 = 0 the roots are {0, 0, 1/eps} in closed form. Otherwise the
+    runaway is r = (1 + y)/eps, with y > 0 the root of y (1 + y)^2 =
+    (eps omega0)^2, and Vieta puts the pair at -Gamma/(1 + y)^2 +/- i omega0
+    sqrt(4 + 3y)/(2 (1 + y)): each root and deviation is a ratio of positive
+    terms in y, so nothing cancels. Newton's iteration takes y = 4^k t from
+    t (4^-k + t)^2 = (eps omega0 / 8^k)^2, 8^k ~ eps omega0 (k >= 0), so that
+    (eps omega0)^2 is never formed; the left side is convex in t, so the
+    iterates fall from above until they stop. Each residual is in units of
+    its own root: the runaway's, and omega0 for the pair.
     """
-    hbar, c = constants.hbar, constants.c
-    eps = hbar / (6.0 * math.pi * params.mass * c**2)
+    eps = constants.hbar / (6.0 * math.pi * params.mass * constants.c**2)
     w0 = params.omega0
-
     if w0 == 0.0:
         return CharacteristicRoots(
             oscillatory=(0j, 0j), runaway=1.0 / eps,
             re_deviation_rel=0.0, im_deviation_rel=0.0, runaway_deviation_rel=0.0,
             residual_rel_max=0.0)
 
-    small = eps * w0
-    if not small > 0:
-        raise DomainError(f"eps * omega0 underflows double precision (mass {params.mass:g} kg, "
-                          f"omega0 {w0:g} rad/s); the cubic cannot be scaled")
-    digits = 30 + max(0, math.ceil(4.2 * -math.log10(small)))
-
-    with mp.workdps(digits):
-        eps_hp = mpf(hbar) / (6 * mp.pi * mpf(params.mass) * mpf(c) ** 2)
-        w0_hp = mpf(w0)
-        gamma_hp = mpf(hbar) * w0_hp**2 / (12 * mp.pi * mpf(params.mass) * mpf(c) ** 2)
-
-        a = (eps_hp * w0_hp) ** 2
-        u = mp.cbrt(1 + 27 * a / 2 + mp.sqrt(27 * a * (1 + 27 * a / 4)))
-        runaway_hp = (1 + u + 1 / u) / (3 * eps_hp)
-        half_sum = (1 / eps_hp - runaway_hp) / 2
-        s_plus = mp.mpc(half_sum, mp.sqrt(w0_hp**2 / (eps_hp * runaway_hp) - half_sum**2))
-
-        def residual(s):
-            num = abs(eps_hp * s**3 - s**2 - w0_hp**2)
-            scale = abs(eps_hp) * abs(s) ** 3 + abs(s) ** 2 + w0_hp**2
-            return num / scale
-
-        res_max = float(max(residual(runaway_hp), residual(s_plus)))
-        re_dev = float(abs(mp.re(s_plus) + gamma_hp) / gamma_hp)
-        im_dev = float(abs(mp.im(s_plus) - w0_hp) / w0_hp)
-        run_dev = float(abs(runaway_hp - 1 / eps_hp) * eps_hp)
-        osc = complex(s_plus)
-
+    eps_w0 = eps * w0
+    if not 0.0 < eps_w0 < math.inf:
+        raise DomainError(f"eps * omega0 = {eps_w0:g} leaves double precision (mass "
+                          f"{params.mass:g} kg, omega0 {w0:g} rad/s); the cubic cannot be scaled")
+    k = max(0, math.frexp(eps_w0)[1] // 3)
+    floor, target = math.ldexp(1.0, -2 * k), math.ldexp(eps_w0, -3 * k) ** 2
+    t = max(1.0, target)
+    while (below := (2.0 * t * t * (floor + t) + target) / ((floor + t) * (floor + 3.0 * t))) < t:
+        t = below
+    y = math.ldexp(t, 2 * k)
+    frac, im_rel = y / (1.0 + y), math.sqrt(4.0 + 3.0 * y) / (2.0 * (1.0 + y))
+    osc = complex(-0.5 * w0 * (eps_w0 / (1.0 + y)) / (1.0 + y), w0 * im_rel)
+    runaway = (1.0 + y) / eps
+    z, v = osc / w0, w0 / runaway
     return CharacteristicRoots(
         oscillatory=(osc, osc.conjugate()),
-        runaway=float(runaway_hp),
-        re_deviation_rel=re_dev,
-        im_deviation_rel=im_dev,
-        runaway_deviation_rel=run_dev,
-        residual_rel_max=res_max,
+        runaway=runaway,
+        re_deviation_rel=frac * (2.0 + y) / (1.0 + y),
+        im_deviation_rel=frac * (5.0 + 4.0 * y) / (4.0 * (1.0 + y)) / (1.0 + im_rel),
+        runaway_deviation_rel=y,
+        residual_rel_max=max(
+            abs(eps_w0 * z**3 - z * z - 1.0) / (eps_w0 * abs(z) ** 3 + abs(z) ** 2 + 1.0),
+            abs(eps * runaway - 1.0 - v * v) / (eps * runaway + 1.0 + v * v)),
     )
 
 
@@ -283,6 +270,8 @@ def diffusion_finite_time(t: float, omega0: float, model: SpectrumModel,
         raise DomainError("finite-time diffusion needs omega0 > 0")
     if not math.isfinite(model.cutoff_omega):
         raise QuadratureFailure("finite-time diffusion needs a finite spectrum cutoff")
+
+    from mpmath import mp, mpf
 
     digits = 20 + math.ceil(4 * max(0.0, math.log10(omega0 / model.cutoff_omega)))
     with mp.workdps(digits):

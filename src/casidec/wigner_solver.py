@@ -58,7 +58,6 @@ from dataclasses import dataclass, field, replace
 import numpy
 import numpy as np
 from numpy.fft import irfft, rfft
-from scipy.ndimage import map_coordinates
 
 from .errors import (
     DomainError,
@@ -512,6 +511,13 @@ def _exact_passes(mass: float | None, omega: float, gamma: float, d1: float,
             return [(axis, s, float(v))
                     for (axis, s), v in zip(passes, _blur_variances(passes, q))]
     return [(axis, s, 0.0) for axis, s in passes]
+
+
+def map_coordinates(*args, **kwargs):
+    """scipy.ndimage.map_coordinates, imported on first call: only a damped
+    plan's stretch reads it, so no other run loads scipy."""
+    from scipy.ndimage import map_coordinates
+    return map_coordinates(*args, **kwargs)
 
 
 def _diffuse(k2, v: float):

@@ -106,7 +106,7 @@ def test_manifest_is_the_only_place_with_timing(tmp_path):
     rep = run_scenario("cosmic-background-sphere", {"series_points": 5},
                        out_base=str(tmp_path))
     manifest = json.loads((rep.out_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == 18
+    assert manifest["schema_version"] == 19
     assert manifest["scenario"] == "cosmic-background-sphere"
     assert rep.summary["scenario"] == "cosmic-background-sphere"
     assert manifest["config"]["series_points"] == 5
@@ -244,6 +244,22 @@ def test_cli_missing_and_malformed_files_exit_2(tmp_path, capsys):
     arr.write_text("[1, 2]")
     assert main(["run", str(arr)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe",                                                  # not UTF-8
+    b'{"scenario": "1d-mirror-vacuum", "series_points": ' + b"1" * 5000 + b"}",
+    b"[" * 100_000 + b"]" * 100_000,                              # nested too deep
+], ids=["not-utf8", "5000-digit-int", "deep-nesting"])
+def test_cli_unparseable_files_exit_2_and_write_nothing(tmp_path, capsys, content):
+    # each left json.load untyped and exited 1 with a traceback: a
+    # UnicodeDecodeError, Python's limit on integer string conversion (a
+    # ValueError), and a RecursionError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_regime_violation_exits_3(tmp_path, capsys):

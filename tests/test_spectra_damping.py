@@ -102,31 +102,61 @@ def test_damping_rate_dispatch():
 # ------------------------------------------------------ characteristic roots
 
 def _cardano_roots(mass, omega0, constants):
-    """Closed-form Cardano solution of eps s^3 - s^2 - omega0^2 = 0."""
-    with mp.workdps(60):
+    """Closed-form Cardano solution of eps s^3 - s^2 - omega0^2 = 0 and the
+    deviations of CharacteristicRoots, at 60 digits beyond what Cardano's
+    cancellations cost: the pair's real part, and its distance from -Gamma,
+    each lose (eps omega0)^2 of 1/eps, and above eps omega0 = 1 the smaller
+    cube root loses (eps omega0)^4."""
+    eps_w0 = constants.hbar * omega0 / (6 * math.pi * mass * constants.c**2)
+    with mp.workdps(60 + math.ceil(4.2 * abs(math.log10(eps_w0)))):
         eps = mpf(constants.hbar) / (6 * mp.pi * mpf(mass) * mpf(constants.c) ** 2)
+        w0 = mpf(omega0)
+        gamma = eps * w0**2 / 2
         shift = 1 / (3 * eps)
         p = -1 / (3 * eps**2)
-        q = -2 / (27 * eps**3) - mpf(omega0) ** 2 / eps
+        q = -2 / (27 * eps**3) - w0**2 / eps
         disc = (q / 2) ** 2 + (p / 3) ** 3
         root = mp.sqrt(disc)
         u = mp.cbrt(-q / 2 + root)
         v = mp.cbrt(-q / 2 - root)
         real = u + v + shift
         re_pair = -(u + v) / 2 + shift
-        im_pair = (mp.sqrt(3) / 2) * (u - v)
-        return float(real), complex(float(re_pair), float(im_pair))
+        im_pair = (mp.sqrt(3) / 2) * abs(u - v)
+        return {"runaway": real, "re": re_pair, "im": im_pair,
+                "re_deviation_rel": abs(re_pair + gamma) / gamma,
+                "im_deviation_rel": abs(im_pair - w0) / w0,
+                "runaway_deviation_rel": abs(real - 1 / eps) * eps}
 
 
-@pytest.mark.parametrize("mass,omega0", [(1e-21, 1e10), (1e-23, 1e8), (1e-18, 1e12)])
+_ORACLE_CASES = [(1e-21, 1e10), (1e-23, 1e8), (1e-18, 1e12)]
+# the whole range: masses 1e-30 to 1e3 kg at three trap frequencies, where
+# eps omega0 runs from 6e-53 to 6e-8, and light mirrors with eps omega0 from
+# 1 to 1e250, where the runaway root leaves 1/eps
+_ORACLE_CASES += [
+    pytest.param(float(f"1e{x}"), w0, id=f"M=1e{x}-w0={w0:g}")
+    for w0 in (1e3, 1e10, 1e15) for x in range(-30, 4)
+    if (float(f"1e{x}"), w0) not in _ORACLE_CASES]
+_ORACLE_CASES += [
+    pytest.param(CODATA.hbar * 1e10 / (6 * math.pi * float(f"1e{x}") * CODATA.c**2), 1e10,
+                 id=f"eps_omega0=1e{x}")
+    for x in range(0, 251, 25)]
+
+
+@pytest.mark.parametrize("mass,omega0", _ORACLE_CASES)
 def test_roots_against_cardano_oracle(mass, omega0):
-    p = MirrorParams(mass=mass, omega0=omega0)
-    roots = characteristic_roots(p)
-    runaway_ref, osc_ref = _cardano_roots(mass, omega0, CODATA)
-    assert roots.runaway == pytest.approx(runaway_ref, rel=1e-12)
+    # every field in double against the oracle; the measured worst over these
+    # cases is 5.2e-16 of the field (re_deviation_rel at 1e-18 kg and
+    # 1e15 rad/s), and the largest residual 4.6e-16
+    roots = characteristic_roots(MirrorParams(mass=mass, omega0=omega0))
+    ref = _cardano_roots(mass, omega0, CODATA)
     osc = max(roots.oscillatory, key=lambda s: s.imag)
-    assert osc.real == pytest.approx(osc_ref.real, rel=1e-10)
-    assert osc.imag == pytest.approx(abs(osc_ref.imag), rel=1e-12)
+    got = {"runaway": roots.runaway, "re": osc.real, "im": osc.imag,
+           "re_deviation_rel": roots.re_deviation_rel,
+           "im_deviation_rel": roots.im_deviation_rel,
+           "runaway_deviation_rel": roots.runaway_deviation_rel}
+    for key, value in got.items():
+        assert abs(value - ref[key]) <= 1e-15 * abs(ref[key]), key
+    assert roots.residual_rel_max <= 1e-15
 
 
 def test_roots_oscillatory_pair_matches_damping_rate():
@@ -203,6 +233,14 @@ def test_roots_free_particle_closed_form():
     eps = CODATA.hbar / (6 * math.pi * 1e-21 * CODATA.c**2)
     assert roots.oscillatory == (0j, 0j)
     assert roots.runaway == pytest.approx(1.0 / eps, rel=1e-15)
+
+
+
+def test_roots_refuse_eps_omega0_outside_the_double_range():
+    # an eps * omega0 that overflowed to inf raised an untyped OverflowError
+    for mass, omega0 in ((1e-300, 1e300), (1e300, 1e-300)):
+        with pytest.raises(DomainError, match="leaves double precision"):
+            characteristic_roots(MirrorParams(mass=mass, omega0=omega0))
 
 
 # --------------------------------------------------------------- spectrum
